@@ -27,6 +27,7 @@ from .errors import (
     NonConvergence,
     PrecisionExhausted,
     RepeatedRootSuspected,
+    SexticError,
     ZeroD,
 )
 from .exact import (
@@ -45,7 +46,7 @@ from .resolvents import (
     g_verified,
     resolvent_numeric_in_frame,
 )
-from .roots import PRECISION_CAP, PRECISION_START, find_roots, precision_ladder
+from .roots import PRECISION_CAP, PRECISION_START, find_roots, min_separation, precision_ladder
 
 
 class GroupBound(Enum):
@@ -122,7 +123,7 @@ def is_irreducible(p: RatPoly, precision: int = PRECISION_START) -> bool:
         with mp.workprec(prec + 32):
             err = rts.error_radius
             radius = max(abs(z) for z in rts.roots)
-            if _pairwise_min(rts.roots) <= 2 * err:
+            if min_separation(rts.roots) <= 2 * err:
                 continue  # cannot separate the roots at this precision
             certified = True
             for k in range(2, n // 2 + 1):
@@ -139,14 +140,6 @@ def is_irreducible(p: RatPoly, precision: int = PRECISION_START) -> bool:
             if certified:
                 return True
     raise PrecisionExhausted("cannot certify irreducibility at the precision cap")
-
-
-def _pairwise_min(zs):
-    best = mp.inf
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            best = min(best, abs(zs[i] - zs[j]))
-    return best
 
 
 def _integer_factor_candidate(roots, subset, bound) -> Optional[IntPoly]:
@@ -248,21 +241,32 @@ def vanishing_constant_family(d) -> ReducedSextic:
     return ReducedSextic(d, (32 * d**4 + 3) / (144 * d**2))
 
 
+def scan_point(point):
+    """Classify one grid point (d, e, precision) of x^6 + x^2 + d*x + e.
+
+    Returns (d, e, report, error): report only for an irreducible solvable
+    point, error "Type: message" only for a SexticError; other exceptions
+    propagate. Module-level so a process pool can pickle it.
+    """
+    d, e, precision = point
+    d, e = Fraction(d), Fraction(e)
+    try:
+        report = classify(ReducedSextic(d, e).to_poly(), precision)
+    except SexticError as exc:
+        return d, e, None, f"{type(exc).__name__}: {exc}"
+    if report.irreducible and report.solvable is Solvable.YES:
+        return d, e, report, None
+    return d, e, None, None
+
+
 def search_reduced(d_values, e_values, precision: int = PRECISION_START):
     """Classify x^6 + x^2 + d*x + e over a finite grid.
 
     Returns (hits, errors): hits are (d, e, report) triples for irreducible
-    solvable points in grid order; per-point failures are collected as
-    (d, e, message) and never abort the scan.
+    solvable points in grid order; points that raise a SexticError are
+    collected as (d, e, message) and never abort the scan.
     """
-    hits, errors = [], []
-    for d in d_values:
-        for e in e_values:
-            try:
-                report = classify(ReducedSextic(d, e).to_poly(), precision)
-            except Exception as exc:  # per-point errors are data, not crashes
-                errors.append((Fraction(d), Fraction(e), f"{type(exc).__name__}: {exc}"))
-                continue
-            if report.irreducible and report.solvable is Solvable.YES:
-                hits.append((Fraction(d), Fraction(e), report))
+    results = [scan_point((d, e, precision)) for d in d_values for e in e_values]
+    hits = [(d, e, report) for d, e, report, _ in results if report is not None]
+    errors = [(d, e, error) for d, e, _, error in results if error is not None]
     return hits, errors

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .classify import ClassificationReport, Solvable, classify
-from .errors import NumericFailure, SexticError, ZeroD
+from .classify import ClassificationReport, classify, scan_point
+from .errors import NumericFailure, ZeroD
 from .exact import RatPoly, rational_roots
 from .quintic import (
     DEFAULT_HEIGHT_BOUND,
@@ -39,6 +39,7 @@ from .resolvents import (
     reconstruct_reduced,
     resolvent_numeric_in_frame,
 )
+from .roots import PRECISION_CAP, check_precision
 
 _KINDS = {"j": ResolventKind.MATCHING, "k": ResolventKind.PARTITION}
 
@@ -57,6 +58,14 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _precision_bits(text: str) -> int:
+    try:
+        return check_precision(int(text))
+    except ValueError:
+        bounds = f"1..{PRECISION_CAP} (flag or SEXTIC_PRECISION_BITS)"
+        raise argparse.ArgumentTypeError(f"must be an integer in {bounds}, got {text!r}") from None
 
 
 def _coeff_list(text: str) -> RatPoly:
@@ -110,6 +119,10 @@ def _emit(data: dict, fmt: str) -> None:
                 print("  " + ", ".join(f"{k}={v}" for k, v in item.items()))
         else:
             print(f"{key}: {value}")
+
+
+def _params_dict(p: QuinticParams) -> dict:
+    return {"epsilon": p.epsilon, "c": str(p.c), "e": str(p.e)}
 
 
 def _complex_dict(z, digits: int = 30) -> dict:
@@ -237,16 +250,13 @@ def _parse_range(text: str) -> list:
     return out
 
 
-def _search_point(task):
-    d, e, precision = task
-    try:
-        report = classify(ReducedSextic(d, e).to_poly(), precision)
-    except SexticError as exc:
-        return ("error", f"d={d} e={e}: {type(exc).__name__}: {exc}")
-    if report.irreducible and report.solvable is Solvable.YES:
-        line = {"d": str(d), "e": str(e), "report": _report_dict(report)}
-        return ("hit", json.dumps(line))
-    return ("miss", "")
+def _print_scan(results) -> None:
+    """Print hits to stdout and errors to stderr, each as soon as its point arrives."""
+    for d, e, report, error in results:
+        if error is not None:
+            print(f"d={d} e={e}: {error}", file=sys.stderr)
+        elif report is not None:
+            print(json.dumps({"d": str(d), "e": str(e), "report": _report_dict(report)}))
 
 
 def _cmd_search(args, parser) -> int:
@@ -255,33 +265,16 @@ def _cmd_search(args, parser) -> int:
             parser.error("--quintic needs --box N")
         for a, b in search_quintics(args.box, args.height_bound, args.precision_bits):
             params = params_from_ab(a, b, args.height_bound)
-            print(
-                json.dumps(
-                    {
-                        "a": str(a),
-                        "b": str(b),
-                        "params": {
-                            "epsilon": params.epsilon,
-                            "c": str(params.c),
-                            "e": str(params.e),
-                        },
-                    }
-                )
-            )
+            print(json.dumps({"a": str(a), "b": str(b), "params": _params_dict(params)}))
         return 0
     if args.d_range is None or args.e_range is None:
         parser.error("provide --d-range and --e-range (or --quintic --box N)")
-    tasks = [(d, e, args.precision_bits) for d in args.d_range for e in args.e_range]
+    points = [(d, e, args.precision_bits) for d in args.d_range for e in args.e_range]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_search_point, tasks, chunksize=8))
+            _print_scan(pool.map(scan_point, points, chunksize=8))
     else:
-        results = [_search_point(t) for t in tasks]
-    for status, payload in results:
-        if status == "hit":
-            print(payload)
-        elif status == "error":
-            print(payload, file=sys.stderr)
+        _print_scan(map(scan_point, points))
     return 0
 
 
@@ -314,7 +307,7 @@ def _cmd_quintic(args, parser) -> int:
         "a": str(tower.a),
         "b": str(tower.b),
         "found": True,
-        "params": {"epsilon": params.epsilon, "c": str(params.c), "e": str(params.e)},
+        "params": _params_dict(params),
         "roots": [_complex_dict(z) for z in tower.roots],
         "residual": mp.nstr(tower.residual, 8),
     }
@@ -334,12 +327,12 @@ def _add_poly_flags(sub):
 
 
 def build_parser() -> _Parser:
-    default_bits = int(os.environ.get("SEXTIC_PRECISION_BITS", "256"))
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--precision-bits",
-        type=int,
-        default=default_bits,
+        type=_precision_bits,
+        # argparse runs a string default through type, so a bad env value exits 1 too
+        default=os.environ.get("SEXTIC_PRECISION_BITS", "256"),
         help="starting working precision (default 256, env SEXTIC_PRECISION_BITS)",
     )
     common.add_argument("--format", choices=("json", "text"), default="json")

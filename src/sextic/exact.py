@@ -46,14 +46,6 @@ class RatPoly:
     def zero() -> "RatPoly":
         return RatPoly([])
 
-    @staticmethod
-    def x_power(k: int, coeff=1) -> "RatPoly":
-        return RatPoly([0] * k + [coeff])
-
-    @staticmethod
-    def from_high_to_low(coeffs: Iterable) -> "RatPoly":
-        return RatPoly(list(coeffs)[::-1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -124,9 +116,6 @@ class RatPoly:
 
     def monic(self) -> "RatPoly":
         return self.scale(1 / self.leading())
-
-    def shift_by_x_power(self, k: int) -> "RatPoly":
-        return RatPoly([Fraction(0)] * k + list(self.coeffs))
 
     def substitute_scaled(self, m: Fraction) -> "RatPoly":
         """Return q(x) = p(m*x)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 import mpmath as mp
@@ -201,8 +201,12 @@ class PermGroup:
     def index(self) -> int:
         return _S6_ORDER // self.order
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, p: Perm) -> bool:
-        return p in set(self.elements)
+        return p in self._members
 
     def __iter__(self):
         return iter(self.elements)
@@ -251,8 +255,7 @@ def parity_subgroup(g: PermGroup) -> PermGroup:
 
 
 def intersect(g1: PermGroup, g2: PermGroup) -> PermGroup:
-    other = set(g2.elements)
-    return PermGroup(tuple(p for p in g1.elements if p in other))
+    return PermGroup(tuple(p for p in g1.elements if p in g2))
 
 
 def stabilizer(m: MonomialSum) -> PermGroup:

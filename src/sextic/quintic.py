@@ -25,8 +25,8 @@ import mpmath as mp
 
 from .classify import is_irreducible
 from .errors import NoConsistentBranch
-from .exact import RatPoly
-from .roots import PRECISION_START
+from .exact import RatPoly, is_rational_square
+from .roots import PRECISION_START, check_precision, to_mpf
 
 DEFAULT_HEIGHT_BOUND = 24
 
@@ -109,13 +109,10 @@ def params_from_ab(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND):
                 continue
             sqrt_disc = Fraction(2 * s, m4)
         else:
-            disc = 400 * Fraction(n, m) ** 8 - 4 * a * (a - 15 * Fraction(n, m) ** 4)
-            if disc < 0:
+            t4 = Fraction(n4, m4)
+            sqrt_disc = is_rational_square(400 * t4 * t4 - 4 * a * (a - 15 * t4))
+            if sqrt_disc is None:
                 continue
-            rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
-            if rn * rn != disc.numerator or rd * rd != disc.denominator:
-                continue
-            sqrt_disc = Fraction(rn, rd)
         e4 = Fraction(n4, m4)
         for eps in (1, -1):
             for sign in (1, -1):
@@ -138,24 +135,25 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
     5^4 branch assignments are searched in a fixed order. The residual
     max_j |x_j^5 + a x_j + b| certifies the construction.
     """
+    check_precision(precision)
     a, b = ab_from_params(p)
     with mp.workprec(precision + 32):
         D = p.c**2 + 1
-        sD = mp.sqrt(_mpf(D))
+        sD = mp.sqrt(to_mpf(D))
         eps = p.epsilon
-        minus = mp.sqrt(mp.mpc(_mpf(D) - eps * sD))
-        plus = mp.sqrt(mp.mpc(_mpf(D) + eps * sD))
+        minus = mp.sqrt(mp.mpc(to_mpf(D) - eps * sD))
+        plus = mp.sqrt(mp.mpc(to_mpf(D) + eps * sD))
         v1 = sD + minus
         v2 = -sD - plus
         v3 = -sD + plus
         v4 = sD - minus
-        d2 = _mpf(D) ** 2
+        d2 = to_mpf(D) ** 2
         bases = (v1**2 * v3 / d2, v3**2 * v4 / d2, v2**2 * v1 / d2, v4**2 * v2 / d2)
         branches = [[mp.root(base, 5, k) for k in range(5)] for base in bases]
         omega = mp.expjpi(mp.mpf(2) / 5)
         wtab = [omega**t for t in range(5)]
-        e_val = _mpf(p.e)
-        a_val, b_val = _mpf(a), _mpf(b)
+        e_val = to_mpf(p.e)
+        a_val, b_val = to_mpf(a), to_mpf(b)
         tol = mp.mpf(2) ** -(precision // 2) * (1 + abs(a_val) + abs(b_val))
         for combo in itertools.product(range(5), repeat=4):
             us = [branches[i][combo[i]] for i in range(4)]
@@ -179,10 +177,6 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
     raise NoConsistentBranch(
         f"no fifth-root branch assignment solves x^5 + {a}x + {b} at {precision} bits"
     )
-
-
-def _mpf(q: Fraction):
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
 def search_quintics(

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath as mp
@@ -382,7 +383,15 @@ def reconstruct_reduced(
     every admissible monomial, interpolates exactly, checks the fit against
     the weighted-degree support, validates on random holdout points, and
     diffs the result against the reference transcription.
+
+    The result depends only on the arguments, so it is cached (the degree-15
+    run takes tens of seconds); callers share it and must not mutate it.
     """
+    return _reconstruct_reduced(kind, precision, holdouts, seed)
+
+
+@lru_cache(maxsize=4)
+def _reconstruct_reduced(kind, precision, holdouts, seed) -> ReconstructionReport:
     deg, w = kind.degree, kind.weight
     nd = (w * deg) // D_WEIGHT + 1
     ne = (w * deg) // E_WEIGHT + 1

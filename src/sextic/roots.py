@@ -12,6 +12,7 @@ output.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +27,16 @@ MAX_ITERATIONS = 400
 _GUARD_BITS = 32
 
 
+def check_precision(bits: int, cap: int = PRECISION_CAP) -> int:
+    """Return bits when 1 <= bits <= cap; raise ValueError naming the range otherwise."""
+    if not 1 <= bits <= cap:
+        raise ValueError(f"precision must be between 1 and {cap} bits, got {bits}")
+    return bits
+
+
 def precision_ladder(start: int = PRECISION_START, cap: int = PRECISION_CAP):
     """Yield doubling precisions start, 2*start, ... up to cap."""
-    p = start
+    p = check_precision(start, cap)
     while p <= cap:
         yield p
         p *= 2
@@ -51,8 +59,9 @@ class ComplexRootSet:
         return len(self.roots)
 
 
-def _to_mpc(c: Fraction):
-    return mp.mpc(mp.mpf(c.numerator) / mp.mpf(c.denominator))
+def to_mpf(c: Fraction):
+    """The rational c at the current working precision."""
+    return mp.mpf(c.numerator) / mp.mpf(c.denominator)
 
 
 def _horner_pair(coeffs, z):
@@ -76,8 +85,8 @@ def find_roots(p: RatPoly, precision_bits: int = PRECISION_START) -> ComplexRoot
     if n < 1:
         raise ValueError("find_roots expects degree >= 1")
     with mp.workprec(precision_bits + _GUARD_BITS):
-        lead = _to_mpc(p.leading())
-        coeffs = [_to_mpc(c) / lead for c in p.coeffs]
+        lead = mp.mpc(to_mpf(p.leading()))
+        coeffs = [mp.mpc(to_mpf(c)) / lead for c in p.coeffs]
         radius = 1 + max(abs(c) for c in coeffs[:-1])
         # fixed off-axis start angles; the 0.353 offset avoids symmetry traps
         zs = [
@@ -106,7 +115,7 @@ def find_roots(p: RatPoly, precision_bits: int = PRECISION_START) -> ComplexRoot
             if worst * n <= target:
                 break
         else:
-            if _min_separation(zs) < mp.mpf(2) ** (-precision_bits // 8):
+            if min_separation(zs) < mp.mpf(2) ** (-precision_bits // 8):
                 raise RepeatedRootSuspected(
                     f"residual stalled at {mp.nstr(worst)} with clustered roots"
                 )
@@ -129,12 +138,9 @@ def find_roots(p: RatPoly, precision_bits: int = PRECISION_START) -> ComplexRoot
         return ComplexRootSet(tuple(zs), err, p, precision_bits)
 
 
-def _min_separation(zs):
-    best = mp.inf
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            best = min(best, abs(zs[i] - zs[j]))
-    return best
+def min_separation(zs):
+    """Smallest distance between two of the points zs."""
+    return min((abs(a - b) for a, b in itertools.combinations(zs, 2)), default=mp.inf)
 
 
 def expand_from_roots(values, extra_prec: int = _GUARD_BITS):

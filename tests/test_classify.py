@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -198,3 +199,21 @@ def test_search_reduced():
     hits, errors = search_reduced([0, 2], [0, 1])
     assert [(h[0], h[1]) for h in hits] == [(0, 1), (2, 1)]
     assert errors and "DegenerateSextic" in errors[0][2]  # the (0, 0) point
+
+
+def test_search_reduced_propagates_errors_that_are_not_sextic_errors(monkeypatch):
+    # only SexticError is per-point data; anything else is a bug and must surface
+    module = importlib.import_module("sextic.classify")  # the attribute is the function
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug inside classify")
+
+    monkeypatch.setattr(module, "classify", broken)
+    with pytest.raises(RuntimeError, match="bug inside classify"):
+        search_reduced([1], [1])
+
+
+def test_classify_rejects_negative_precision():
+    # used to die with ZeroDivisionError inside the root finder
+    with pytest.raises(ValueError, match="between 1 and 4096"):
+        classify(ReducedSextic(1, 2).to_poly(), -64)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,17 @@ def test_search_jobs_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_grid_matches_golden_output(capsys, jobs):
+    # stdout and stderr of the 7x7 grid, captured before the scan was merged
+    # into classify.scan_point; hits and errors keep grid order at any --jobs
+    golden = Path(__file__).parent / "golden" / "search_d-3_3_e-3_3"
+    code, out, err = run(capsys, "search", "--d-range=-3:3", "--e-range=-3:3", "--jobs", jobs)
+    assert code == 0
+    assert out == golden.with_suffix(".out").read_text()
+    assert err == golden.with_suffix(".err").read_text()
+
+
 def test_search_negative_range_equals_form(capsys):
     code, out, _ = run(capsys, "search", "--d-range=-1:1", "--e-range=-2:2")
     assert code == 0
@@ -173,6 +185,32 @@ def test_precision_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SEXTIC_PRECISION_BITS", "320")
     code, out, _ = run(capsys, "classify", "--d", "1", "--e", "1")
     assert code == 0
+
+
+def test_precision_env_out_of_range_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("SEXTIC_PRECISION_BITS", "abc")
+    code, out, err = run(capsys, "classify", "--d", "1", "--e", "2")
+    assert code == 1 and out == ""
+    assert "1..4096" in err and "Traceback" not in err
+
+
+def test_negative_precision_classify_exits_one(capsys):
+    code, out, err = run(capsys, "classify", "--d", "1", "--e", "2", "--precision-bits=-64")
+    assert code == 1 and out == ""
+    assert "1..4096" in err
+
+
+def test_negative_precision_quintic_exits_one(capsys):
+    # used to print five non-roots with residual 64.0 and exit 0
+    code, out, err = run(capsys, "quintic", "--a", "20", "--b", "32", "--precision-bits=-64")
+    assert code == 1 and out == ""
+    assert "1..4096" in err
+
+
+def test_precision_above_cap_exits_one(capsys):
+    code, out, err = run(capsys, "classify", "--d", "1", "--e", "2", "--precision-bits=8192")
+    assert code == 1 and out == ""
+    assert "1..4096" in err and "PrecisionExhausted" not in err
 
 
 def test_text_format(capsys):

@@ -78,6 +78,14 @@ def test_radical_roots_residuals_and_vieta():
     assert tower.D == F(5, 4)
 
 
+def test_radical_roots_rejects_precision_outside_range():
+    # at -64 bits the tower used to return five non-roots with residual 64
+    params = QuinticParams(-1, F(1, 2), 1)
+    for bits in (-64, 0, 8192):
+        with pytest.raises(ValueError, match="between 1 and 4096"):
+            radical_roots(params, bits)
+
+
 def test_radical_roots_all_six():
     for a, b in sorted(SOLVABLE_BOX_40):
         params = params_from_ab(a, b, 24)
