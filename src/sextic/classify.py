@@ -46,7 +46,14 @@ from .resolvents import (
     g_verified,
     resolvent_numeric_in_frame,
 )
-from .roots import PRECISION_CAP, PRECISION_START, find_roots, min_separation, precision_ladder
+from .roots import (
+    PRECISION_CAP,
+    PRECISION_START,
+    check_precision,
+    find_roots,
+    min_separation,
+    precision_ladder,
+)
 
 
 class GroupBound(Enum):
@@ -89,13 +96,14 @@ def _subset_error_bound(n: int, k: int, radius, root_err):
 def is_irreducible(p: RatPoly, precision: int = PRECISION_START) -> bool:
     """Exact irreducibility over the rationals for degree <= 6.
 
-    Degree-1 factors come from the rational root theorem. Degree-2 and -3
+    Degree-1 factors come from the exact rational roots. Degree-2 and -3
     factors are recovered by grouping subsets of certified high-precision
     complex roots, rounding the subset's symmetric functions to integers,
     and verifying the candidate by exact division; the subset loop certifies
     non-integrality through the propagated error bound, so a True answer is
     a proof, never a guess.
     """
+    check_precision(precision)
     n = p.degree
     if n < 1:
         raise ValueError("irreducibility needs degree >= 1")
@@ -114,7 +122,7 @@ def is_irreducible(p: RatPoly, precision: int = PRECISION_START) -> bool:
     # monic integer model y^n + ...: q(y) = lead^(n-1) * P(y/lead)
     _, prim = p.primitive()
     a = prim.coeffs[-1]
-    q = RatPoly([c * a ** (n - 1 - j) for j, c in enumerate(prim.coeffs)])
+    q = RatPoly([c * a ** (n - 1 - j) for j, c in enumerate(prim.coeffs[:-1])] + [1])
     for prec in precision_ladder(precision, PRECISION_CAP):
         try:
             rts = find_roots(q, prec)
@@ -176,6 +184,7 @@ def classify(p: RatPoly, precision: int = PRECISION_START) -> ClassificationRepo
     classically); the containment tests only mean anything for irreducible
     inputs.
     """
+    check_precision(precision)
     if p.degree != 6:
         raise ValueError("classification expects degree exactly 6")
     monic = p.monic()

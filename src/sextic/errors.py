@@ -42,10 +42,8 @@ class DegenerateSextic(NumericFailure):
 
 
 class FactoringExhausted(NumericFailure):
-    """Integer factoring or divisor enumeration exceeded its budget.
-
-    Raised instead of ever returning a possibly-incomplete root set.
-    """
+    """Integer factoring exceeded its budget; never a partial factorization.
+    Reachable only from resolvents.monic_integer_rescale, on input denominators."""
 
 
 class FitInconsistent(SexticError):

@@ -9,6 +9,7 @@ point enters this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,13 +19,11 @@ from .errors import FactoringExhausted
 
 Rat = Fraction
 
-# Rational-root extraction has to factor resolvent constant terms, which grow
-# like e^15.  Trial division handles the smooth part; Brent's rho handles the
-# rest up to a hard budget, after which we refuse rather than risk missing a
-# divisor.
+# Only input denominators are factored (resolvents.monic_integer_rescale).
+# Trial division handles the smooth part; Brent's rho handles the rest up to a
+# hard budget, after which we refuse rather than return a partial answer.
 TRIAL_DIVISION_LIMIT = 10**6
 RHO_ITERATION_BUDGET = 4 * 10**6
-ROOT_CANDIDATE_CAP = 2 * 10**6
 
 
 def _strip(coeffs: list) -> tuple:
@@ -216,7 +215,7 @@ def is_rational_square(q) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# integer factoring (for the rational root theorem)
+# integer factoring
 # ---------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -317,66 +316,67 @@ def factorize(n: int) -> dict:
     return out
 
 
-def divisors(n: int, cap: int = ROOT_CANDIDATE_CAP) -> list:
+def divisors(n: int) -> list:
     """All positive divisors of n >= 1, unordered beyond determinism."""
-    fac = factorize(n)
     divs = [1]
-    for p, k in sorted(fac.items()):
-        if len(divs) * (k + 1) > cap:
-            raise FactoringExhausted(f"divisor count of {n} exceeds cap")
+    for p, k in sorted(factorize(n).items()):
         divs = [d * p**j for d in divs for j in range(k + 1)]
     return divs
 
 
 # ---------------------------------------------------------------------------
-# rational roots
+# rational roots (p-adic lifting)
 # ---------------------------------------------------------------------------
 
 
-def _scaled_value(coeffs: tuple, num: int, den: int) -> int:
-    """Exact den^deg * P(num/den) for an integer coefficient tuple."""
+def _horner(coeffs: list, y: int, m: int = 0) -> int:
+    """Integer polynomial value at y, reduced mod m unless m is 0."""
     acc = 0
-    dpow = 1
-    for i in range(len(coeffs) - 1, -1, -1):
-        acc = acc * num + coeffs[i] * dpow
-        dpow *= den
+    for c in reversed(coeffs):
+        acc = (acc * y + c) % m if m else acc * y + c
     return acc
+
+
+def _squarefree_part(A: list) -> list:
+    """A / gcd(A, A') for a primitive integer polynomial A, by primitive PRS."""
+    g, r = A, [k * c for k, c in enumerate(A)][1:]
+    while r:
+        g, b = [c // math.gcd(*r) for c in r], g
+        r = _pseudo_rem(b, g)
+    return A if len(g) == 1 else list(poly_divmod(RatPoly(A), RatPoly(g))[0].primitive()[1].coeffs)
 
 
 def rational_roots(p: RatPoly) -> set:
     """All rational roots of p (multiplicities not reported).
 
-    Rational root theorem on the primitive integer form: candidates are
-    +-(divisor of constant)/(divisor of leading), each verified by exact
-    evaluation. A zero constant term contributes the root 0 and the test
-    recurses on p with the power of x stripped.
+    p-adic lifting (Loos 1983). 0 is a root when x divides p; the others are
+    y/lead for the integer roots y of the monic model F(y) = lead^(n-1) A(y/lead)
+    of the squarefree part A of p/x^k. Each root of F mod the first odd prime
+    where all are simple (any prime not dividing disc F) is Newton-lifted
+    above twice Fujiwara's root bound, reduced symmetrically, checked exactly.
     """
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
-    _, prim = p.primitive()
-    coeffs = list(prim.coeffs)
-    roots = set()
-    k = 0
-    while not coeffs[k]:
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-        coeffs = coeffs[k:]
-    if len(coeffs) == 1:
+    coeffs = list(p.primitive()[1].coeffs)
+    k = next(i for i, c in enumerate(coeffs) if c)
+    roots = {Fraction(0)} if k else set()
+    A = _squarefree_part(coeffs[k:])
+    n, lead = len(A) - 1, A[-1]
+    if n < 1:
         return roots
-    a0, an = abs(coeffs[0]), abs(coeffs[-1])
-    num_divs = divisors(a0)
-    den_divs = divisors(an)
-    if len(num_divs) * len(den_divs) * 2 > ROOT_CANDIDATE_CAP:
-        raise FactoringExhausted("too many rational root candidates")
-    ctuple = tuple(coeffs)
-    for den in den_divs:
-        for num in num_divs:
-            if math.gcd(num, den) != 1:
-                continue
-            for s in (num, -num):
-                if _scaled_value(ctuple, s, den) == 0:
-                    roots.add(Fraction(s, den))
+    F = [c * lead ** (n - 1 - i) for i, c in enumerate(A[:-1])] + [1]
+    dF = [i * c for i, c in enumerate(F)][1:]
+    bound = 4 * max(1 << -(-abs(c).bit_length() // (n - i)) for i, c in enumerate(F[:-1]))
+    prime = next(q for q in itertools.count(3, 2) if _is_probable_prime(q)
+                 and all(_horner(dF, y, q) for y in range(q) if not _horner(F, y, q)))
+    for y in (y for y in range(prime) if not _horner(F, y, prime)):
+        m = prime
+        while m <= bound:
+            m *= m
+            y = (y - _horner(F, y, m) * pow(_horner(dF, y, m), -1, m)) % m
+        y = y - m if y > m // 2 else y
+        if not _horner(F, y):
+            roots.add(Fraction(y, lead))
     return roots
 
 

@@ -43,6 +43,7 @@ from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, 
 from .roots import (
     PRECISION_CAP,
     PRECISION_START,
+    check_precision,
     expand_from_roots,
     find_roots,
     precision_ladder,
@@ -249,7 +250,7 @@ def resolvent_numeric(p: RatPoly, kind: ResolventKind, precision: int = PRECISIO
     rational roots are in bijection with those of the resolvent of p.
     Walks the precision ladder on rounding or convergence failures.
     """
-    poly, _ = _numeric_prepare(p)
+    poly, _ = _numeric_prepare(p, precision)
     return _resolvent_scaled(poly, kind, precision)
 
 
@@ -258,7 +259,7 @@ def resolvent_numeric_in_frame(
 ) -> RatPoly:
     """Resolvent of p itself (rational coefficients): the rescaled integer
     resolvent mapped back through x -> m^weight x."""
-    poly, m = _numeric_prepare(p)
+    poly, m = _numeric_prepare(p, precision)
     res = _resolvent_scaled(poly, kind, precision).to_rat()
     if m == 1:
         return res
@@ -267,7 +268,8 @@ def resolvent_numeric_in_frame(
     )
 
 
-def _numeric_prepare(p: RatPoly) -> tuple[RatPoly, int]:
+def _numeric_prepare(p: RatPoly, precision: int) -> tuple[RatPoly, int]:
+    check_precision(precision)
     if p.degree != 6:
         raise ValueError("resolvent construction expects a degree-6 polynomial")
     p = p.monic()
@@ -357,18 +359,9 @@ def _interp(xs: list, ys: list) -> list:
 
 
 def _alternating(limit: int, include_zero: bool):
+    """The first limit values of 0 (if included), 1, -1, 2, -2, ..."""
     vals = [0] if include_zero else []
-    k = 1
-    while len(vals) < limit:
-        vals.append(k)
-        if len(vals) < limit:
-            vals.append(-k)
-        k += 1
-    return vals
-
-
-def evaluate_fit(fitted: dict, d: Fraction, e: Fraction, degree: int) -> RatPoly:
-    return _eval_table(fitted, Fraction(d), Fraction(e), degree)
+    return (vals + [s * k for k in range(1, limit + 1) for s in (1, -1)])[:limit]
 
 
 def reconstruct_reduced(
@@ -450,7 +443,7 @@ def _reconstruct_reduced(kind, precision, holdouts, seed) -> ReconstructionRepor
         used.add((d, e))
         holdout_points.append((d, e))
         oracle = resolvent_numeric(ReducedSextic(d, e).to_poly(), kind, precision)
-        if evaluate_fit(fitted, d, e, deg) != oracle.to_rat():
+        if _eval_table(fitted, Fraction(d), Fraction(e), deg) != oracle.to_rat():
             raise FitInconsistent(f"holdout mismatch at (d, e) = ({d}, {e})")
 
     reference = F_REFERENCE_TABLE if kind is ResolventKind.MATCHING else G_REFERENCE_TABLE

@@ -5,6 +5,8 @@ Kept deliberately naive and independent of the library's own algorithms.
 
 from fractions import Fraction
 
+from sextic.exact import divisors
+
 
 def sylvester_resultant(p, q) -> Fraction:
     """Resultant via the Sylvester matrix determinant with plain fraction
@@ -40,3 +42,23 @@ def sylvester_resultant(p, q) -> Fraction:
                 for c2 in range(col, size):
                     rows[r][c2] -= factor * rows[col][c2]
     return det
+
+
+def rational_roots_by_divisors(p) -> set:
+    """Rational roots by the rational root theorem: every +-(divisor of the
+    constant)/(divisor of the leading coefficient) of the primitive integer
+    form with the power of x stripped, each checked by exact evaluation of
+    den^n * p(num/den)."""
+    coeffs = list(p.primitive()[1].coeffs)
+    roots = {Fraction(0)} if not coeffs[0] else set()
+    while not coeffs[0]:
+        del coeffs[0]
+    if len(coeffs) == 1:
+        return roots
+    n = len(coeffs) - 1
+    for num in divisors(abs(coeffs[0])):
+        for den in divisors(abs(coeffs[-1])):
+            for s in (num, -num):
+                if not sum(c * s**i * den ** (n - i) for i, c in enumerate(coeffs)):
+                    roots.add(Fraction(s, den))
+    return roots

@@ -31,6 +31,9 @@ def test_reducible_cases():
     # repeated factor
     assert not is_irreducible(RatPoly([1, 1]) * RatPoly([1, 1]))
     assert not is_irreducible(RatPoly([0, 1, 1]))  # divisible by x
+    # (7x^2 + 1)(7x^2 + 2): the monic model's leading coefficient must be
+    # exactly 1, and 49 * (1/49) is not 1.0 in floating point
+    assert not is_irreducible(RatPoly([2, 0, 21, 0, 49]))
 
 
 def test_irreducible_misc():
@@ -217,3 +220,25 @@ def test_classify_rejects_negative_precision():
     # used to die with ZeroDivisionError inside the root finder
     with pytest.raises(ValueError, match="between 1 and 4096"):
         classify(ReducedSextic(1, 2).to_poly(), -64)
+
+
+def test_classify_checks_precision_before_deciding():
+    # x^6 - 1 is reducible by its rational root 1, decided before the ladder
+    with pytest.raises(ValueError, match="between 1 and 4096"):
+        classify(RatPoly([-1, 0, 0, 0, 0, 0, 1]), -64)
+
+
+def test_is_irreducible_checks_precision_before_deciding():
+    with pytest.raises(ValueError, match="between 1 and 4096"):
+        is_irreducible(RatPoly([2, 0, 0, 1]), -64)
+
+
+@pytest.mark.parametrize(
+    "d", [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, F(1, 2), F(-1, 3), F(2, 3), F(-5, 3)]
+)
+def test_vanishing_constant_family_is_solvable(d):
+    report = classify(vanishing_constant_family(d).to_poly())
+    assert report.irreducible
+    assert F(0) in report.f_roots
+    assert report.bound in (GroupBound.SUBGROUP_OF_J, GroupBound.SUBGROUP_OF_D6)
+    assert report.solvable is Solvable.YES

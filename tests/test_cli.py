@@ -62,6 +62,16 @@ def test_classify_near_miss_of_family_member(capsys):
     assert json.loads(out)["bound"] == "NotSolvableBound"
 
 
+@pytest.mark.parametrize("d, e", [("1", "35/144"), ("2", "515/576"), ("3", "2595/1296")])
+def test_classify_vanishing_constant_family_member(capsys, d, e):
+    # e = (32d^4 + 3)/(144d^2) past d = 1/2: resolvent constants too big to factor
+    code, out, err = run(capsys, "classify", "--d", d, "--e", e)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["solvable"] == "Yes"
+    assert "0" in doc["f_roots"]
+
+
 def test_parse_errors_exit_one(capsys):
     assert run(capsys, "classify")[0] == 1
     assert run(capsys, "classify", "--coeffs", "0,1,2")[0] == 1

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sextic import exact
 from sextic.errors import FactoringExhausted
 from sextic.exact import (
     IntPoly,
@@ -16,9 +17,9 @@ from sextic.exact import (
     resultant,
     squarefree,
 )
-from sextic.resolvents import ReducedSextic, f_reduced, f_verified, g_reduced
+from sextic.resolvents import ReducedSextic, f_reduced, f_verified, g_reduced, g_verified
 
-from oracles import sylvester_resultant
+from oracles import rational_roots_by_divisors, sylvester_resultant
 
 X2_MINUS_1 = RatPoly([-1, 0, 1])
 X2_PLUS_1 = RatPoly([1, 0, 1])
@@ -145,9 +146,45 @@ def test_factorize_roundtrip():
     assert sorted(divisors(12)) == [1, 2, 3, 4, 6, 12]
 
 
-def test_factoring_exhausted_on_hard_semiprime():
-    # two fixed 150-bit primes: far beyond the rho budget
-    p = 1427247692705959881058285969449495136382746689
-    q = 1427247692705959881058285969449495136382746837
+# two fixed 150-bit primes: their product is far beyond the rho budget
+HARD_P = 1427247692705959881058285969449495136382746689
+HARD_Q = 1427247692705959881058285969449495136382746837
+
+
+def test_factoring_exhausted_on_hard_semiprime(monkeypatch):
+    # the budget is shrunk so the refusal is reached in milliseconds; the
+    # code path is the one the full budget ends in
+    monkeypatch.setattr(exact, "RHO_ITERATION_BUDGET", 10**4)
     with pytest.raises(FactoringExhausted):
-        rational_roots(RatPoly([p * q, 0, 1]))
+        factorize(HARD_P * HARD_Q)
+
+
+def test_rational_roots_need_no_factoring():
+    assert rational_roots(RatPoly([HARD_P * HARD_Q, 0, 1])) == set()
+    # (x - p)(x - q) and (p x - q)(q x + p)
+    assert rational_roots(RatPoly([HARD_P * HARD_Q, -HARD_P - HARD_Q, 1])) == {HARD_P, HARD_Q}
+    skew = RatPoly([-HARD_Q, HARD_P]) * RatPoly([HARD_P, HARD_Q])
+    assert rational_roots(skew) == {F(HARD_Q, HARD_P), F(-HARD_P, HARD_Q)}
+
+
+def _random_poly_with_planted_roots(rng):
+    p = RatPoly([rng.choice([-6, -3, -2, -1, 1, 2, 5])])
+    for _ in range(rng.randint(0, 4)):
+        root = F(rng.randint(-9, 9), rng.randint(1, 5))  # 0 gives a zero constant term
+        p = p * RatPoly([-root, 1]) ** rng.randint(1, 3)
+    degree = rng.randint(0, 3)
+    cofactor = RatPoly([rng.randint(-20, 20) for _ in range(degree)] + [rng.choice([-3, -1, 1, 4])])
+    return p * cofactor
+
+
+def test_rational_roots_against_divisor_oracle():
+    rng = random.Random(2024)
+    polys = [_random_poly_with_planted_roots(rng) for _ in range(200)]
+    # constants, degree 1, a negative leading coefficient
+    polys += [RatPoly([7]), RatPoly([F(-2, 3)]), RatPoly([3, -6]), RatPoly([0, -5]),
+              RatPoly([4, 0, 0, -9])]
+    for d in range(-2, 3):
+        for e in range(-2, 3):
+            polys += [f_verified(ReducedSextic(d, e)), g_verified(ReducedSextic(d, e))]
+    for p in polys:
+        assert rational_roots(p) == rational_roots_by_divisors(p), p

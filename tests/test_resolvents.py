@@ -217,3 +217,10 @@ def test_ff_oracle_agrees_with_numeric_on_random_sextic():
         p = RatPoly(coeffs)
     for kind, label in ((ResolventKind.MATCHING, "matching"), (ResolventKind.PARTITION, "split")):
         assert list(resolvent_numeric(p, kind).full_coeffs()) == resolvent_ff(coeffs, label)
+
+
+@pytest.mark.parametrize("build", [resolvent_numeric, resolvent_numeric_in_frame])
+def test_numeric_resolvents_check_precision(build):
+    # checked on entry: the ladder itself starts at no less than 64 bits
+    with pytest.raises(ValueError, match="between 1 and 4096"):
+        build(ReducedSextic(1, 2).to_poly(), ResolventKind.PARTITION, -64)
