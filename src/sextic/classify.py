@@ -8,32 +8,29 @@ discriminant further pushes the group into the alternating group, refining
 each bound to its even part; rational roots in both resolvents pin the
 group inside the order-12 dihedral intersection.
 
-Reduced-shape inputs (x^6 + x^2 + d*x + e) use the audited closed-form
-resolvent tables; everything else goes through the numeric orbit oracle.
+Irreducibility is decided exactly, by factoring mod a prime and Hensel
+lifting (is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) use
+the audited closed-form resolvent tables, so their verdicts involve no
+floating point at all; everything else builds its resolvents through the
+numeric orbit oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
-
-from .errors import (
-    DegenerateSextic,
-    NonConvergence,
-    PrecisionExhausted,
-    RepeatedRootSuspected,
-    SexticError,
-    ZeroD,
-)
+from . import modp
+from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
-    IntPoly,
     RatPoly,
+    _is_probable_prime,
     is_rational_square,
+    monic_model,
     poly_divide_exact,
     rational_roots,
     resultant,
@@ -46,14 +43,8 @@ from .resolvents import (
     g_verified,
     resolvent_numeric_in_frame,
 )
-from .roots import (
-    PRECISION_CAP,
-    PRECISION_START,
-    check_precision,
-    find_roots,
-    min_separation,
-    precision_ladder,
-)
+from .roots import PRECISION_START, check_precision
+from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
 
 
 class GroupBound(Enum):
@@ -87,23 +78,19 @@ class ClassificationReport:
     notes: tuple
 
 
-def _subset_error_bound(n: int, k: int, radius, root_err):
-    """Rigorous-side bound on the error of subset elementary symmetric
-    functions when each root is off by at most root_err."""
-    return 8 * (2**k) * k * (radius + 1) ** k * root_err
-
-
-def is_irreducible(p: RatPoly, precision: int = PRECISION_START) -> bool:
+def is_irreducible(p: RatPoly) -> bool:
     """Exact irreducibility over the rationals for degree <= 6.
 
-    Degree-1 factors come from the exact rational roots. Degree-2 and -3
-    factors are recovered by grouping subsets of certified high-precision
-    complex roots, rounding the subset's symmetric functions to integers,
-    and verifying the candidate by exact division; the subset loop certifies
-    non-integrality through the propagated error bound, so a True answer is
-    a proof, never a guess.
+    Degree-1 factors come from the exact rational roots. For the rest, the
+    monic integer model q (exact.monic_model) is factored mod the first odd
+    prime p at which it is squarefree (Cantor-Zassenhaus), and every product
+    of modular factors whose degree k lies in 2..n//2 is Hensel-lifted above
+    twice the Mignotte bound C(k, k//2)*|q|_2 on the coefficients of a
+    degree-k factor of q, reduced symmetrically and trial-divided exactly
+    (Zassenhaus). A degree-k factor of q over the integers reduces to one of
+    those products, so finding none proves irreducibility; when no product
+    has a fitting degree, that proof needs no lifting at all.
     """
-    check_precision(precision)
     n = p.degree
     if n < 1:
         raise ValueError("irreducibility needs degree >= 1")
@@ -119,54 +106,29 @@ def is_irreducible(p: RatPoly, precision: int = PRECISION_START) -> bool:
         return False
     if n <= 3:
         return True
-    # monic integer model y^n + ...: q(y) = lead^(n-1) * P(y/lead)
-    _, prim = p.primitive()
-    a = prim.coeffs[-1]
-    q = RatPoly([c * a ** (n - 1 - j) for j, c in enumerate(prim.coeffs[:-1])] + [1])
-    for prec in precision_ladder(precision, PRECISION_CAP):
-        try:
-            rts = find_roots(q, prec)
-        except (NonConvergence, RepeatedRootSuspected):
-            continue
-        with mp.workprec(prec + 32):
-            err = rts.error_radius
-            radius = max(abs(z) for z in rts.roots)
-            if min_separation(rts.roots) <= 2 * err:
-                continue  # cannot separate the roots at this precision
-            certified = True
-            for k in range(2, n // 2 + 1):
-                bound = _subset_error_bound(n, k, radius, err)
-                if bound >= 0.25:
-                    certified = False
-                    break
-                for subset in itertools.combinations(range(n), k):
-                    cand = _integer_factor_candidate(rts.roots, subset, bound)
-                    if cand is None:
-                        continue
-                    if poly_divide_exact(q, cand.to_rat()) is not None:
-                        return False
-            if certified:
-                return True
-    raise PrecisionExhausted("cannot certify irreducibility at the precision cap")
-
-
-def _integer_factor_candidate(roots, subset, bound) -> Optional[IntPoly]:
-    """Monic integer polynomial whose roots are the chosen subset, when all
-    its coefficients sit within bound of integers."""
-    coeffs = [mp.mpc(1)]
-    for idx in subset:
-        nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * roots[idx]
-        coeffs = nxt
-    out = []
-    for c in coeffs:
-        nearest = mp.nint(c.real)
-        if abs(c.imag) > bound or abs(c.real - nearest) > bound:
-            return None
-        out.append(int(nearest))
-    return IntPoly(out)
+    q = monic_model(list(p.primitive()[1].coeffs))
+    prime = next(r for r in itertools.count(3, 2)
+                 if _is_probable_prime(r) and modp.is_squarefree(modp.reduce(q, r), r))
+    q_mod = modp.reduce(q, prime)
+    factors = modp.factor(q_mod, prime)
+    norm2 = sum(c * c for c in q)
+    for r in range(1, len(factors)):
+        for subset in itertools.combinations(factors, r):
+            k = sum(len(f) - 1 for f in subset)
+            if not 2 <= k <= n // 2:
+                continue
+            lifts = 1  # until prime^lifts > 2 * C(k, k//2) * |q|_2
+            while prime ** (2 * lifts) <= 4 * math.comb(k, k // 2) ** 2 * norm2:
+                lifts += 1
+            g = [1]
+            for f in subset:
+                g = modp.mul(g, f, prime)
+            lifted, _ = modp.hensel_lift(q, g, modp.div_rem(q_mod, g, prime)[0], prime, lifts)
+            modulus = prime**lifts
+            cand = [c - modulus if c > modulus // 2 else c for c in lifted]
+            if poly_divide_exact(RatPoly(q), RatPoly(cand)) is not None:
+                return False
+    return True
 
 
 def _as_reduced(p: RatPoly) -> Optional[ReducedSextic]:
@@ -182,7 +144,8 @@ def classify(p: RatPoly, precision: int = PRECISION_START) -> ClassificationRepo
     Raises DegenerateSextic when p has a repeated root. Reducible inputs get
     solvable=NotApplicable (their factors have degree <= 5 and are handled
     classically); the containment tests only mean anything for irreducible
-    inputs.
+    inputs. precision is the starting precision of the numeric resolvents,
+    used only for inputs outside the reduced shape.
     """
     check_precision(precision)
     if p.degree != 6:
@@ -192,7 +155,7 @@ def classify(p: RatPoly, precision: int = PRECISION_START) -> ClassificationRepo
     if disc == 0:
         raise DegenerateSextic("repeated roots: the solvability criteria do not apply")
     notes = []
-    irreducible = is_irreducible(monic, precision)
+    irreducible = is_irreducible(monic)
     reduced = _as_reduced(monic)
     if reduced is not None:
         f = f_verified(reduced)
@@ -251,16 +214,15 @@ def vanishing_constant_family(d) -> ReducedSextic:
 
 
 def scan_point(point):
-    """Classify one grid point (d, e, precision) of x^6 + x^2 + d*x + e.
+    """Classify one grid point (d, e) of x^6 + x^2 + d*x + e.
 
     Returns (d, e, report, error): report only for an irreducible solvable
     point, error "Type: message" only for a SexticError; other exceptions
     propagate. Module-level so a process pool can pickle it.
     """
-    d, e, precision = point
-    d, e = Fraction(d), Fraction(e)
+    d, e = map(Fraction, point)
     try:
-        report = classify(ReducedSextic(d, e).to_poly(), precision)
+        report = classify(ReducedSextic(d, e).to_poly())
     except SexticError as exc:
         return d, e, None, f"{type(exc).__name__}: {exc}"
     if report.irreducible and report.solvable is Solvable.YES:
@@ -268,14 +230,14 @@ def scan_point(point):
     return d, e, None, None
 
 
-def search_reduced(d_values, e_values, precision: int = PRECISION_START):
+def search_reduced(d_values, e_values):
     """Classify x^6 + x^2 + d*x + e over a finite grid.
 
     Returns (hits, errors): hits are (d, e, report) triples for irreducible
     solvable points in grid order; points that raise a SexticError are
     collected as (d, e, message) and never abort the scan.
     """
-    results = [scan_point((d, e, precision)) for d in d_values for e in e_values]
+    results = [scan_point((d, e)) for d in d_values for e in e_values]
     hits = [(d, e, report) for d, e, report, _ in results if report is not None]
     errors = [(d, e, error) for d, e, _, error in results if error is not None]
     return hits, errors

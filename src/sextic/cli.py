@@ -68,6 +68,16 @@ def _precision_bits(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer in {bounds}, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _coeff_list(text: str) -> RatPoly:
     try:
         parts = [Fraction(t.strip()) for t in text.split(",")]
@@ -234,7 +244,8 @@ def _table_cell(report, x_power, d_power, e_power, reference: bool) -> int:
     return table.get(x_power, {}).get((d_power, e_power), 0)
 
 
-def _parse_range(text: str) -> list:
+def _parse_range(text: str) -> tuple:
+    """(lo, hi, step) of LO:HI[:STEP]; the values are generated by _range_values."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(f"range must be LO:HI or LO:HI:STEP, got {text!r}")
@@ -242,12 +253,14 @@ def _parse_range(text: str) -> list:
     step = Fraction(parts[2]) if len(parts) == 3 else Fraction(1)
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be positive")
-    out = []
+    return lo, hi, step
+
+
+def _range_values(lo: Fraction, hi: Fraction, step: Fraction):
     v = lo
     while v <= hi:
-        out.append(v)
+        yield v
         v += step
-    return out
 
 
 def _print_scan(results) -> None:
@@ -263,13 +276,14 @@ def _cmd_search(args, parser) -> int:
     if args.quintic:
         if args.box is None:
             parser.error("--quintic needs --box N")
-        for a, b in search_quintics(args.box, args.height_bound, args.precision_bits):
+        for a, b in search_quintics(args.box, args.height_bound):
             params = params_from_ab(a, b, args.height_bound)
             print(json.dumps({"a": str(a), "b": str(b), "params": _params_dict(params)}))
         return 0
     if args.d_range is None or args.e_range is None:
         parser.error("provide --d-range and --e-range (or --quintic --box N)")
-    points = [(d, e, args.precision_bits) for d in args.d_range for e in args.e_range]
+    # nested generators, not itertools.product, which would materialize both ranges
+    points = ((d, e) for d in _range_values(*args.d_range) for e in _range_values(*args.e_range))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             _print_scan(pool.map(scan_point, points, chunksize=8))
@@ -375,8 +389,8 @@ def build_parser() -> _Parser:
                    help="LO:HI[:STEP]; write --e-range=-3:3 for a negative LO")
     p.add_argument("--quintic", action="store_true")
     p.add_argument("--box", type=int)
-    p.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--height-bound", type=_positive_int, default=DEFAULT_HEIGHT_BOUND)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser(
@@ -389,7 +403,7 @@ def build_parser() -> _Parser:
         help="eps,c,e with epsilon in {1,-1}, c > 0, e != 0; "
         "use --params=-1,1/2,1 for a leading minus",
     )
-    p.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
+    p.add_argument("--height-bound", type=_positive_int, default=DEFAULT_HEIGHT_BOUND)
     p.set_defaults(func=_cmd_quintic)
     return parser
 

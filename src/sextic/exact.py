@@ -346,14 +346,22 @@ def _squarefree_part(A: list) -> list:
     return A if len(g) == 1 else list(poly_divmod(RatPoly(A), RatPoly(g))[0].primitive()[1].coeffs)
 
 
+def monic_model(A: list) -> list:
+    """The monic integer polynomial lead^(n-1) * A(y/lead) of an integer
+    polynomial A of degree n >= 1, lowest degree first."""
+    n, lead = len(A) - 1, A[-1]
+    return [c * lead ** (n - 1 - i) for i, c in enumerate(A[:-1])] + [1]
+
+
 def rational_roots(p: RatPoly) -> set:
     """All rational roots of p (multiplicities not reported).
 
     p-adic lifting (Loos 1983). 0 is a root when x divides p; the others are
     y/lead for the integer roots y of the monic model F(y) = lead^(n-1) A(y/lead)
-    of the squarefree part A of p/x^k. Each root of F mod the first odd prime
-    where all are simple (any prime not dividing disc F) is Newton-lifted
-    above twice Fujiwara's root bound, reduced symmetrically, checked exactly.
+    (monic_model) of the squarefree part A of p/x^k. Each root of F mod the
+    first odd prime where all are simple (any prime not dividing disc F) is
+    Newton-lifted above twice Fujiwara's root bound, reduced symmetrically,
+    checked exactly.
     """
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
@@ -364,7 +372,7 @@ def rational_roots(p: RatPoly) -> set:
     n, lead = len(A) - 1, A[-1]
     if n < 1:
         return roots
-    F = [c * lead ** (n - 1 - i) for i, c in enumerate(A[:-1])] + [1]
+    F = monic_model(A)
     dF = [i * c for i, c in enumerate(F)][1:]
     bound = 4 * max(1 << -(-abs(c).bit_length() // (n - i)) for i, c in enumerate(F[:-1]))
     prime = next(q for q in itertools.count(3, 2) if _is_probable_prime(q)

@@ -1,0 +1,170 @@
+"""Dense polynomials over F_p and Z/p^k: arithmetic, factoring, Hensel lifting.
+
+A polynomial is a list of ints, lowest degree first, with no trailing zeros
+(the zero polynomial is []). Every function takes the modulus m (or the
+prime p) explicitly and returns coefficients reduced into 0..m-1. Division
+needs a divisor whose leading coefficient is a unit mod m; gcd, xgcd and
+factoring need a prime modulus, and factoring a squarefree input.
+
+Factoring over F_p (odd p) is distinct-degree splitting followed by
+Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981), and the
+two-factor lift is the quadratic Hensel step (von zur Gathen & Gerhard,
+Modern Computer Algebra, Alg. 15.10). Nothing here uses floating point or
+randomness.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+
+def trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def reduce(a, m: int) -> list:
+    return trim([c % m for c in a])
+
+
+def add(a: list, b: list, m: int) -> list:
+    return reduce([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)], m)
+
+
+def sub(a: list, b: list, m: int) -> list:
+    return add(a, [-c for c in b], m)
+
+
+def mul(a: list, b: list, m: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return reduce(out, m)
+
+
+def div_rem(a: list, b: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b mod m."""
+    inv = pow(b[-1], -1, m)
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = q[k] = r[db + k] * inv % m
+        if c:
+            for i, y in enumerate(b):
+                r[i + k] -= c * y
+    return trim(q), reduce(r[:db], m)
+
+
+def monic(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd mod p ([] when both are zero)."""
+    while b:
+        a, b = b, div_rem(a, b, p)[1]
+    return monic(a, p) if a else []
+
+
+def xgcd(a: list, b: list, p: int) -> tuple[list, list, list]:
+    """(g, s, t) with s*a + t*b == g, the monic gcd, mod p."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = div_rem(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
+    inv = [pow(r0[-1], -1, p)]
+    return mul(r0, inv, p), mul(s0, inv, p), mul(t0, inv, p)
+
+
+def powmod(a: list, e: int, f: list, m: int) -> list:
+    """a^e mod (f, m) by square and multiply."""
+    result, base = [1], div_rem(a, f, m)[1]
+    while e:
+        if e & 1:
+            result = div_rem(mul(result, base, m), f, m)[1]
+        base = div_rem(mul(base, base, m), f, m)[1]
+        e >>= 1
+    return div_rem(result, f, m)[1]
+
+
+def derivative(a: list, m: int) -> list:
+    return reduce([k * c for k, c in enumerate(a)][1:], m)
+
+
+def is_squarefree(f: list, p: int) -> bool:
+    return gcd(f, derivative(f, p), p) == [1]
+
+
+def distinct_degree(f: list, p: int) -> list:
+    """(g, d) pairs, g the product of the degree-d irreducible factors of
+    monic squarefree f mod p."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = powmod(h, p, f, p)
+        g = gcd(f, sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = div_rem(f, g, p)[0]
+            h = div_rem(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def equal_degree(g: list, d: int, p: int) -> list:
+    """Irreducible factors of monic squarefree g mod odd p, all of degree d.
+
+    The test polynomials a run through every polynomial of degree 1 to
+    deg g - 1, read off the base-p digits of p, p + 1, ... For two distinct
+    factors some such a is a square mod one and a non-square mod the other,
+    so gcd(g, a^((p^d - 1)/2) - 1) splits g before the enumeration ends.
+    """
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p**d - 1) // 2
+    for t in itertools.count(p):
+        a = []
+        while t:
+            t, digit = divmod(t, p)
+            a.append(digit)
+        h = gcd(g, sub(powmod(a, e, g, p), [1], p), p)
+        if 0 < len(h) - 1 < n:
+            return equal_degree(h, d, p) + equal_degree(div_rem(g, h, p)[0], d, p)
+
+
+def factor(f: list, p: int) -> list:
+    """Monic irreducible factors of monic squarefree f mod odd prime p, sorted."""
+    return sorted(h for part, d in distinct_degree(f, p) for h in equal_degree(part, d, p))
+
+
+def hensel_lift(f: list, g: list, h: list, p: int, k: int) -> tuple[list, list]:
+    """(G, H) with f == G*H mod p^k and G == g, H == h mod p.
+
+    f is a monic integer polynomial, and g, h are monic and coprime mod p
+    with f == g*h mod p. The lift is unique, so G is the reduction mod p^k
+    of any monic integer factor of f that reduces to g mod p.
+    """
+    _, s, t = xgcd(g, h, p)
+    m, target = p, p**k
+    while m < target:
+        m = min(m * m, target)
+        e = sub(f, mul(g, h, m), m)
+        q, r = div_rem(mul(s, e, m), h, m)
+        g = add(g, add(mul(t, e, m), mul(q, g, m), m), m)
+        h = add(h, r, m)
+        b = sub(add(mul(s, g, m), mul(t, h, m), m), [1], m)
+        c, d = div_rem(mul(s, b, m), h, m)
+        s = sub(s, d, m)
+        t = sub(t, add(mul(t, b, m), mul(c, g, m), m), m)
+    return g, h

@@ -96,6 +96,8 @@ def params_from_ab(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND):
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("the parameter search requires a != 0")
+    if height_bound < 1:
+        raise ValueError(f"height bound must be >= 1, got {height_bound}")
     for n, m in _e_candidates(height_bound):
         n4, m4 = n**4, m**4
         if a.denominator == 1:
@@ -179,16 +181,13 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
     )
 
 
-def search_quintics(
-    box: int,
-    height_bound: int = DEFAULT_HEIGHT_BOUND,
-    precision: int = PRECISION_START,
-) -> list:
+def search_quintics(box: int, height_bound: int = DEFAULT_HEIGHT_BOUND) -> list:
     """All integer (a, b) with |a|, |b| <= box, a != 0, where x^5 + a*x + b is
     irreducible and the bounded parameter search succeeds.
 
     Sound (every hit is certified solvable via the radical construction);
-    complete only relative to the height bound.
+    complete only relative to the height bound. box and height_bound must
+    be >= 1 (params_from_ab checks the latter).
     """
     if box < 1:
         raise ValueError("box must be >= 1")
@@ -200,7 +199,7 @@ def search_quintics(
             params = params_from_ab(a, b, height_bound)
             if params is None:
                 continue
-            if not is_irreducible(RatPoly([b, a, 0, 0, 0, 1]), precision):
+            if not is_irreducible(RatPoly([b, a, 0, 0, 0, 1])):
                 continue
             hits.append((a, b))
     return hits

@@ -1,7 +1,8 @@
 """Independent exact resolvent oracle over finite fields.
 
 Used by the tests to cross-check the numeric resolvent pipeline without
-sharing any code path with it: for a monic integer sextic, pick primes q
+sharing any code path with it (the F_q arithmetic is sextic.modp, which the
+numeric path never calls): for a monic integer sextic, pick primes q
 where the sextic splits into six distinct linear factors mod q, build the
 resolvent from the six roots in F_q, and CRT the coefficients back to the
 integers under a rigorous coefficient bound. No floating point anywhere.
@@ -18,147 +19,19 @@ from __future__ import annotations
 
 import itertools
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over F_q (dense lists, low to high)
-# ---------------------------------------------------------------------------
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polymulmod(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return _trim(out)
-
-
-def _polyrem(a, m, q):
-    a = a[:]
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, q)
-    while len(a) - 1 >= dm and a:
-        c = a[-1] * inv % q
-        shift = len(a) - 1 - dm
-        for i, y in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * y) % q
-        _trim(a)
-    return a
-
-
-def _polygcd(a, b, q):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _polyrem(a, b, q)
-    if a:
-        inv = pow(a[-1], -1, q)
-        a = [c * inv % q for c in a]
-    return a
-
-
-def _pow_x_mod(e, m, q):
-    """x^e mod (m, q) by square and multiply."""
-    result = [1]
-    base = _polyrem([0, 1], m, q)
-    while e:
-        if e & 1:
-            result = _polyrem(_polymulmod(result, base, q), m, q)
-        base = _polyrem(_polymulmod(base, base, q), m, q)
-        e >>= 1
-    return result
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+from sextic import modp
+from sextic.exact import _is_probable_prime
 
 
 def _splits_completely(f, q):
-    """True when monic f mod q is squarefree with all roots in F_q."""
-    fq = [c % q for c in f]
-    if fq[-1] == 0:
-        return False
-    deriv = _trim([(i * c) % q for i, c in enumerate(fq)][1:])
-    if not deriv or len(_polygcd(fq, deriv, q)) != 1:
-        return False
-    xq = _pow_x_mod(q, fq, q)
-    return _trim([(a - b) % q for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)]) == []
+    """True when monic f mod q is squarefree with all roots in F_q, that is,
+    when f divides x^q - x."""
+    return modp.powmod([0, 1], q, modp.reduce(f, q), q) == [0, 1]
 
 
 def _roots_mod(f, q):
     """All roots in F_q of a monic squarefree fully-split f; deterministic."""
-    f = [c % q for c in f]
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if len(g) == 2:
-            out.append((-g[0] * pow(g[1], -1, q)) % q)
-            continue
-        # split with gcd(g, (x+a)^((q-1)/2) - 1) for a = 0, 1, 2, ...
-        for a in itertools.count(0):
-            base = _polyrem([a, 1], g, q)
-            h = _poly_powmod(base, (q - 1) // 2, g, q)[:]
-            if h:
-                h[0] = (h[0] - 1) % q
-                _trim(h)
-            if not h:
-                continue
-            d = _polygcd(g, h, q)
-            if 0 < len(d) - 1 < len(g) - 1:
-                stack.append(d)
-                stack.append(_polydiv_exact(g, d, q))
-                break
-    return sorted(out)
-
-
-def _poly_powmod(base, e, m, q):
-    result = [1]
-    base = _polyrem(base, m, q)
-    while e:
-        if e & 1:
-            result = _polyrem(_polymulmod(result, base, q), m, q)
-        base = _polyrem(_polymulmod(base, base, q), m, q)
-        e >>= 1
-    return result
-
-
-def _polydiv_exact(a, b, q):
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, q)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv % q
-        shift = len(a) - len(b)
-        out[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * y) % q
-        _trim(a)
-    assert not a
-    return _trim(out)
+    return sorted(-g[0] % q for g in modp.factor(modp.reduce(f, q), q))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +150,6 @@ def resolvent_ff(coeffs, kind, start_prime=10**6):
 
 def _next_prime(n):
     n += 1
-    while not _is_prime(n):
+    while not _is_probable_prime(n):
         n += 1
     return n

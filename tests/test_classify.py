@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -13,8 +14,9 @@ from sextic.classify import (
     is_irreducible,
     search_reduced,
 )
+from sextic import groups, modp
 from sextic.errors import DegenerateSextic, ZeroD
-from sextic.exact import RatPoly, poly_eval
+from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, rational_roots
 from sextic.resolvents import ReducedSextic
 
 
@@ -22,28 +24,39 @@ def test_irreducible_scaled_family_sextic():
     assert is_irreducible(RatPoly([5, 18, 36, 0, 0, 0, 36]))
 
 
-def test_reducible_cases():
-    assert not is_irreducible(RatPoly([-1, 0, 0, 0, 0, 0, 1]))  # root 1
-    # (x^2 + 1)(x^4 + 2): found through the degree-2 root subset
-    assert not is_irreducible(RatPoly([1, 0, 1]) * RatPoly([2, 0, 0, 0, 1]))
+REDUCIBLE_CASES = [
+    RatPoly([-1, 0, 0, 0, 0, 0, 1]),  # root 1
+    # (x^2 + 1)(x^4 + 2): no rational root, so the split must be found
+    RatPoly([1, 0, 1]) * RatPoly([2, 0, 0, 0, 1]),
     # x^5 + x + 1 = (x^2 + x + 1)(x^3 - x^2 + 1)
-    assert not is_irreducible(RatPoly([1, 1, 0, 0, 0, 1]))
+    RatPoly([1, 1, 0, 0, 0, 1]),
     # repeated factor
-    assert not is_irreducible(RatPoly([1, 1]) * RatPoly([1, 1]))
-    assert not is_irreducible(RatPoly([0, 1, 1]))  # divisible by x
+    RatPoly([1, 1]) * RatPoly([1, 1]),
+    RatPoly([0, 1, 1]),  # divisible by x
     # (7x^2 + 1)(7x^2 + 2): the monic model's leading coefficient must be
     # exactly 1, and 49 * (1/49) is not 1.0 in floating point
-    assert not is_irreducible(RatPoly([2, 0, 21, 0, 49]))
+    RatPoly([2, 0, 21, 0, 49]),
+]
+
+IRREDUCIBLE_CASES = [
+    RatPoly([-1, 1]),  # degree 1
+    RatPoly([1, 1, 1]),
+    RatPoly([32, 20, 0, 0, 0, 1]),  # x^5 + 20x + 32
+    RatPoly([1, 2, 1, 0, 0, 0, 1]),
+    # cubic-in-x^2 sextics and cyclotomic-like inputs
+    RatPoly([1, 0, 1, 0, 0, 0, 1]),
+    RatPoly([1, 1, 1, 1, 1, 1, 1]),
+]
+
+
+def test_reducible_cases():
+    for p in REDUCIBLE_CASES:
+        assert not is_irreducible(p), p
 
 
 def test_irreducible_misc():
-    assert is_irreducible(RatPoly([-1, 1]))  # degree 1
-    assert is_irreducible(RatPoly([1, 1, 1]))
-    assert is_irreducible(RatPoly([32, 20, 0, 0, 0, 1]))  # x^5 + 20x + 32
-    assert is_irreducible(RatPoly([1, 2, 1, 0, 0, 0, 1]))
-    # cubic-in-x^2 sextics and cyclotomic-like inputs
-    assert is_irreducible(RatPoly([1, 0, 1, 0, 0, 0, 1]))
-    assert is_irreducible(RatPoly([1, 1, 1, 1, 1, 1, 1]))
+    for p in IRREDUCIBLE_CASES:
+        assert is_irreducible(p), p
 
 
 def test_classify_scaled_family_sextic():
@@ -77,24 +90,19 @@ def test_minus_x2_example_group_has_order_five_elements():
     # is right: mod 11 it factors as (irreducible quintic) * (linear), so the
     # Galois group contains an order-5 element, and 5 divides neither 48
     # (matching stabilizer) nor 72 (partition stabilizer)
-    from ff_oracle import _polydiv_exact, _polygcd, _poly_powmod, _trim
-
     q = 11
-    fq = [c % q for c in [1, 2, -1, 0, 0, 0, 1]]
+    fq = modp.reduce([1, 2, -1, 0, 0, 0, 1], q)
 
     def frob_fixed_part(poly, power):
-        xqk = [0, 1]
-        for _ in range(power):
-            xqk = _poly_powmod(xqk, q, poly, q)
-        diff = _trim([(a - b) % q for a, b in zip(xqk + [0] * 7, [0, 1] + [0] * 7)][: len(poly)])
-        return _polygcd(poly, diff, q) if diff else poly
+        return modp.gcd(poly, modp.sub(modp.powmod([0, 1], q**power, poly, q), [0, 1], q), q)
 
     linear = frob_fixed_part(fq, 1)
     assert len(linear) - 1 == 1
-    quintic = _polydiv_exact(fq, linear, q)
+    quintic = modp.div_rem(fq, linear, q)[0]
     assert len(quintic) - 1 == 5
     for k in (1, 2):
-        assert len(frob_fixed_part(quintic, k)) - 1 == 0  # no degree-1/2 factors
+        assert frob_fixed_part(quintic, k) == [1]  # no degree-1/2 factors
+    assert modp.factor(fq, q) == sorted([linear, quintic])
 
 
 def test_classify_x6_x_1_regression():
@@ -228,11 +236,6 @@ def test_classify_checks_precision_before_deciding():
         classify(RatPoly([-1, 0, 0, 0, 0, 0, 1]), -64)
 
 
-def test_is_irreducible_checks_precision_before_deciding():
-    with pytest.raises(ValueError, match="between 1 and 4096"):
-        is_irreducible(RatPoly([2, 0, 0, 1]), -64)
-
-
 @pytest.mark.parametrize(
     "d", [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, F(1, 2), F(-1, 3), F(2, 3), F(-5, 3)]
 )
@@ -242,3 +245,109 @@ def test_vanishing_constant_family_is_solvable(d):
     assert F(0) in report.f_roots
     assert report.bound in (GroupBound.SUBGROUP_OF_J, GroupBound.SUBGROUP_OF_D6)
     assert report.solvable is Solvable.YES
+
+
+def _random_factor(rng, degree):
+    return RatPoly([rng.randint(-6, 6) for _ in range(degree)] + [rng.choice([1, 1, 2, 7])])
+
+
+def _sympy_irreducible(p):
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly([c for c in reversed(p.coeffs)], x, domain="QQ"))
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def test_is_irreducible_agrees_with_sympy_factor_list():
+    rng = random.Random(2024)
+    cases = [RatPoly([108, 0, 0, 0, 0, 0, 1])]  # x^6 + 108: every Frobenius type fits a split
+    for _ in range(90):
+        n = rng.randint(4, 6)
+        lead = rng.choice([1, 2, 7, 49])
+        cases.append(RatPoly([rng.randint(-9, 9) for _ in range(n)] + [lead]))
+    for degrees in ((2, 4), (3, 3), (2, 2, 2), (2, 3), (2, 2)):
+        for _ in range(35):
+            product = RatPoly([1])
+            for degree in degrees:
+                product = product * _random_factor(rng, degree)
+            cases.append(product)
+    for a in range(-6, 7):
+        for b in range(-4, 5):
+            if a:
+                cases.append(RatPoly([b, a, 0, 0, 0, 1]))  # Bring-Jerrard quintics
+    cases += [RatPoly([c * 49 for c in coeffs]) for coeffs in ([2, 0, 2, 0, 1, 0, 1], [1, 1, 0, 1])]
+    assert len(cases) >= 300
+    split_without_rational_root = 0
+    for p in cases:
+        expected = _sympy_irreducible(p)
+        assert is_irreducible(p) == expected, p
+        if not expected and p.coeffs[0] and not rational_roots(p):
+            split_without_rational_root += 1
+    # enough reducible inputs that only recombination and lifting can refute
+    assert split_without_rational_root >= 100
+
+
+def test_reduced_pipeline_never_finds_roots_numerically(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_roots called")
+
+    for name in ("sextic.roots", "sextic.classify", "sextic.resolvents"):
+        monkeypatch.setattr(importlib.import_module(name), "find_roots", refuse)
+    for p in REDUCIBLE_CASES:
+        assert not is_irreducible(p)
+    for p in IRREDUCIBLE_CASES + [RatPoly([108, 0, 0, 0, 0, 0, 1])]:
+        assert is_irreducible(p)
+    assert is_irreducible(RatPoly([5, 18, 36, 0, 0, 0, 36]))
+    points = [(d, e) for d in range(-3, 4) for e in range(-3, 4) if (d, e) != (0, 0)]
+    points += [(F(1, 2), F(5, 36)), (1, F(35, 144)), (F(-5, 3), 0)]
+    for d, e in points:
+        classify(ReducedSextic(d, e).to_poly())
+    assert classify(vanishing_constant_family(F(-5, 3)).to_poly()).solvable is Solvable.YES
+
+
+def _claimed_group(report):
+    J, K = groups.matching_group(), groups.partition_group()
+    group = {
+        GroupBound.SUBGROUP_OF_J: J,
+        GroupBound.SUBGROUP_OF_K: K,
+        GroupBound.SUBGROUP_OF_L: groups.matching_group_even(),
+        GroupBound.SUBGROUP_OF_M: groups.partition_group_even(),
+        GroupBound.SUBGROUP_OF_D6: groups.intersect(J, K),
+        GroupBound.NOT_SOLVABLE: groups.symmetric_group(),
+    }[report.bound]
+    if report.sqrt_discriminant is not None:
+        group = groups.intersect(group, groups.alternating_group())
+    return group
+
+
+def _cycle_type(perm):
+    lengths = [len(c) for c in perm.cycles()]
+    return tuple(sorted(lengths + [1] * (6 - sum(lengths))))
+
+
+def test_frobenius_cycle_types_lie_in_the_claimed_group():
+    # the factor degrees mod an unramified prime are the cycle type of a
+    # Frobenius element, which lies in the Galois group and so in the bound
+    inputs = [ReducedSextic(d, e).to_poly() for d in range(-3, 4) for e in range(-3, 4)]
+    inputs += [vanishing_constant_family(d).to_poly() for d in (1, F(1, 2), F(-5, 3))]
+    inputs += [RatPoly(c) for c in ([-2, 0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1, 1],
+                                    [-4, 0, 1, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 1])]
+    seen_bounds = set()
+    for p in inputs:
+        try:
+            report = classify(p)
+        except DegenerateSextic:
+            continue
+        if not report.irreducible:
+            continue
+        seen_bounds.add(report.bound)
+        allowed = {_cycle_type(g) for g in _claimed_group(report)}
+        q = monic_model(list(p.primitive()[1].coeffs))
+        good = (r for r in range(3, 10**4, 2)
+                if _is_probable_prime(r) and modp.is_squarefree(modp.reduce(q, r), r))
+        for prime in itertools.islice(good, 20):
+            factors = modp.factor(modp.reduce(q, prime), prime)
+            pattern = tuple(sorted(len(f) - 1 for f in factors))
+            assert pattern in allowed, (p, report.bound, prime, pattern)
+    assert len(seen_bounds) >= 4

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -189,6 +192,47 @@ def test_search_negative_range_equals_form(capsys):
     assert code == 0
     hits = [json.loads(line) for line in out.splitlines()]
     assert ("0", "1") in {(h["d"], h["e"]) for h in hits}
+
+
+def test_search_quintic_rejects_height_bound_below_one(capsys):
+    # used to exit 0 with no output
+    code, out, err = run(capsys, "search", "--quintic", "--box", "3", "--height-bound", "-1")
+    assert code == 1 and out == ""
+    assert "--height-bound: must be an integer >= 1" in err
+
+
+def test_quintic_rejects_height_bound_zero(capsys):
+    # used to print "found": false
+    code, out, err = run(capsys, "quintic", "--a", "1/2", "--b", "3", "--height-bound", "0")
+    assert code == 1 and out == ""
+    assert "--height-bound: must be an integer >= 1" in err
+
+
+def test_search_rejects_jobs_below_one(capsys):
+    # used to run serially
+    code, out, err = run(capsys, "search", "--d-range=0:1", "--e-range=0:1", "--jobs", "-3")
+    assert code == 1 and out == ""
+    assert "--jobs: must be an integer >= 1" in err
+
+
+def test_bad_range_step_exits_before_any_point_is_built():
+    # the d range used to be built in full inside argparse before the bad e
+    # step was reached; a child process keeps a regression from eating memory
+    script = (
+        "import sys, time\n"
+        "from sextic.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['search', '--d-range=0:100000000', '--e-range=0:0:0'])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert done.returncode == 1
+    assert "range step must be positive" in done.stderr
+    assert float(done.stdout) < 1
 
 
 def test_precision_env_fallback(capsys, monkeypatch):

@@ -1,0 +1,109 @@
+"""sextic.modp against brute force over small prime fields."""
+
+import itertools
+import random
+
+import pytest
+
+from sextic import modp
+
+
+def _monic_polys(p, degree):
+    for low in itertools.product(range(p), repeat=degree):
+        yield list(low) + [1]
+
+
+def _brute_irreducible(f, p):
+    # no monic divisor of degree 1..deg f // 2
+    return all(
+        modp.div_rem(f, g, p)[1]
+        for k in range(1, (len(f) - 1) // 2 + 1)
+        for g in _monic_polys(p, k)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_factor_matches_brute_force(p):
+    squarefree = 0
+    for degree in range(5):
+        for f in _monic_polys(p, degree):
+            if not modp.is_squarefree(f, p):
+                continue
+            squarefree += 1
+            factors = modp.factor(f, p)
+            product = [1]
+            for g in factors:
+                assert g[-1] == 1 and len(g) > 1
+                assert _brute_irreducible(g, p), (f, g)
+                product = modp.mul(product, g, p)
+            assert product == f
+            assert factors == sorted(factors)
+            assert len(set(map(tuple, factors))) == len(factors)
+    assert squarefree == 1 + p + sum(p**n - p ** (n - 1) for n in (2, 3, 4))  # p^n - p^(n-1) per degree
+
+
+def test_factor_degree_patterns_of_squarefree_sextics_mod_7():
+    # a squarefree f factors into distinct irreducibles whose degrees sum to 6
+    rng = random.Random(4)
+    for _ in range(200):
+        f = [rng.randrange(7) for _ in range(6)] + [1]
+        if not modp.is_squarefree(f, 7):
+            continue
+        factors = modp.factor(f, 7)
+        assert len(set(map(tuple, factors))) == len(factors)
+        assert sum(len(g) - 1 for g in factors) == 6
+
+
+def test_xgcd_and_division_identities():
+    rng = random.Random(9)
+    p = 13
+    for _ in range(200):
+        a = modp.reduce([rng.randrange(p) for _ in range(rng.randint(1, 7))], p)
+        b = modp.reduce([rng.randrange(p) for _ in range(rng.randint(1, 7))], p)
+        if not a or not b:
+            continue
+        g, s, t = modp.xgcd(a, b, p)
+        assert g == modp.gcd(a, b, p) and g[-1] == 1
+        assert modp.add(modp.mul(s, a, p), modp.mul(t, b, p), p) == g
+        q, r = modp.div_rem(a, b, p)
+        assert len(r) < len(b)
+        assert modp.add(modp.mul(q, b, p), r, p) == a
+
+
+def test_powmod_matches_repeated_multiplication():
+    f, m = [3, 0, 5, 1, 1], 7**3
+    a, acc = [2, 1, 4], [1]
+    for e in range(12):
+        assert modp.powmod(a, e, f, m) == acc
+        acc = modp.div_rem(modp.mul(acc, a, m), f, m)[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 13])
+def test_hensel_lift_is_a_factorization_mod_p_to_the_k(k):
+    rng = random.Random(k)
+    for _ in range(40):
+        n, p = rng.randint(2, 6), rng.choice([3, 5, 7, 11])
+        f = [rng.randint(-50, 50) for _ in range(n)] + [1]
+        f_mod = modp.reduce(f, p)
+        if not modp.is_squarefree(f_mod, p):
+            continue
+        factors = modp.factor(f_mod, p)
+        if len(factors) < 2:
+            continue
+        g = factors[0]
+        h = modp.div_rem(f_mod, g, p)[0]
+        G, H = modp.hensel_lift(f, g, h, p, k)
+        assert modp.sub(f, modp.mul(G, H, p**k), p**k) == []
+        assert modp.reduce(G, p) == g and modp.reduce(H, p) == h
+        assert G[-1] == 1 and len(G) == len(g)
+
+
+def test_hensel_lift_recovers_an_integer_factor():
+    # (x^2 + 3x - 7)(x^3 - 5x + 11) is squarefree mod 7; 7^8 > 2 * 11
+    g_int, f = [-7, 3, 1], [-77, 68, -4, -12, 3, 1]
+    p, k = 7, 8
+    f_mod = modp.reduce(f, p)
+    assert modp.is_squarefree(f_mod, p)
+    g = modp.reduce(g_int, p)
+    G, _ = modp.hensel_lift(f, g, modp.div_rem(f_mod, g, p)[0], p, k)
+    assert [c - p**k if c > p**k // 2 else c for c in G] == g_int

@@ -94,6 +94,13 @@ def test_radical_roots_all_six():
         assert tower.residual < mp.mpf(10) ** -30
 
 
+def test_height_bound_below_one_is_rejected():
+    with pytest.raises(ValueError, match="height bound must be >= 1"):
+        params_from_ab(F(1, 2), 3, 0)
+    with pytest.raises(ValueError, match="height bound must be >= 1"):
+        search_quintics(3, -1)
+
+
 def test_search_small_boxes():
     assert search_quintics(4) == []
     assert search_quintics(12) == [(-5, -12), (-5, 12)]
