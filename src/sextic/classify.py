@@ -162,8 +162,9 @@ def classify(p: RatPoly, precision: int = PRECISION_START) -> ClassificationRepo
         g = g_verified(reduced)
     else:
         notes.append("resolvents built numerically from the root orbits")
-        f = resolvent_numeric_in_frame(monic, ResolventKind.MATCHING, precision)
-        g = resolvent_numeric_in_frame(monic, ResolventKind.PARTITION, precision)
+        f, g = resolvent_numeric_in_frame(
+            monic, (ResolventKind.MATCHING, ResolventKind.PARTITION), precision
+        )
     f_roots = frozenset(rational_roots(f))
     g_roots = frozenset(rational_roots(g))
     sqrt_disc = is_rational_square(disc)

@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 usage or parse error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import collections
+import itertools
 import json
 import os
 import sys
@@ -42,6 +44,11 @@ from .resolvents import (
 from .roots import PRECISION_CAP, check_precision
 
 _KINDS = {"j": ResolventKind.MATCHING, "k": ResolventKind.PARTITION}
+
+# search --jobs N sends the pool chunks of SEARCH_CHUNK grid points and keeps
+# at most SEARCH_AHEAD chunks per worker in flight ahead of the printed point
+SEARCH_CHUNK = 8
+SEARCH_AHEAD = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +172,7 @@ def _cmd_resolvent(args, parser) -> int:
         closed = f_reduced(reduced) if kind is ResolventKind.MATCHING else g_reduced(reduced)
         out["closed"] = _poly_strings(closed)
     if args.method in ("numeric", "both"):
-        numeric = resolvent_numeric_in_frame(poly, kind, args.precision_bits)
+        (numeric,) = resolvent_numeric_in_frame(poly, (kind,), args.precision_bits)
         out["numeric"] = _poly_strings(numeric)
     if args.method == "both":
         diff = []
@@ -272,6 +279,27 @@ def _print_scan(results) -> None:
             print(json.dumps({"d": str(d), "e": str(e), "report": _report_dict(report)}))
 
 
+def _scan_chunk(points: list) -> list:
+    """scan_point over a list of points; module-level so a process pool can pickle it."""
+    return [scan_point(point) for point in points]
+
+
+def _pool_scan(pool, points, jobs: int):
+    """scan_point results for the points, in order, computed on the pool.
+
+    Points are pulled from the iterator only as results are consumed, so at
+    most SEARCH_AHEAD * jobs chunks are pending at any time.
+    """
+    chunks = iter(lambda: list(itertools.islice(points, SEARCH_CHUNK)), [])
+    pending = collections.deque()
+    for chunk in chunks:
+        pending.append(pool.submit(_scan_chunk, chunk))
+        if len(pending) == SEARCH_AHEAD * jobs:
+            yield from pending.popleft().result()
+    while pending:
+        yield from pending.popleft().result()
+
+
 def _cmd_search(args, parser) -> int:
     if args.quintic:
         if args.box is None:
@@ -286,7 +314,7 @@ def _cmd_search(args, parser) -> int:
     points = ((d, e) for d in _range_values(*args.d_range) for e in _range_values(*args.e_range))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            _print_scan(pool.map(scan_point, points, chunksize=8))
+            _print_scan(_pool_scan(pool, points, args.jobs))
     else:
         _print_scan(map(scan_point, points))
     return 0

@@ -263,18 +263,20 @@ def stabilizer(m: MonomialSum) -> PermGroup:
     return PermGroup(tuple(p for p in symmetric_group() if act(p, m) == m))
 
 
-def orbit(m: MonomialSum) -> list:
+@lru_cache(maxsize=None)
+def orbit(m: MonomialSum) -> tuple:
     """Distinct images of m under S6 in canonical order.
 
     Returns (image, witness) pairs where witness is the smallest permutation
-    mapping m to that image; images are sorted by their term tuples.
+    mapping m to that image; images are sorted by their term tuples. The
+    result depends on m alone, so it is cached and shared by all callers.
     """
     images: dict = {}
     for p in symmetric_group():  # elements are sorted, so witnesses are minimal
         im = act(p, m)
         if im not in images:
             images[im] = p
-    return sorted(images.items(), key=lambda kv: kv[0].terms)
+    return tuple(sorted(images.items(), key=lambda kv: kv[0].terms))
 
 
 @lru_cache(maxsize=None)

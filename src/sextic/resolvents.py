@@ -251,21 +251,27 @@ def resolvent_numeric(p: RatPoly, kind: ResolventKind, precision: int = PRECISIO
     Walks the precision ladder on rounding or convergence failures.
     """
     poly, _ = _numeric_prepare(p, precision)
-    return _resolvent_scaled(poly, kind, precision)
+    return _resolvents_scaled(poly, (kind,), precision)[0]
 
 
 def resolvent_numeric_in_frame(
-    p: RatPoly, kind: ResolventKind, precision: int = PRECISION_START
-) -> RatPoly:
-    """Resolvent of p itself (rational coefficients): the rescaled integer
-    resolvent mapped back through x -> m^weight x."""
+    p: RatPoly, kinds: tuple, precision: int = PRECISION_START
+) -> tuple:
+    """Resolvents of p itself (rational coefficients), one per kind in kinds:
+    each rescaled integer resolvent mapped back through x -> m^weight x.
+
+    All kinds share one root computation per precision rung.
+    """
     poly, m = _numeric_prepare(p, precision)
-    res = _resolvent_scaled(poly, kind, precision).to_rat()
-    if m == 1:
-        return res
-    return res.substitute_scaled(Fraction(m) ** kind.weight).scale(
-        Fraction(1, m ** (kind.weight * kind.degree))
-    )
+    out = []
+    for kind, res in zip(kinds, _resolvents_scaled(poly, kinds, precision)):
+        res = res.to_rat()
+        if m != 1:
+            res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(
+                Fraction(1, m ** (kind.weight * kind.degree))
+            )
+        out.append(res)
+    return tuple(out)
 
 
 def _numeric_prepare(p: RatPoly, precision: int) -> tuple[RatPoly, int]:
@@ -278,17 +284,34 @@ def _numeric_prepare(p: RatPoly, precision: int) -> tuple[RatPoly, int]:
     return monic_integer_rescale(p)
 
 
-def _resolvent_scaled(q: RatPoly, kind: ResolventKind, precision: int) -> IntPoly:
-    last_exc: Exception | None = None
+def _resolvents_scaled(q: RatPoly, kinds: tuple, precision: int) -> tuple:
+    """Integer resolvents of q, one per kind, from one find_roots per rung.
+
+    A kind whose rounding fails at a rung climbs to the next with the kinds
+    still pending; the kinds already rounded keep their result.
+    """
+    done: dict = {}
+    last_exc: dict = {}
     for prec in precision_ladder(max(precision, 64), PRECISION_CAP):
+        pending = [kind for kind in kinds if kind not in done]
         try:
             roots = find_roots(q, prec)
-            with mp.workprec(prec + 32):
-                tol = mp.mpf(2) ** -(prec // 8)
-                return resolvent_from_roots(roots, kind, tol)
-        except (NonConvergence, NotNearInteger, RepeatedRootSuspected) as exc:
-            last_exc = exc
-    raise PrecisionExhausted(f"resolvent construction failed at {PRECISION_CAP} bits: {last_exc}")
+        except (NonConvergence, RepeatedRootSuspected) as exc:
+            last_exc.update(dict.fromkeys(pending, exc))
+            continue
+        with mp.workprec(prec + 32):
+            tol = mp.mpf(2) ** -(prec // 8)
+            for kind in pending:
+                try:
+                    done[kind] = resolvent_from_roots(roots, kind, tol)
+                except NotNearInteger as exc:
+                    last_exc[kind] = exc
+        if all(kind in done for kind in kinds):
+            return tuple(done[kind] for kind in kinds)
+    first = next(kind for kind in kinds if kind not in done)
+    raise PrecisionExhausted(
+        f"resolvent construction failed at {PRECISION_CAP} bits: {last_exc[first]}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 
+from oracles import sylvester_resultant
 from sextic import modp
-from sextic.exact import _is_probable_prime
+from sextic.exact import RatPoly, _is_probable_prime
 
 
 def _splits_completely(f, q):
@@ -101,51 +102,86 @@ def _expand_from_values(vals, q):
     return coeffs
 
 
+def _iroot_ceil(a, k):
+    """Smallest integer t >= 0 with t^k >= a."""
+    lo, hi = 0, 1
+    while hi**k < a:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _root_bound(coeffs):
-    """Integer Cauchy bound on |roots| of a monic integer polynomial."""
-    return 1 + max(abs(c) for c in coeffs[:-1])
+    """Integer Fujiwara bound on |roots| of a monic integer polynomial:
+    2 * max(|a_(n-k)|^(1/k) for k < n, and |a_0 / 2|^(1/n)). Unlike the
+    Cauchy bound 1 + max |a_i| it grows only like m under y = m*x, so
+    rescaled rational inputs need few more primes."""
+    n = len(coeffs) - 1
+    t = _iroot_ceil(-(-abs(coeffs[0]) // 2), n)
+    for k in range(1, n):
+        t = max(t, _iroot_ceil(abs(coeffs[n - k]), k))
+    return 2 * max(t, 1)
 
 
-def resolvent_ff(coeffs, kind, start_prime=10**6):
-    """Exact resolvent of a monic squarefree integer sextic via CRT.
+def resolvent_ff(coeffs, kinds, start_prime=10**6):
+    """Exact resolvents of a monic squarefree integer sextic via CRT.
 
     coeffs: integer coefficients low to high (length 7, leading 1).
-    kind: "matching" (degree 15) or "split" (degree 10).
-    Returns the integer coefficient list, low to high.
+    kinds: a tuple of "matching" (degree 15) and "split" (degree 10).
+    Returns one integer coefficient list, low to high, per kind. All kinds
+    share the split primes, which are the slow part of the oracle.
     """
     assert len(coeffs) == 7 and coeffs[-1] == 1
     R = _root_bound(coeffs)
-    if kind == "matching":
-        deg, inv_bound = 15, 3 * R**8
-    else:
-        deg, inv_bound = 10, 2 * R**4
-    bound = 2 * 2**deg * inv_bound**deg  # |e_k| <= C(deg,k) inv_bound^k
-    residues: list = []
-    primes: list = []
+    specs = {
+        "matching": (15, 3 * R**8, _matching_values),  # R^6 * (three pair products)
+        "split": (10, 6 * R**4, _split_values),  # two blocks of R^3 * (sum of three)
+    }
+    # |e_k| <= C(deg,k) inv_bound^k; a larger modulus than one kind needs is harmless
+    bound = max(2 * 2**deg * inv_bound**deg for deg, inv_bound, _ in map(specs.get, kinds))
+    split = []
     modulus = 1
-    q = start_prime
-    while modulus <= bound:
-        q = _next_prime(q)
-        if not _splits_completely(coeffs, q):
-            continue
-        rts = _roots_mod(coeffs, q)
-        vals = _matching_values(rts, q) if kind == "matching" else _split_values(rts, q)
-        residues.append(_expand_from_values(vals, q))
-        primes.append(q)
+    for q, rts in _split_primes(coeffs, start_prime):
+        if modulus > bound:
+            break
+        split.append((q, rts))
         modulus *= q
     out = []
-    for i in range(deg + 1):
-        r, m = 0, 1
-        for res, p in zip(residues, primes):
-            c = res[i] if i < len(res) else 0
-            # CRT combine
-            t = (c - r) * pow(m, -1, p) % p
-            r += m * t
-            m *= p
-        if r > m // 2:
-            r -= m
-        out.append(r)
-    return out
+    for kind in kinds:
+        deg, _, values = specs[kind]
+        residues = [_expand_from_values(values(rts, q), q) for q, rts in split]
+        coeffs_out = []
+        for i in range(deg + 1):
+            r, m = 0, 1
+            for res, (p, _) in zip(residues, split):
+                # CRT combine
+                t = (res[i] - r) * pow(m, -1, p) % p
+                r += m * t
+                m *= p
+            if r > m // 2:
+                r -= m
+            coeffs_out.append(r)
+        out.append(coeffs_out)
+    return tuple(out)
+
+
+def _split_primes(coeffs, start_prime):
+    """(q, roots mod q) for the primes q > start_prime at which coeffs splits
+    into six distinct linear factors, in increasing order."""
+    f = RatPoly(coeffs)
+    disc = -int(sylvester_resultant(f, f.derivative()))  # (-1)^(6*5/2) Res(f, f')
+    q = start_prime
+    while True:
+        q = _next_prime(q)
+        # at a split prime the discriminant is a square of distinct-root
+        # differences, so the Euler criterion skips half the primes cheaply
+        if pow(disc, (q - 1) // 2, q) == 1 and _splits_completely(coeffs, q):
+            yield q, _roots_mod(coeffs, q)
 
 
 def _next_prime(n):

@@ -14,10 +14,10 @@ from sextic.classify import (
     is_irreducible,
     search_reduced,
 )
-from sextic import groups, modp
-from sextic.errors import DegenerateSextic, ZeroD
+from sextic import groups, modp, resolvents
+from sextic.errors import DegenerateSextic, PrecisionExhausted, ZeroD
 from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, rational_roots
-from sextic.resolvents import ReducedSextic
+from sextic.resolvents import ReducedSextic, ResolventKind
 
 
 def test_irreducible_scaled_family_sextic():
@@ -304,6 +304,37 @@ def test_reduced_pipeline_never_finds_roots_numerically(monkeypatch):
     for d, e in points:
         classify(ReducedSextic(d, e).to_poly())
     assert classify(vanishing_constant_family(F(-5, 3)).to_poly()).solvable is Solvable.YES
+
+
+def test_numeric_classify_solves_roots_once_per_rung(monkeypatch):
+    # both numeric resolvents round from one root solve per precision rung
+    bits = []
+    find_roots = resolvents.find_roots
+
+    def counting(q, precision_bits):
+        bits.append(precision_bits)
+        return find_roots(q, precision_bits)
+
+    monkeypatch.setattr(resolvents, "find_roots", counting)
+    classify(RatPoly([1, 1, 1, 1, 1, 1, 1]))
+    assert bits == [256]
+    # from 64 bits the partition resolvent rounds at once and the matching
+    # resolvent climbs alone to 128
+    bits.clear()
+    climbed = classify(RatPoly([120, 3, 1, 0, 0, 1, 1]), 64)
+    assert bits == [64, 128]
+    assert climbed == classify(RatPoly([120, 3, 1, 0, 0, 1, 1]))
+
+
+def test_numeric_classify_reports_the_first_pending_kind_when_exhausted(monkeypatch):
+    # at a 64-bit cap only the matching resolvent fails, as it does alone
+    monkeypatch.setattr(resolvents, "PRECISION_CAP", 64)
+    p = RatPoly([120, 3, 1, 0, 0, 1, 1])
+    with pytest.raises(PrecisionExhausted) as alone:
+        resolvents.resolvent_numeric(p, ResolventKind.MATCHING, 64)
+    with pytest.raises(PrecisionExhausted) as shared:
+        classify(p, 64)
+    assert str(shared.value) == str(alone.value)
 
 
 def _claimed_group(report):

@@ -187,6 +187,39 @@ def test_search_grid_matches_golden_output(capsys, jobs):
     assert err == golden.with_suffix(".err").read_text()
 
 
+def test_search_jobs_pulls_a_bounded_window_of_points(monkeypatch):
+    # the pool is fed a few chunks at a time instead of the whole grid up front
+    import sextic.cli as cli
+
+    pulled = 0
+    real_range = cli._range_values
+
+    def counting_range(lo, hi, step):
+        nonlocal pulled
+        for value in real_range(lo, hi, step):
+            pulled += 1
+            yield value
+
+    class Enough(Exception):
+        pass
+
+    ahead = []
+
+    def print_first_hundred(results):
+        for printed, _ in enumerate(results, 1):
+            ahead.append(pulled - 1 - printed)  # the 1 is the single d value
+            if printed == 100:
+                raise Enough
+
+    monkeypatch.setattr(cli, "_range_values", counting_range)
+    monkeypatch.setattr(cli, "_print_scan", print_first_hundred)
+    with pytest.raises(Enough):
+        main(["search", "--d-range=1:1", "--e-range=1:2000", "--jobs", "2"])
+    assert len(ahead) == 100
+    assert max(ahead) < 100  # a few chunks, not the 2000-point grid
+    assert max(ahead) <= 2 * cli.SEARCH_AHEAD * cli.SEARCH_CHUNK
+
+
 def test_search_negative_range_equals_form(capsys):
     code, out, _ = run(capsys, "search", "--d-range=-1:1", "--e-range=-2:2")
     assert code == 0

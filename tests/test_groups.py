@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import mpmath as mp
@@ -216,6 +217,17 @@ def test_intersections_and_parity():
     assert JK.order == 12
     assert not JK.is_abelian()
     assert JK.element_order_multiset() == {1: 1, 2: 7, 3: 2, 6: 2}  # dihedral fingerprint
+
+
+def test_orbit_is_computed_once_and_shared():
+    for m in (MATCHING_INVARIANT, PARTITION_INVARIANT):
+        first = orbit(m)
+        assert isinstance(first, tuple)  # callers cannot mutate the shared value
+        assert orbit(m) is first
+        fresh = {}
+        for p in sorted(Perm(t) for t in itertools.permutations(range(6))):
+            fresh.setdefault(act(p, m), p)
+        assert first == tuple(sorted(fresh.items(), key=lambda kv: kv[0].terms))
 
 
 def test_orbit_stabilizer_products():

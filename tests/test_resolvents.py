@@ -155,14 +155,14 @@ def test_monic_integer_rescale():
 
 def test_resolvent_in_frame_matches_closed_form_for_rational_input():
     s = ReducedSextic(F(1, 2), F(5, 36))
-    in_frame = resolvent_numeric_in_frame(s.to_poly(), ResolventKind.MATCHING)
+    (in_frame,) = resolvent_numeric_in_frame(s.to_poly(), (ResolventKind.MATCHING,))
     assert in_frame == f_verified(s)
     assert F(0) in rational_roots(in_frame)
     # different denominator structure, both kinds
     s = ReducedSextic(F(2, 3), F(-1, 4))
     assert monic_integer_rescale(s.to_poly())[1] == 6
-    assert resolvent_numeric_in_frame(s.to_poly(), ResolventKind.MATCHING) == f_verified(s)
-    assert resolvent_numeric_in_frame(s.to_poly(), ResolventKind.PARTITION) == g_verified(s)
+    both = (ResolventKind.MATCHING, ResolventKind.PARTITION)
+    assert resolvent_numeric_in_frame(s.to_poly(), both) == (f_verified(s), g_verified(s))
 
 
 def test_ladder_escalates_from_starved_start():
@@ -203,24 +203,50 @@ def test_reconstruct_matching_pins_exactly_the_known_defects():
     assert report.fitted == F_VERIFIED_TABLE
 
 
+def _ff_batch(rng):
+    """One seeded squarefree sextic off the reduced shape from each family:
+    monic integer, monic with denominators 3 and 6 (rescaled by m = 3 and
+    6), and leading coefficient 2 or 3. The oracle needs about 4 s per S6
+    sextic, since only one prime in 720 splits it completely."""
+    families = [
+        lambda: [rng.randint(-6, 6) for _ in range(6)] + [1],
+        lambda: [F(rng.randint(-3, 3), 3) for _ in range(5)] + [F(rng.choice((-1, 1)), 3), 1],
+        lambda: [F(rng.randint(-3, 3), 6) for _ in range(5)] + [F(rng.choice((-1, 1)), 6), 1],
+        lambda: [rng.randint(-5, 5) for _ in range(6)] + [rng.choice((2, 3))],
+    ]
+    batch = []
+    for family in families:
+        p = RatPoly(family())
+        while not p.coeffs[5] or discriminant_exact(p) == 0:
+            p = RatPoly(family())
+        batch.append(p)
+    return batch
+
+
 @pytest.mark.slow
 def test_ff_oracle_agrees_with_numeric_on_random_sextic():
     import sys, os
     sys.path.insert(0, os.path.dirname(__file__))
     from ff_oracle import resolvent_ff
 
-    rng = random.Random(71)
-    coeffs = [rng.randint(-6, 6) for _ in range(6)] + [1]
-    p = RatPoly(coeffs)
-    if discriminant_exact(p) == 0:  # pragma: no cover - unlucky draw guard
-        coeffs[0] += 1
-        p = RatPoly(coeffs)
-    for kind, label in ((ResolventKind.MATCHING, "matching"), (ResolventKind.PARTITION, "split")):
-        assert list(resolvent_numeric(p, kind).full_coeffs()) == resolvent_ff(coeffs, label)
+    both = (ResolventKind.MATCHING, ResolventKind.PARTITION)
+    batch = _ff_batch(random.Random(71))
+    assert {monic_integer_rescale(p.monic())[1] for p in batch} >= {1, 3, 6}
+    for p in batch:
+        q, m = monic_integer_rescale(p.monic())
+        in_frame = resolvent_numeric_in_frame(p, both)
+        oracle = resolvent_ff([int(c) for c in q.coeffs], ("matching", "split"))
+        for kind, expected, res in zip(both, oracle, in_frame):
+            assert list(resolvent_numeric(p, kind).full_coeffs()) == expected, (p, kind)
+            # the in-frame resolvent is m^(-w*deg) R_q(m^w x)
+            w, deg = kind.weight, kind.degree
+            assert [c * m ** (w * (deg - k)) for k, c in enumerate(res.coeffs)] == expected
 
 
 @pytest.mark.parametrize("build", [resolvent_numeric, resolvent_numeric_in_frame])
 def test_numeric_resolvents_check_precision(build):
     # checked on entry: the ladder itself starts at no less than 64 bits
+    kind = ResolventKind.PARTITION
+    kinds = kind if build is resolvent_numeric else (kind,)
     with pytest.raises(ValueError, match="between 1 and 4096"):
-        build(ReducedSextic(1, 2).to_poly(), ResolventKind.PARTITION, -64)
+        build(ReducedSextic(1, 2).to_poly(), kinds, -64)

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from sextic.errors import NotNearInteger
+from sextic import roots as roots_module
+from sextic.errors import NotNearInteger, NumericFailure
 from sextic.exact import RatPoly
 from sextic.resolvents import ReducedSextic, ResolventKind, f_verified, resolvent_from_roots
 from sextic.roots import (
@@ -129,3 +130,49 @@ def test_squarefree_resultant_agrees_with_root_separation():
                     for b in rs.roots[i + 1 :]
                 ]
             assert min(gaps) > 4 * rs.error_radius
+
+
+def _outcome(p: RatPoly, bits: int = 256):
+    try:
+        rs = find_roots(p, bits)
+    except NumericFailure as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return rs.roots, rs.error_radius
+
+
+@pytest.mark.parametrize(
+    "p, converges",
+    [
+        (RatPoly([1, 1, 0, 0, 0, 0, 10**400]), True),  # monic coefficients underflow to 0
+        (RatPoly([-(10**400), 0, 0, 0, 0, 0, 1]), False),  # 1e400 overflows
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_coefficients_outside_double_range_start_from_the_circle(monkeypatch, p, converges):
+    seeds = []
+    seed_in_double = roots_module._seed_in_double
+
+    def spy(coeffs, starts):
+        seeds.append(seed_in_double(coeffs, starts))
+        return seeds[-1]
+
+    monkeypatch.setattr(roots_module, "_seed_in_double", spy)
+    outcome = _outcome(p)
+    assert seeds == [None]
+    assert isinstance(outcome, tuple) == converges
+    # without the double stage find_roots is the circle-start iteration alone
+    monkeypatch.setattr(roots_module, "_seed_in_double", lambda coeffs, starts: None)
+    assert _outcome(p) == outcome
+
+
+def test_double_seeding_moves_roots_only_within_the_radius(monkeypatch):
+    rng = random.Random(808)
+    polys = [RatPoly([rng.randint(-9, 9) for _ in range(6)] + [1]) for _ in range(8)]
+    polys += [RatPoly([F(5, 36), F(1, 2), 1, 0, 0, 0, 1]), RatPoly([1, 0, 1])]
+    seeded = [find_roots(p, 256) for p in polys]
+    monkeypatch.setattr(roots_module, "_seed_in_double", lambda coeffs, starts: None)
+    for p, a in zip(polys, seeded):
+        b = find_roots(p, 256)
+        with mp.workprec(300):
+            for z in a.roots:
+                assert min(abs(z - w) for w in b.roots) <= a.error_radius + b.error_radius
