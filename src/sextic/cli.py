@@ -428,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=_fraction)
     p.add_argument(
         "--params",
-        help="eps,c,e with epsilon in {1,-1}, c > 0, e != 0; "
+        help="eps,c,e with epsilon in {1,-1}, c >= 0, e != 0; "
         "use --params=-1,1/2,1 for a leading minus",
     )
     p.add_argument("--height-bound", type=_positive_int, default=DEFAULT_HEIGHT_BOUND)

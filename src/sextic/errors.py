@@ -52,7 +52,7 @@ class FitInconsistent(SexticError):
 
 
 class NoConsistentBranch(NumericFailure):
-    """No assignment of fifth-root branches reproduces the quintic's roots."""
+    """The radical tower's fifth-root branches do not reproduce the quintic's roots."""
 
 
 class ZeroD(SexticError):

@@ -1,21 +1,21 @@
 """Solvable Bring-Jerrard quintics x^5 + a*x + b.
 
 Such an irreducible quintic is solvable by radicals exactly when rational
-numbers epsilon = +-1, c > 0, e != 0 exist with
+numbers epsilon = +-1, c >= 0, e != 0 exist with
 
     a = 5 e^4 (3 - 4 epsilon c) / (c^2 + 1)
     b = -4 e^5 (11 epsilon + 2 c) / (c^2 + 1)
 
-in which case the five roots are e * sum_k omega^(j k) u_k for j = 0..4,
-omega = exp(2 pi i / 5), with the u_k fifth roots of explicit radical
-expressions in D = c^2 + 1. The parameter search is bounded (rational e of
-bounded height), so a hit is a proof of solvability while an empty result
-only means "not found within the bound".
+(Spearman and Williams, 1994). The roots are e * sum_k omega^(j k) u_k,
+j = 0..4, omega = exp(2 pi i / 5), where u_k are fifth roots of radicals in
+D = c^2 + 1 whose branches follow from u_1 by exact product relations. The
+parameter search is bounded (rational e of bounded height), so a hit is a
+proof of solvability while an empty result only means "not found within
+the bound".
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,8 +41,8 @@ class QuinticParams:
         c, e = Fraction(c), Fraction(e)
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        if c <= 0:
-            raise ValueError("c must be positive")
+        if c < 0:
+            raise ValueError("c must be nonnegative")
         if e == 0:
             raise ValueError("e must be nonzero")
         object.__setattr__(self, "epsilon", int(epsilon))
@@ -88,7 +88,7 @@ def params_from_ab(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND):
     """Bounded exact search for parameters producing (a, b); None if absent.
 
     For each candidate (epsilon, e) the a-equation is the quadratic
-    a c^2 + 20 epsilon e^4 c + (a - 15 e^4) = 0; rational positive roots c
+    a c^2 + 20 epsilon e^4 c + (a - 15 e^4) = 0; rational roots c >= 0
     are kept when the b-equation verifies exactly. The scan order (e height
     ascending, epsilon +1 first, larger quadratic root first, e > 0 first)
     is fixed, so the returned triple is deterministic.
@@ -119,7 +119,7 @@ def params_from_ab(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND):
         for eps in (1, -1):
             for sign in (1, -1):
                 c = (-20 * eps * e4 + sign * sqrt_disc) / (2 * a)
-                if c <= 0:
+                if c < 0:
                     continue
                 denom = c**2 + 1
                 if a != 5 * e4 * (3 - 4 * eps * c) / denom:
@@ -130,12 +130,19 @@ def params_from_ab(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND):
     return None
 
 
+def _branch(base, target):
+    """The fifth root of base nearest target."""
+    turns = mp.arg(target / mp.root(base, 5)) * 5 / (2 * mp.pi)
+    return mp.root(base, 5, int(mp.nint(turns)) % 5)
+
+
 def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> QuinticRadicals:
     """Evaluate the radical expressions to the five roots of x^5 + a*x + b.
 
-    Principal fifth-root branches are tried first; on residual failure all
-    5^4 branch assignments are searched in a fixed order. The residual
-    max_j |x_j^5 + a x_j + b| certifies the construction.
+    u1 is the principal fifth root; u3, u4 and u2 are the fifth roots nearest
+    v1 / (D u1^2), -epsilon / (sqrt(D) u1) and epsilon / (sqrt(D) u3), from
+    exact relations of the tower. The residual max_j |x_j^5 + a x_j + b|
+    certifies the construction.
     """
     check_precision(precision)
     a, b = ab_from_params(p)
@@ -150,42 +157,34 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
         v3 = -sD + plus
         v4 = sD - minus
         d2 = to_mpf(D) ** 2
-        bases = (v1**2 * v3 / d2, v3**2 * v4 / d2, v2**2 * v1 / d2, v4**2 * v2 / d2)
-        branches = [[mp.root(base, 5, k) for k in range(5)] for base in bases]
+        u1 = mp.root(v1**2 * v3 / d2, 5)
+        u3 = _branch(v2**2 * v1 / d2, v1 / (to_mpf(D) * u1**2))
+        u4 = _branch(v4**2 * v2 / d2, -eps / (sD * u1))
+        u2 = _branch(v3**2 * v4 / d2, eps / (sD * u3))
+        us = (u1, u2, u3, u4)
         omega = mp.expjpi(mp.mpf(2) / 5)
         wtab = [omega**t for t in range(5)]
         e_val = to_mpf(p.e)
         a_val, b_val = to_mpf(a), to_mpf(b)
         tol = mp.mpf(2) ** -(precision // 2) * (1 + abs(a_val) + abs(b_val))
-        for combo in itertools.product(range(5), repeat=4):
-            us = [branches[i][combo[i]] for i in range(4)]
-            xs = [
-                e_val * sum(wtab[(j * k) % 5] * us[k - 1] for k in range(1, 5))
-                for j in range(5)
-            ]
-            residual = max(abs(x**5 + a_val * x + b_val) for x in xs)
-            if residual <= tol:
-                return QuinticRadicals(
-                    params=p,
-                    a=a,
-                    b=b,
-                    D=D,
-                    v=(v1, v2, v3, v4),
-                    u=tuple(us),
-                    omega=omega,
-                    roots=tuple(xs),
-                    residual=residual,
-                )
-    raise NoConsistentBranch(
-        f"no fifth-root branch assignment solves x^5 + {a}x + {b} at {precision} bits"
-    )
+        xs = [
+            e_val * sum(wtab[(j * k) % 5] * us[k - 1] for k in range(1, 5))
+            for j in range(5)
+        ]
+        residual = max(abs(x**5 + a_val * x + b_val) for x in xs)
+    if residual > tol:
+        raise NoConsistentBranch(
+            f"the tower's fifth-root branches do not solve x^5 + {a}x + {b} at {precision} bits"
+        )
+    return QuinticRadicals(params=p, a=a, b=b, D=D, v=(v1, v2, v3, v4), u=us,
+                           omega=omega, roots=tuple(xs), residual=residual)
 
 
 def search_quintics(box: int, height_bound: int = DEFAULT_HEIGHT_BOUND) -> list:
     """All integer (a, b) with |a|, |b| <= box, a != 0, where x^5 + a*x + b is
     irreducible and the bounded parameter search succeeds.
 
-    Sound (every hit is certified solvable via the radical construction);
+    Sound (a hit has exact parameters and is irreducible, so it is solvable);
     complete only relative to the height bound. box and height_bound must
     be >= 1 (params_from_ab checks the latter).
     """

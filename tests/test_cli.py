@@ -147,6 +147,18 @@ def test_quintic_not_found(capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_quintic_with_c_zero(capsys):
+    # x^5 + 15x + 44 has group F20 and parameters c = 0, e = -1
+    code, out, _ = run(capsys, "quintic", "--a", "15", "--b", "44")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["found"] is True
+    assert doc["params"] == {"epsilon": 1, "c": "0", "e": "-1"}
+    assert float(doc["residual"]) < 1e-30
+    code, out, err = run(capsys, "quintic", "--params=1,-1,1")
+    assert code == 1 and out == "" and "nonnegative" in err
+
+
 def test_quintic_explicit_params(capsys):
     code, out, _ = run(capsys, "quintic", "--params=-1,1/2,1")
     assert code == 0
