@@ -22,13 +22,7 @@ import mpmath as mp
 from .classify import ClassificationReport, classify, scan_point
 from .errors import NumericFailure, ZeroD
 from .exact import RatPoly, rational_roots
-from .quintic import (
-    DEFAULT_HEIGHT_BOUND,
-    QuinticParams,
-    params_from_ab,
-    radical_roots,
-    search_quintics,
-)
+from .quintic import QuinticParams, params_from_ab, radical_roots, search_quintics
 from .resolvents import (
     F_REFERENCE_TABLE,
     G_REFERENCE_TABLE,
@@ -304,8 +298,8 @@ def _cmd_search(args, parser) -> int:
     if args.quintic:
         if args.box is None:
             parser.error("--quintic needs --box N")
-        for a, b in search_quintics(args.box, args.height_bound):
-            params = params_from_ab(a, b, args.height_bound)
+        for a, b in search_quintics(args.box):
+            params = params_from_ab(a, b)
             print(json.dumps({"a": str(a), "b": str(b), "params": _params_dict(params)}))
         return 0
     if args.d_range is None or args.e_range is None:
@@ -332,17 +326,9 @@ def _cmd_quintic(args, parser) -> int:
             parser.error("provide --a and --b, or --params eps,c,e")
         if args.a == 0:
             parser.error("--a must be nonzero")
-        params = params_from_ab(args.a, args.b, args.height_bound)
+        params = params_from_ab(args.a, args.b)
         if params is None:
-            _emit(
-                {
-                    "a": str(args.a),
-                    "b": str(args.b),
-                    "found": False,
-                    "height_bound": args.height_bound,
-                },
-                args.format,
-            )
+            _emit({"a": str(args.a), "b": str(args.b), "found": False}, args.format)
             return 0
     tower = radical_roots(params, args.precision_bits)
     out = {
@@ -417,7 +403,6 @@ def build_parser() -> _Parser:
                    help="LO:HI[:STEP]; write --e-range=-3:3 for a negative LO")
     p.add_argument("--quintic", action="store_true")
     p.add_argument("--box", type=int)
-    p.add_argument("--height-bound", type=_positive_int, default=DEFAULT_HEIGHT_BOUND)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_search)
 
@@ -431,7 +416,6 @@ def build_parser() -> _Parser:
         help="eps,c,e with epsilon in {1,-1}, c >= 0, e != 0; "
         "use --params=-1,1/2,1 for a leading minus",
     )
-    p.add_argument("--height-bound", type=_positive_int, default=DEFAULT_HEIGHT_BOUND)
     p.set_defaults(func=_cmd_quintic)
     return parser
 

@@ -8,27 +8,28 @@ numbers epsilon = +-1, c >= 0, e != 0 exist with
 
 (Spearman and Williams, 1994). The roots are e * sum_k omega^(j k) u_k,
 j = 0..4, omega = exp(2 pi i / 5), where u_k are fifth roots of radicals in
-D = c^2 + 1 whose branches follow from u_1 by exact product relations. The
-parameter search is bounded (rational e of bounded height), so a hit is a
-proof of solvability while an empty result only means "not found within
-the bound".
+D = c^2 + 1 whose branches follow from u_1 by exact product relations.
+params_from_ab recovers the parameters exactly, with no bound on their
+height, so for an irreducible quintic a hit proves solvability and an
+empty result proves non-solvability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
 
 import mpmath as mp
 
 from .classify import is_irreducible
 from .errors import NoConsistentBranch
-from .exact import RatPoly, is_rational_square
+from .exact import RatPoly, is_rational_square, rational_roots
 from .roots import PRECISION_START, check_precision, to_mpf
 
-DEFAULT_HEIGHT_BOUND = 24
+# b^4/a^5 = 256 B4(t) / (3125 A5(t)) with t = epsilon c, A5 = (3 - 4t)^5 and
+# B4 = (11 + 2t)^4 (t^2 + 1), as ascending coefficients
+_A5 = (243, -1620, 4320, -5760, 3840, -1024, 0)
+_B4 = (14641, 10648, 17545, 11000, 2920, 352, 16)
 
 
 @dataclass(frozen=True)
@@ -73,61 +74,37 @@ def ab_from_params(p: QuinticParams) -> tuple[Fraction, Fraction]:
     return a, b
 
 
-@lru_cache(maxsize=8)
-def _e_candidates(height_bound: int) -> tuple:
-    """Positive rationals n/m with |n|, m <= height_bound, in scan order."""
-    out = []
-    for m in range(1, height_bound + 1):
-        for n in range(1, height_bound + 1):
-            if gcd(n, m) == 1:
-                out.append((n, m))
-    return tuple(out)
+def params_from_ab(a, b):
+    """Parameters producing (a, b), or None when no rational triple does.
 
-
-def params_from_ab(a, b, height_bound: int = DEFAULT_HEIGHT_BOUND):
-    """Bounded exact search for parameters producing (a, b); None if absent.
-
-    For each candidate (epsilon, e) the a-equation is the quadratic
-    a c^2 + 20 epsilon e^4 c + (a - 15 e^4) = 0; rational roots c >= 0
-    are kept when the b-equation verifies exactly. The scan order (e height
-    ascending, epsilon +1 first, larger quadratic root first, e > 0 first)
-    is fixed, so the returned triple is deterministic.
+    Eliminating e gives b^4/a^5 = 256 B4(t) / (3125 A5(t)) with t = epsilon c,
+    so every candidate t is a rational root of one integer sextic. Each root
+    and each epsilon with c = epsilon t >= 0 fix
+    e = -5b(3 - 4t) / (4a epsilon (11 + 2t)), kept when ab_from_params gives
+    back (a, b) exactly. b = 0 forces epsilon = -1, c = 11/2, a = 4 e^4 with
+    e > 0. Of several fits the one with the smallest e height (denominator,
+    then |numerator|) and then epsilon = +1 is returned.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("the parameter search requires a != 0")
-    if height_bound < 1:
-        raise ValueError(f"height bound must be >= 1, got {height_bound}")
-    for n, m in _e_candidates(height_bound):
-        n4, m4 = n**4, m**4
-        if a.denominator == 1:
-            # disc/4 of the c-quadratic, scaled by m^8: pure-integer fast path
-            an = a.numerator
-            scaled = 100 * n4 * n4 + 15 * an * n4 * m4 - an * an * m4 * m4
-            if scaled < 0:
-                continue
-            s = isqrt(scaled)
-            if s * s != scaled:
-                continue
-            sqrt_disc = Fraction(2 * s, m4)
-        else:
-            t4 = Fraction(n4, m4)
-            sqrt_disc = is_rational_square(400 * t4 * t4 - 4 * a * (a - 15 * t4))
-            if sqrt_disc is None:
-                continue
-        e4 = Fraction(n4, m4)
+    if b == 0:
+        root = is_rational_square(a / 4)
+        e = None if root is None else is_rational_square(root)
+        return None if e is None else QuinticParams(-1, Fraction(11, 2), e)
+    ratio = b**4 / a**5
+    n, m = 3125 * ratio.numerator, 256 * ratio.denominator
+    sextic = RatPoly([n * p - m * q for p, q in zip(_A5, _B4)])
+    fits = []
+    for t in rational_roots(sextic):
         for eps in (1, -1):
-            for sign in (1, -1):
-                c = (-20 * eps * e4 + sign * sqrt_disc) / (2 * a)
-                if c < 0:
-                    continue
-                denom = c**2 + 1
-                if a != 5 * e4 * (3 - 4 * eps * c) / denom:
-                    continue
-                for e in (Fraction(n, m), Fraction(-n, m)):
-                    if b == -4 * e**5 * (11 * eps + 2 * c) / denom:
-                        return QuinticParams(eps, c, e)
-    return None
+            if eps * t < 0:
+                continue
+            e = -5 * b * (3 - 4 * t) / (4 * a * eps * (11 + 2 * t))
+            params = QuinticParams(eps, eps * t, e)
+            if ab_from_params(params) == (a, b):
+                fits.append(params)
+    return min(fits, key=lambda p: (p.e.denominator, abs(p.e.numerator), -p.epsilon), default=None)
 
 
 def _branch(base, target):
@@ -180,13 +157,12 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
                            omega=omega, roots=tuple(xs), residual=residual)
 
 
-def search_quintics(box: int, height_bound: int = DEFAULT_HEIGHT_BOUND) -> list:
+def search_quintics(box: int) -> list:
     """All integer (a, b) with |a|, |b| <= box, a != 0, where x^5 + a*x + b is
-    irreducible and the bounded parameter search succeeds.
+    irreducible and solvable by radicals.
 
-    Sound (a hit has exact parameters and is irreducible, so it is solvable);
-    complete only relative to the height bound. box and height_bound must
-    be >= 1 (params_from_ab checks the latter).
+    Sound and complete: a hit has exact parameters and is irreducible, and
+    params_from_ab misses no rational triple. box must be >= 1.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
@@ -195,7 +171,7 @@ def search_quintics(box: int, height_bound: int = DEFAULT_HEIGHT_BOUND) -> list:
         if a == 0:
             continue
         for b in range(-box, box + 1):
-            params = params_from_ab(a, b, height_bound)
+            params = params_from_ab(a, b)
             if params is None:
                 continue
             if not is_irreducible(RatPoly([b, a, 0, 0, 0, 1])):

@@ -5,11 +5,13 @@ Kept deliberately naive and independent of the library's own algorithms.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt
 
 import mpmath as mp
 
-from sextic.exact import divisors
-from sextic.quintic import ab_from_params
+from sextic.exact import divisors, is_rational_square
+from sextic.quintic import QuinticParams, ab_from_params
 from sextic.roots import to_mpf
 
 
@@ -95,4 +97,61 @@ def radical_roots_by_search(p, precision: int):
             residual = max(abs(x**5 + a_val * x + b_val) for x in xs)
             if residual <= tol:
                 return us, xs, residual
+    return None
+
+
+@lru_cache(maxsize=8)
+def _e_candidates(height_bound: int) -> tuple:
+    """Positive rationals n/m with |n|, m <= height_bound, in scan order."""
+    out = []
+    for m in range(1, height_bound + 1):
+        for n in range(1, height_bound + 1):
+            if gcd(n, m) == 1:
+                out.append((n, m))
+    return tuple(out)
+
+
+def params_by_search(a, b, height_bound: int = 24):
+    """Bounded exact search for parameters producing (a, b); None if absent.
+
+    For each candidate (epsilon, e) the a-equation is the quadratic
+    a c^2 + 20 epsilon e^4 c + (a - 15 e^4) = 0; rational roots c >= 0
+    are kept when the b-equation verifies exactly. The scan order (e height
+    ascending, epsilon +1 first, larger quadratic root first, e > 0 first)
+    is fixed, so the returned triple is deterministic.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if a == 0:
+        raise ValueError("the parameter search requires a != 0")
+    if height_bound < 1:
+        raise ValueError(f"height bound must be >= 1, got {height_bound}")
+    for n, m in _e_candidates(height_bound):
+        n4, m4 = n**4, m**4
+        if a.denominator == 1:
+            # disc/4 of the c-quadratic, scaled by m^8: pure-integer fast path
+            an = a.numerator
+            scaled = 100 * n4 * n4 + 15 * an * n4 * m4 - an * an * m4 * m4
+            if scaled < 0:
+                continue
+            s = isqrt(scaled)
+            if s * s != scaled:
+                continue
+            sqrt_disc = Fraction(2 * s, m4)
+        else:
+            t4 = Fraction(n4, m4)
+            sqrt_disc = is_rational_square(400 * t4 * t4 - 4 * a * (a - 15 * t4))
+            if sqrt_disc is None:
+                continue
+        e4 = Fraction(n4, m4)
+        for eps in (1, -1):
+            for sign in (1, -1):
+                c = (-20 * eps * e4 + sign * sqrt_disc) / (2 * a)
+                if c < 0:
+                    continue
+                denom = c**2 + 1
+                if a != 5 * e4 * (3 - 4 * eps * c) / denom:
+                    continue
+                for e in (Fraction(n, m), Fraction(-n, m)):
+                    if b == -4 * e**5 * (11 * eps + 2 * c) / denom:
+                        return QuinticParams(eps, c, e)
     return None

@@ -144,7 +144,17 @@ def test_quintic_command(capsys):
 def test_quintic_not_found(capsys):
     code, out, _ = run(capsys, "quintic", "--a", "1", "--b", "1")
     assert code == 0
-    assert json.loads(out)["found"] is False
+    assert json.loads(out) == {"a": "1", "b": "1", "found": False}
+
+
+def test_quintic_finds_parameters_above_the_old_height_bound(capsys):
+    code, out, _ = run(capsys, "quintic", "--a=-9981458465/210769738",
+                       "--b=-358811732994/3056161201")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["found"] is True
+    assert doc["params"] == {"epsilon": 1, "c": "37/11", "e": "53/29"}
+    assert float(doc["residual"]) < 1e-30
 
 
 def test_quintic_with_c_zero(capsys):
@@ -239,18 +249,12 @@ def test_search_negative_range_equals_form(capsys):
     assert ("0", "1") in {(h["d"], h["e"]) for h in hits}
 
 
-def test_search_quintic_rejects_height_bound_below_one(capsys):
-    # used to exit 0 with no output
-    code, out, err = run(capsys, "search", "--quintic", "--box", "3", "--height-bound", "-1")
-    assert code == 1 and out == ""
-    assert "--height-bound: must be an integer >= 1" in err
-
-
-def test_quintic_rejects_height_bound_zero(capsys):
-    # used to print "found": false
-    code, out, err = run(capsys, "quintic", "--a", "1/2", "--b", "3", "--height-bound", "0")
-    assert code == 1 and out == ""
-    assert "--height-bound: must be an integer >= 1" in err
+def test_height_bound_flag_is_gone(capsys):
+    # parameter recovery is exact, so there is no bound left to set
+    for argv in (("search", "--quintic", "--box", "3"), ("quintic", "--a", "1/2", "--b", "3")):
+        code, out, err = run(capsys, *argv, "--height-bound", "24")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --height-bound 24" in err
 
 
 def test_search_rejects_jobs_below_one(capsys):

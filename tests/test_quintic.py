@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from oracles import radical_roots_by_search
+from oracles import params_by_search, radical_roots_by_search
 
+import sextic.quintic as quintic
 from sextic.quintic import (
     QuinticParams,
     ab_from_params,
@@ -14,6 +15,9 @@ from sextic.quintic import (
 )
 
 SOLVABLE_BOX_40 = {(20, 32), (20, -32), (15, 12), (15, -12), (-5, 12), (-5, -12)}
+
+# epsilon = 1, c = 37/11, e = 53/29: e lies above the old search's height bound 24
+HEIGHT_EXAMPLE = (F(-9981458465, 210769738), F(-358811732994, 3056161201))
 
 
 def test_param_validation():
@@ -44,10 +48,10 @@ def test_e_negation_flips_b():
 
 
 def test_params_from_ab_round_trip():
-    p = params_from_ab(20, 32, 10)
+    p = params_from_ab(20, 32)
     assert p == QuinticParams(-1, F(1, 2), 1)
-    assert params_from_ab(1, 1, 10) is None
-    p = params_from_ab(15, 12, 10)
+    assert params_from_ab(1, 1) is None
+    p = params_from_ab(15, 12)
     assert p is not None and ab_from_params(p) == (15, 12)
     rng = random.Random(9)
     for _ in range(10):
@@ -56,7 +60,7 @@ def test_params_from_ab_round_trip():
         a, b = ab_from_params(source)
         if a == 0:
             continue
-        found = params_from_ab(a, b, 12)
+        found = params_from_ab(a, b)
         assert found is not None
         assert ab_from_params(found) == (a, b)
 
@@ -90,17 +94,10 @@ def test_radical_roots_rejects_precision_outside_range():
 
 def test_radical_roots_all_six():
     for a, b in sorted(SOLVABLE_BOX_40):
-        params = params_from_ab(a, b, 24)
+        params = params_from_ab(a, b)
         assert params is not None
         tower = radical_roots(params, 256)
         assert tower.residual < mp.mpf(10) ** -30
-
-
-def test_height_bound_below_one_is_rejected():
-    with pytest.raises(ValueError, match="height bound must be >= 1"):
-        params_from_ab(F(1, 2), 3, 0)
-    with pytest.raises(ValueError, match="height bound must be >= 1"):
-        search_quintics(3, -1)
 
 
 def test_search_small_boxes():
@@ -177,3 +174,88 @@ def test_c_zero_parameters_solve_x5_plus_15x_plus_44():
     for b in (44, -44):
         group, _ = sympy.galois_group(sympy.Poly(x**5 + 15 * x + b, x))
         assert group.order() == 20 and group.is_solvable
+
+
+def _agrees_with_bounded_search(a, b):
+    found = params_from_ab(a, b)
+    expected = params_by_search(a, b)
+    if expected is not None:
+        assert found == expected, (a, b)
+    elif found is not None:
+        assert ab_from_params(found) == (a, b), (a, b)
+
+
+def test_params_equal_the_bounded_search_on_box_40():
+    for a in range(-40, 41):
+        if a:
+            for b in range(-40, 41):
+                _agrees_with_bounded_search(a, b)
+
+
+def test_params_equal_the_bounded_search_on_built_pairs():
+    # both epsilon, c = 0 among them, and e of height <= 24, the search's bound
+    rng = random.Random(7)
+    sources = [QuinticParams(1, 0, F(-5, 3)), QuinticParams(-1, 0, F(2, 9))]
+    while len(sources) < 120:
+        c = F(rng.randint(0, 40), rng.randint(1, 40))
+        e = F(rng.choice([1, -1]) * rng.randint(1, 24), rng.randint(1, 24))
+        sources.append(QuinticParams(rng.choice([1, -1]), c, e))
+    for source in sources:
+        a, b = ab_from_params(source)
+        if a:
+            assert params_by_search(a, b) is not None, source
+            _agrees_with_bounded_search(a, b)
+    for a, b in [(15, 44), (15, -44), (4, 0), (F(81, 4), 0)]:
+        assert params_by_search(a, b) is not None
+        _agrees_with_bounded_search(a, b)
+
+
+def test_params_above_the_old_height_bound_are_recovered():
+    assert params_by_search(*HEIGHT_EXAMPLE) is None
+    assert params_from_ab(*HEIGHT_EXAMPLE) == QuinticParams(1, F(37, 11), F(53, 29))
+
+
+def test_one_rational_root_solve_per_call(monkeypatch):
+    calls = []
+    real = quintic.rational_roots
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(quintic, "rational_roots", counting)
+    for a, b in [(20, 32), (1, 1), HEIGHT_EXAMPLE, (4, 0), (3, 0)]:
+        calls.clear()
+        params_from_ab(a, b)
+        assert len(calls) == (b != 0), (a, b)
+
+
+def _dummit_has_rational_root(a, b):
+    """Whether Dummit's sextic resolvent of x^5 + a*x + b has a linear factor
+    over Q, by sympy alone (Dummit, Math. Comp. 57, 1991)."""
+    import sympy
+
+    a, b = sympy.Rational(a), sympy.Rational(b)
+    coeffs = [1, 8 * a, 40 * a**2, 160 * a**3, 400 * a**4, 512 * a**5 - 3125 * b**4,
+              256 * a**6 - 9375 * a * b**4]
+    _, factors = sympy.Poly(coeffs, sympy.Symbol("x")).factor_list()
+    return any(f.degree() == 1 for f, _ in factors)
+
+
+def test_params_exist_exactly_when_dummits_resolvent_has_a_rational_root():
+    import sympy
+
+    x = sympy.Symbol("x")
+    pairs = [(a, b) for a in range(-25, 26) if a for b in range(-25, 26)]
+    pairs.append(tuple(str(v) for v in HEIGHT_EXAMPLE))
+    solvable = []
+    for a, b in pairs:
+        poly = sympy.Poly([1, 0, 0, 0, sympy.Rational(a), sympy.Rational(b)], x)
+        _, factors = poly.factor_list()
+        if len(factors) > 1 or factors[0][1] > 1:
+            continue
+        found = params_from_ab(F(a), F(b)) is not None
+        assert found == _dummit_has_rational_root(a, b), (a, b)
+        if found:
+            solvable.append((a, b))
+    assert len(solvable) == 5
