@@ -8,11 +8,11 @@ discriminant further pushes the group into the alternating group, refining
 each bound to its even part; rational roots in both resolvents pin the
 group inside the order-12 dihedral intersection.
 
-Irreducibility is decided exactly, by factoring mod a prime and Hensel
-lifting (is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) use
-the audited closed-form resolvent tables, so their verdicts involve no
-floating point at all; everything else builds its resolvents through the
-numeric orbit oracle.
+Every step is exact and no verdict involves floating point.
+Irreducibility is decided by factoring mod a prime and Hensel lifting
+(is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) read their
+resolvents off the audited closed-form tables; every other sextic builds
+them by p-adic lifting of its roots (resolvents.resolvents_exact).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
     RatPoly,
     _is_probable_prime,
+    _rational_roots,
     is_rational_square,
     monic_model,
     poly_divide_exact,
@@ -41,7 +42,7 @@ from .resolvents import (
     discriminant_exact,
     f_verified,
     g_verified,
-    resolvent_numeric_in_frame,
+    resolvents_exact,
 )
 from .roots import PRECISION_START, check_precision
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
@@ -144,8 +145,9 @@ def classify(p: RatPoly, precision: int = PRECISION_START) -> ClassificationRepo
     Raises DegenerateSextic when p has a repeated root. Reducible inputs get
     solvable=NotApplicable (their factors have degree <= 5 and are handled
     classically); the containment tests only mean anything for irreducible
-    inputs. precision is the starting precision of the numeric resolvents,
-    used only for inputs outside the reduced shape.
+    inputs. Every step is exact, so precision does not affect the report; it
+    is still validated (roots.check_precision), and a bad value raises
+    ValueError.
     """
     check_precision(precision)
     if p.degree != 6:
@@ -161,16 +163,15 @@ def classify(p: RatPoly, precision: int = PRECISION_START) -> ClassificationRepo
         f = f_verified(reduced)
         g = g_verified(reduced)
     else:
-        notes.append("resolvents built numerically from the root orbits")
-        f, g = resolvent_numeric_in_frame(
-            monic, (ResolventKind.MATCHING, ResolventKind.PARTITION), precision
-        )
-    f_roots = frozenset(rational_roots(f))
-    g_roots = frozenset(rational_roots(g))
+        notes.append("resolvents built exactly by p-adic lifting of the roots")
+        f, g = resolvents_exact(monic, (ResolventKind.MATCHING, ResolventKind.PARTITION))
+    f_roots, f_simple = _rational_roots(f)
+    g_roots, g_simple = _rational_roots(g)
+    f_roots, g_roots = frozenset(f_roots), frozenset(g_roots)
     sqrt_disc = is_rational_square(disc)
-    if resultant(f, f.derivative()) == 0:
+    if not f_simple:
         notes.append("degree-15 resolvent has repeated roots; containment test may be ambiguous")
-    if resultant(g, g.derivative()) == 0:
+    if not g_simple:
         notes.append("degree-10 resolvent has repeated roots; containment test may be ambiguous")
     if not irreducible:
         notes.append("reducible over the rationals: solvability criteria not applicable")

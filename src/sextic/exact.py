@@ -346,6 +346,13 @@ def _squarefree_part(A: list) -> list:
     return A if len(g) == 1 else list(poly_divmod(RatPoly(A), RatPoly(g))[0].primitive()[1].coeffs)
 
 
+def _root_bound(F: list) -> int:
+    """Fujiwara's bound 2 max |c_i|^(1/(n-i)) on the roots of a monic integer
+    polynomial F of degree n >= 1, each term rounded up to a power of two."""
+    n = len(F) - 1
+    return 2 * max(1 << -(-abs(c).bit_length() // (n - i)) for i, c in enumerate(F[:-1]))
+
+
 def monic_model(A: list) -> list:
     """The monic integer polynomial lead^(n-1) * A(y/lead) of an integer
     polynomial A of degree n >= 1, lowest degree first."""
@@ -363,18 +370,25 @@ def rational_roots(p: RatPoly) -> set:
     Newton-lifted above twice Fujiwara's root bound, reduced symmetrically,
     checked exactly.
     """
+    return _rational_roots(p)[0]
+
+
+def _rational_roots(p: RatPoly) -> tuple[set, bool]:
+    """(rational_roots(p), True when p has no repeated complex root); the
+    flag is read off the squarefree part the roots need anyway."""
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
     coeffs = list(p.primitive()[1].coeffs)
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {Fraction(0)} if k else set()
     A = _squarefree_part(coeffs[k:])
+    simple = k <= 1 and len(A) == len(coeffs) - k
     n, lead = len(A) - 1, A[-1]
     if n < 1:
-        return roots
+        return roots, simple
     F = monic_model(A)
     dF = [i * c for i, c in enumerate(F)][1:]
-    bound = 4 * max(1 << -(-abs(c).bit_length() // (n - i)) for i, c in enumerate(F[:-1]))
+    bound = 2 * _root_bound(F)
     prime = next(q for q in itertools.count(3, 2) if _is_probable_prime(q)
                  and all(_horner(dF, y, q) for y in range(q) if not _horner(F, y, q)))
     for y in (y for y in range(prime) if not _horner(F, y, prime)):
@@ -385,7 +399,7 @@ def rational_roots(p: RatPoly) -> set:
         y = y - m if y > m // 2 else y
         if not _horner(F, y):
             roots.add(Fraction(y, lead))
-    return roots
+    return roots, simple
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Dense polynomials over F_p and Z/p^k: arithmetic, factoring, Hensel lifting.
+"""Dense polynomials over F_p and Z/p^k: arithmetic, factoring, Hensel
+lifting; and square roots in F_p.
 
 A polynomial is a list of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is []). Every function takes the modulus m (or the
@@ -9,8 +10,8 @@ factoring need a prime modulus, and factoring a squarefree input.
 Factoring over F_p (odd p) is distinct-degree splitting followed by
 Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981), and the
 two-factor lift is the quadratic Hensel step (von zur Gathen & Gerhard,
-Modern Computer Algebra, Alg. 15.10). Nothing here uses floating point or
-randomness.
+Modern Computer Algebra, Alg. 15.10). Square roots are Tonelli-Shanks.
+Nothing here uses floating point or randomness.
 """
 
 from __future__ import annotations
@@ -146,6 +147,31 @@ def equal_degree(g: list, d: int, p: int) -> list:
 def factor(f: list, p: int) -> list:
     """Monic irreducible factors of monic squarefree f mod odd prime p, sorted."""
     return sorted(h for part, d in distinct_degree(f, p) for h in equal_degree(part, d, p))
+
+
+def nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod odd prime p."""
+    return next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
+def sqrt(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if not a:
+        return 0
+    q, s = p - 1, 0
+    while not q % 2:
+        q //= 2
+        s += 1
+    c, t, r = pow(nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def hensel_lift(f: list, g: list, h: list, p: int, k: int) -> tuple[list, list]:

@@ -113,13 +113,26 @@ def _branch(base, target):
     return mp.root(base, 5, int(mp.nint(turns)) % 5)
 
 
+def _near_a_root(x, fx, a, precision: int) -> bool:
+    """True when a root of f = x^5 + a x + b lies within 2^-(precision/2) (1 + |x|)
+    of x, given |f(x)| as fx: a degree-5 polynomial has a root within the
+    inclusion radius 5 |f(x)| / |f'(x)| of any point, and that radius must not
+    exceed the bound. |f'(x)| and |x| enter through the lower bound
+    max(|Re z|, |Im z|) <= |z|, which only makes the test stricter and saves
+    two square roots per value."""
+    df = 5 * x**4 + a
+    low = max(abs(df.real), abs(df.imag))
+    return 5 * fx <= low * mp.ldexp(1 + max(abs(x.real), abs(x.imag)), -(precision // 2))
+
+
 def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> QuinticRadicals:
     """Evaluate the radical expressions to the five roots of x^5 + a*x + b.
 
     u1 is the principal fifth root; u3, u4 and u2 are the fifth roots nearest
     v1 / (D u1^2), -epsilon / (sqrt(D) u1) and epsilon / (sqrt(D) u3), from
-    exact relations of the tower. The residual max_j |x_j^5 + a x_j + b|
-    certifies the construction.
+    exact relations of the tower. Each x_j must lie within
+    2^-(precision/2) (1 + |x_j|) of a root (_near_a_root); the residual
+    max_j |x_j^5 + a x_j + b| is reported alongside.
     """
     check_precision(precision)
     a, b = ab_from_params(p)
@@ -143,13 +156,14 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
         wtab = [omega**t for t in range(5)]
         e_val = to_mpf(p.e)
         a_val, b_val = to_mpf(a), to_mpf(b)
-        tol = mp.mpf(2) ** -(precision // 2) * (1 + abs(a_val) + abs(b_val))
         xs = [
             e_val * sum(wtab[(j * k) % 5] * us[k - 1] for k in range(1, 5))
             for j in range(5)
         ]
-        residual = max(abs(x**5 + a_val * x + b_val) for x in xs)
-    if residual > tol:
+        fxs = [abs(x**5 + a_val * x + b_val) for x in xs]
+        residual = max(fxs)
+        certified = all(_near_a_root(x, fx, a_val, precision) for x, fx in zip(xs, fxs))
+    if not certified:
         raise NoConsistentBranch(
             f"the tower's fifth-root branches do not solve x^5 + {a}x + {b} at {precision} bits"
         )

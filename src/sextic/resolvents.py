@@ -1,35 +1,41 @@
-"""Resolvent polynomials for the reduced sextic x^6 + x^2 + d*x + e.
+"""Resolvent polynomials of sextics, and the audit of the closed forms for
+the reduced sextic x^6 + x^2 + d*x + e.
 
-Three construction routes, reconciled against each other:
+Four construction routes, reconciled against each other:
 
 * reference closed forms: the degree-15 and degree-10 coefficient tables
   transcribed verbatim from the source material (f_reduced, g_reduced),
   kept exactly as transcribed, typos included, so they can be audited;
+* exact resolvents of arbitrary squarefree sextics by p-adic lifting of
+  the roots (resolvents_exact), with no floating point;
 * a from-the-roots numeric oracle for arbitrary squarefree sextics
   (resolvent_numeric), which finds the roots to certified precision,
   evaluates the full invariant orbit, expands the product and rounds the
-  coefficients to integers;
+  coefficients to integers, kept as an independent cross-check;
 * an interpolation reconstruction (reconstruct_reduced) that re-derives
   the closed-form tables from oracle samples and diffs them term by term
   against the transcription.
 
-The reconstruction is the authority when the routes disagree; verified
-tables (f_verified, g_verified) carry its output and are what the
-classification pipeline consumes. Discrepancies are reported, never
+The reconstruction is the authority when the closed forms disagree;
+verified tables (f_verified, g_verified) carry its output. The
+classification pipeline consumes those tables for reduced-shape input and
+resolvents_exact for every other sextic. Discrepancies are reported, never
 silently patched.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt, lcm
 
 import mpmath as mp
 
+from . import modp
 from .errors import (
     DegenerateSextic,
     FitInconsistent,
@@ -38,7 +44,7 @@ from .errors import (
     PrecisionExhausted,
     RepeatedRootSuspected,
 )
-from .exact import IntPoly, RatPoly, factorize, resultant
+from .exact import IntPoly, RatPoly, _is_probable_prime, _root_bound, factorize, resultant
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, orbit
 from .roots import (
     PRECISION_CAP,
@@ -211,6 +217,159 @@ def discriminant_exact(p: RatPoly) -> Fraction:
         raise ValueError("discriminant needs degree >= 2")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(p, p.derivative()) / p.leading()
+
+
+# ---------------------------------------------------------------------------
+# exact resolvents by p-adic lifting
+# ---------------------------------------------------------------------------
+
+# the closed forms of the two invariant orbits: a matching invariant is
+# (product of all roots) * (sum of its three pair products), one per perfect
+# matching of the six roots; a partition invariant is
+# prod_A * sum_A + prod_B * sum_B, one per split into blocks A, B of three
+_PAIRS = tuple(itertools.combinations(range(6), 2))
+_MATCHINGS = tuple(m for m in itertools.combinations(_PAIRS, 3)
+                   if len(set(itertools.chain(*m))) == 6)
+_SPLITS = tuple((a, tuple(i for i in range(6) if i not in a))
+                for a in itertools.combinations(range(6), 3) if 0 in a)
+
+
+def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
+    """Resolvents of p itself (rational coefficients), one per kind in kinds,
+    by p-adic lifting of the roots (K. Yokoyama, J. Pure Appl. Algebra
+    117-118, 1997; K. Geissler and J. Klüners, J. Symbolic Comput. 30, 2000).
+    No floating point is involved.
+
+    q(y) = m^6 p(y/m) is a monic integer sextic for the integer m of
+    _clearing_scale, with the roots y = m * x. At the first odd prime r with
+    x^(r^2) == x mod (q, r), q mod r is squarefree with factors of degree
+    <= 2, so its six roots lie in F_r(sqrt n), n the least non-residue. Each
+    is Newton-lifted in (Z/r^N)[sqrt n], the invariant values come from the
+    closed forms above, and their product expands to the integer resolvent
+    R_q mod r^N, whose sqrt n part must vanish.
+
+    Bound: a product of distinct roots of q has modulus at most the Mahler
+    measure M(q) <= |q|_2 (Landau's inequality), and one root at most
+    Fujiwara's bound R (exact._root_bound). So a matching value is at most
+    V = 3 |q(0)| min(M, R^2), a partition value at most V = 6 R min(M, R^3),
+    and the coefficient of z^(deg - k) of R_q at most C(deg, k) V^k. r^N
+    exceeds twice the largest of these, so the symmetric residues are the
+    integer coefficients. The result is R_p(z) = m^(-w deg) R_q(m^w z), w the
+    invariant's weight.
+
+    Raises ValueError unless p has degree 6, and DegenerateSextic when p has
+    a repeated root.
+    """
+    if p.degree != 6:
+        raise ValueError("resolvent construction expects a degree-6 polynomial")
+    if resultant(p, p.derivative()) == 0:
+        raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
+    p = p.monic()
+    m = _clearing_scale(p)
+    q = [int(c * m ** (6 - j)) for j, c in enumerate(p.coeffs)]
+    prime = next(r for r in itertools.count(3, 2) if _is_probable_prime(r)
+                 and modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
+    R = _root_bound(q)
+    M = isqrt(sum(c * c for c in q)) + 1
+    value_bound = {
+        ResolventKind.MATCHING: 3 * abs(q[0]) * min(M, R**2),
+        ResolventKind.PARTITION: 6 * R * min(M, R**3),
+    }
+    bound = max(comb(kind.degree, k) * value_bound[kind] ** k
+                for kind in kinds for k in range(kind.degree + 1))
+    modulus = prime
+    while modulus <= 2 * bound:
+        modulus *= prime
+
+    n = modp.nonresidue(prime)
+    half = pow(2, -1, prime)
+    roots = []
+    for f in modp.factor(modp.reduce(q, prime), prime):
+        if len(f) == 2:
+            roots.append(_newton_lift(q, (-f[0] % prime, 0), n, prime, modulus))
+        else:  # x^2 + b x + c: roots (-b +- s sqrt n) / 2 with s^2 n = b^2 - 4c
+            c, b = f[0], f[1]
+            s = modp.sqrt((b * b - 4 * c) * pow(n, -1, prime), prime)
+            a, t = _newton_lift(q, (-b * half % prime, s * half % prime), n, prime, modulus)
+            roots += [(a, t), (a, -t % modulus)]  # the conjugate lifts the conjugate
+
+    def mul(x, y):
+        return (x[0] * y[0] + n * x[1] * y[1]) % modulus, (x[0] * y[1] + x[1] * y[0]) % modulus
+
+    def add(*xs):
+        return sum(x[0] for x in xs) % modulus, sum(x[1] for x in xs) % modulus
+
+    pair = {ij: mul(roots[ij[0]], roots[ij[1]]) for ij in _PAIRS}
+
+    def block(points):  # prod_A * sum_A
+        return mul(mul(pair[points[:2]], roots[points[2]]), add(*(roots[i] for i in points)))
+
+    out = []
+    for kind in kinds:
+        if kind is ResolventKind.MATCHING:
+            values = [mul((q[0], 0), add(*(pair[ij] for ij in matching)))
+                      for matching in _MATCHINGS]
+        else:
+            values = [add(block(left), block(right)) for left, right in _SPLITS]
+        coeffs = [(1, 0)]
+        for v in values:  # times (z - v)
+            nxt = [(0, 0)] + coeffs
+            for i, c in enumerate(coeffs):
+                cv = mul(c, v)
+                nxt[i] = ((nxt[i][0] - cv[0]) % modulus, (nxt[i][1] - cv[1]) % modulus)
+            coeffs = nxt
+        if any(c[1] for c in coeffs):
+            raise ArithmeticError("lifted resolvent has a nonzero sqrt part")
+        w, deg = kind.weight, kind.degree
+        out.append(RatPoly([
+            Fraction(c - modulus if c > modulus // 2 else c, m ** (w * (deg - k)))
+            for k, (c, _) in enumerate(coeffs)
+        ]))
+    return tuple(out)
+
+
+def _clearing_scale(p: RatPoly) -> int:
+    """An integer m such that m^(n-j) c_j is an integer for every coefficient
+    c_j of the monic degree-n polynomial p, found without factoring.
+
+    Each denominator gives m its primes below 2^10 with the least exponent
+    that clears them, and the rest of it (1, a prime, or a number with no
+    prime factor below 2^10) whole. So m is the least such integer whenever
+    those rests are squarefree, as they are for all denominators below 2^20.
+    For x^6 - 10^-400 it gives m = 10^67, where exact.monic_model of the
+    primitive part would scale by 10^400.
+    """
+    n, need, rest = p.degree, {}, 1
+    for j, c in enumerate(p.coeffs[:-1]):
+        d = c.denominator
+        for r in itertools.chain((2,), range(3, 1 << 10, 2)):
+            if r * r > d:
+                break
+            a = 0
+            while not d % r:
+                d //= r
+                a += 1
+            if a:
+                need[r] = max(need.get(r, 0), -(-a // (n - j)))
+        rest = lcm(rest, d)
+    return lcm(rest, *(r**a for r, a in need.items()))
+
+
+def _newton_lift(q: list, root: tuple, n: int, prime: int, target: int) -> tuple:
+    """The root a + b sqrt n of monic integer q mod target, a power of prime,
+    that reduces to the given simple root mod prime (quadratic Newton steps)."""
+    a, b = root
+    m = prime
+    while m < target:
+        m = min(m * m, target)
+        fa, fb, da, db = q[-1], 0, 0, 0  # q and q' by Horner
+        for c in reversed(q[:-1]):
+            da, db = (da * a + n * db * b + fa) % m, (da * b + db * a + fb) % m
+            fa, fb = (fa * a + n * fb * b + c) % m, (fa * b + fb * a) % m
+        inv = pow(da * da - n * db * db, -1, m)  # the norm of q'(root) is a unit
+        a = (a - (fa * da - n * fb * db) * inv) % m
+        b = (b - (fb * da - fa * db) * inv) % m
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,13 @@ def test_is_irreducible_agrees_with_sympy_factor_list():
 
 def test_reduced_pipeline_never_finds_roots_numerically(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("find_roots called")
+        raise AssertionError("numeric path called")
 
-    for name in ("sextic.roots", "sextic.classify", "sextic.resolvents"):
-        monkeypatch.setattr(importlib.import_module(name), "find_roots", refuse)
+    for name in ("sextic.roots", "sextic.classify", "sextic.resolvents", "sextic.groups"):
+        module = importlib.import_module(name)
+        for attr in ("find_roots", "expand_from_roots", "round_to_int_poly", "eval_monomial_sum"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
     for p in REDUCIBLE_CASES:
         assert not is_irreducible(p)
     for p in IRREDUCIBLE_CASES + [RatPoly([108, 0, 0, 0, 0, 0, 1])]:
@@ -304,10 +307,40 @@ def test_reduced_pipeline_never_finds_roots_numerically(monkeypatch):
     for d, e in points:
         classify(ReducedSextic(d, e).to_poly())
     assert classify(vanishing_constant_family(F(-5, 3)).to_poly()).solvable is Solvable.YES
+    # nor does any other sextic: its resolvents come from p-adic lifting
+    rng = random.Random(41)
+    general = [RatPoly([1, 1, 1, 1, 1, 1, 1]), RatPoly([120, 3, 1, 0, 0, 1, 1]),
+               RatPoly([F(1, 3), F(-1, 2), 0, 2, F(1, 6), 1, 1]), RatPoly([0, 3, 0, 0, 2, 0, 5])]
+    general += [RatPoly([rng.randint(-5, 5) for _ in range(6)] + [rng.choice((1, 2, 7))])
+                for _ in range(20)]
+    classified = 0
+    for p in general:
+        try:
+            report = classify(p)
+        except DegenerateSextic:
+            continue
+        classified += 1
+        assert report.notes[0] == "resolvents built exactly by p-adic lifting of the roots"
+    assert classified >= 20
+
+
+def test_classify_huge_coefficients():
+    # the numeric path exhausts its precision ladder on x^6 - 10^400 =
+    # (x^3 - 10^200)(x^3 + 10^200); the lifted resolvents need no precision
+    report = classify(RatPoly([-(10**400), 0, 0, 0, 0, 0, 1]))
+    assert not report.irreducible and report.solvable is Solvable.NOT_APPLICABLE
+    # x^6 - 10^-400, the CLI's --coeffs=-10^400,0,0,0,0,0,1 (highest first)
+    report = classify(RatPoly([1, 0, 0, 0, 0, 0, -(10**400)]))
+    assert not report.irreducible and report.solvable is Solvable.NOT_APPLICABLE
+    # one root near -10^50 and five of modulus about 10^-10
+    report = classify(RatPoly([3, 0, 0, 0, 0, 10**50, 1]))
+    assert report.irreducible and report.solvable is Solvable.NO
+    assert report.bound is GroupBound.NOT_SOLVABLE
 
 
 def test_numeric_classify_solves_roots_once_per_rung(monkeypatch):
     # both numeric resolvents round from one root solve per precision rung
+    # (classify does not take this path: see the test above)
     bits = []
     find_roots = resolvents.find_roots
 
@@ -316,25 +349,32 @@ def test_numeric_classify_solves_roots_once_per_rung(monkeypatch):
         return find_roots(q, precision_bits)
 
     monkeypatch.setattr(resolvents, "find_roots", counting)
-    classify(RatPoly([1, 1, 1, 1, 1, 1, 1]))
+    both = (ResolventKind.MATCHING, ResolventKind.PARTITION)
+    resolvents.resolvent_numeric_in_frame(RatPoly([1, 1, 1, 1, 1, 1, 1]), both)
     assert bits == [256]
     # from 64 bits the partition resolvent rounds at once and the matching
     # resolvent climbs alone to 128
     bits.clear()
-    climbed = classify(RatPoly([120, 3, 1, 0, 0, 1, 1]), 64)
+    p = RatPoly([120, 3, 1, 0, 0, 1, 1])
+    climbed = resolvents.resolvent_numeric_in_frame(p, both, 64)
     assert bits == [64, 128]
-    assert climbed == classify(RatPoly([120, 3, 1, 0, 0, 1, 1]))
+    assert climbed == resolvents.resolvent_numeric_in_frame(p, both)
+    assert climbed == resolvents.resolvents_exact(p, both)
 
 
 def test_numeric_classify_reports_the_first_pending_kind_when_exhausted(monkeypatch):
-    # at a 64-bit cap only the matching resolvent fails, as it does alone
+    # at a 64-bit cap only the matching resolvent fails, as it does alone;
+    # classify takes the exact path and is not affected by the cap
     monkeypatch.setattr(resolvents, "PRECISION_CAP", 64)
     p = RatPoly([120, 3, 1, 0, 0, 1, 1])
     with pytest.raises(PrecisionExhausted) as alone:
         resolvents.resolvent_numeric(p, ResolventKind.MATCHING, 64)
     with pytest.raises(PrecisionExhausted) as shared:
-        classify(p, 64)
+        resolvents.resolvent_numeric_in_frame(
+            p, (ResolventKind.MATCHING, ResolventKind.PARTITION), 64
+        )
     assert str(shared.value) == str(alone.value)
+    assert classify(p, 64) == classify(p)
 
 
 def _claimed_group(report):

@@ -188,3 +188,26 @@ def test_rational_roots_against_divisor_oracle():
             polys += [f_verified(ReducedSextic(d, e)), g_verified(ReducedSextic(d, e))]
     for p in polys:
         assert rational_roots(p) == rational_roots_by_divisors(p), p
+
+
+def test_rational_roots_report_repeated_roots_like_the_resultant():
+    # the flag comes from the squarefree part, not from Res(p, p')
+    rng = random.Random(19)
+    x = RatPoly([0, 1])
+    cases = [x, x * x, x * RatPoly([1, 1]), x * x * RatPoly([1, 1]), RatPoly([5])]
+    for _ in range(150):
+        factors = [
+            RatPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [rng.choice((1, 3))])
+            for _ in range(rng.randint(1, 3))
+        ]
+        p = RatPoly([F(rng.randint(1, 5), rng.randint(1, 5))])
+        for f in factors:
+            p = p * f ** rng.choice((1, 1, 2))
+        cases.append(p * x ** rng.choice((0, 0, 1, 2)))
+    flags = set()
+    for p in cases:
+        roots, simple = exact._rational_roots(p)
+        assert roots == rational_roots(p)
+        assert simple == exact.squarefree(p), p
+        flags.add(simple)
+    assert flags == {True, False}

@@ -107,3 +107,15 @@ def test_hensel_lift_recovers_an_integer_factor():
     g = modp.reduce(g_int, p)
     G, _ = modp.hensel_lift(f, g, modp.div_rem(f_mod, g, p)[0], p, k)
     assert [c - p**k if c > p**k // 2 else c for c in G] == g_int
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 193, 257, 65537])
+def test_sqrt_of_every_residue_and_the_least_nonresidue(p):
+    # p - 1 = 2^s * q covers s = 1 (3, 7), s = 2 (5, 13), s = 4 (17) up to 16
+    squares = {x * x % p for x in range(min(p, 3000))}
+    z = modp.nonresidue(p)
+    assert pow(z, (p - 1) // 2, p) == p - 1
+    assert all(pow(k, (p - 1) // 2, p) == 1 for k in range(1, z))
+    for a in sorted(squares):
+        r = modp.sqrt(a, p)
+        assert 0 <= r < p and r * r % p == a

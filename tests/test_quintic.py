@@ -160,6 +160,37 @@ def test_low_precision_radical_roots_are_roots():
                 assert abs(got - want) <= bound * (1 + abs(want)), (params, bits)
 
 
+def test_root_certificate_scales_with_the_roots():
+    # the roots of this tower have modulus at most 0.15; an absolute
+    # tolerance 2^-12 (1 + |a| + |b|) at 24 bits accepts the residual of
+    # some of them shifted by 0.09, while the inclusion radius rejects all
+    params = QuinticParams(-1, F(17, 10), F(-1, 14))
+    a, b = ab_from_params(params)
+    roots = radical_roots(params, 256).roots
+    with mp.workprec(56):
+        a_val, b_val = quintic.to_mpf(a), quintic.to_mpf(b)
+        absolute = mp.mpf(2) ** -12 * (1 + abs(a_val) + abs(b_val))
+        shifted = [x + mp.mpf(0.09) for x in roots]
+        assert max(abs(x) for x in roots) <= 0.15
+        assert any(abs(y**5 + a_val * y + b_val) <= absolute for y in shifted)
+        for x in roots:
+            assert quintic._near_a_root(x, abs(x**5 + a_val * x + b_val), a_val, 24)
+        for y in shifted:
+            assert not quintic._near_a_root(y, abs(y**5 + a_val * y + b_val), a_val, 24)
+    for bits in (1, 8, 24, 256):
+        assert len(radical_roots(params, bits).roots) == 5
+
+
+def test_radical_roots_refuses_a_wrong_branch(monkeypatch):
+    from sextic.errors import NoConsistentBranch
+
+    params = QuinticParams(-1, F(17, 10), F(-1, 14))
+    monkeypatch.setattr(quintic, "_branch", lambda base, target: mp.root(base, 5, 1))
+    for bits in (8, 24, 256):
+        with pytest.raises(NoConsistentBranch):
+            radical_roots(params, bits)
+
+
 def test_c_zero_parameters_solve_x5_plus_15x_plus_44():
     import sympy
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from sextic.resolvents import (
     resolvent_from_roots,
     resolvent_numeric,
     resolvent_numeric_in_frame,
+    resolvents_exact,
 )
 from sextic.roots import find_roots
 
@@ -235,6 +237,7 @@ def test_ff_oracle_agrees_with_numeric_on_random_sextic():
     for p in batch:
         q, m = monic_integer_rescale(p.monic())
         in_frame = resolvent_numeric_in_frame(p, both)
+        assert resolvents_exact(p, both) == in_frame, p
         oracle = resolvent_ff([int(c) for c in q.coeffs], ("matching", "split"))
         for kind, expected, res in zip(both, oracle, in_frame):
             assert list(resolvent_numeric(p, kind).full_coeffs()) == expected, (p, kind)
@@ -250,3 +253,105 @@ def test_numeric_resolvents_check_precision(build):
     kinds = kind if build is resolvent_numeric else (kind,)
     with pytest.raises(ValueError, match="between 1 and 4096"):
         build(ReducedSextic(1, 2).to_poly(), kinds, -64)
+
+
+BOTH = (ResolventKind.MATCHING, ResolventKind.PARTITION)
+
+
+def _exact_batch(rng, per_class=2):
+    """(family, sextic) pairs: seeded squarefree sextics off the reduced
+    shape, per_class from each family: 4-digit coefficients, leading
+    coefficient 5-9, denominators 7, 11 and 13 with lcm 1001 (scale
+    m = 1001), and multiples of x."""
+    families = {
+        "digits4": lambda: [rng.randint(-9999, 9999) for _ in range(6)] + [1],
+        "lead": lambda: [rng.randint(-9, 9) for _ in range(6)] + [rng.randint(5, 9)],
+        "den1001": lambda: [F(rng.randint(-9, 9), rng.choice((7, 11, 13))) for _ in range(6)]
+        + [1],
+        "by_x": lambda: [0] + [rng.randint(-9, 9) for _ in range(5)] + [1],
+    }
+    batch = []
+    for name, family in families.items():
+        for _ in range(per_class):
+            p = RatPoly(family())
+            while discriminant_exact(p) == 0 or (
+                name == "den1001" and math.lcm(*(c.denominator for c in p.coeffs)) != 1001
+            ):
+                p = RatPoly(family())
+            batch.append((name, p))
+    return batch
+
+
+def test_resolvents_exact_matches_numeric_on_a_seeded_batch():
+    batch = [p for _, p in _exact_batch(random.Random(8))] + _ff_batch(random.Random(71))
+    for p in batch:
+        exact = resolvents_exact(p, BOTH)
+        assert exact == resolvent_numeric_in_frame(p, BOTH), p
+        # one kind alone is the same polynomial
+        assert resolvents_exact(p, (ResolventKind.PARTITION,)) == exact[1:]
+    assert any(not p.coeffs[0] for p in batch)
+
+
+def test_resolvents_exact_matches_the_tables_and_pinned_values():
+    rng = random.Random(32)
+    points = [(1, 1), (3, 2), (2, 1), (F(1, 2), F(5, 36)), (F(2, 3), F(-1, 4)), (3, 120)]
+    points += [(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)))
+               for _ in range(6)]
+    for d, e in points:
+        s = ReducedSextic(d, e)
+        if discriminant_exact(s.to_poly()) == 0:
+            continue
+        assert resolvents_exact(s.to_poly(), BOTH) == (f_verified(s), g_verified(s)), (d, e)
+    (g,) = resolvents_exact(RatPoly([1, 2, -1, 0, 0, 0, 1]), (ResolventKind.PARTITION,))
+    assert g == RatPoly(G_TRUE_MINUS_X2_2_1)
+
+
+def test_resolvents_exact_refuses_repeated_roots_and_other_degrees():
+    with pytest.raises(DegenerateSextic):
+        resolvents_exact(RatPoly([0, 0, 1, 0, 0, 0, 1]), BOTH)
+    with pytest.raises(DegenerateSextic):
+        resolvents_exact(RatPoly([4, 4, -1, 0, 0, 0, 1]), BOTH)
+    with pytest.raises(ValueError):
+        resolvents_exact(RatPoly([1, 0, 0, 0, 0, 1]), BOTH)
+
+
+def test_clearing_scale_is_the_least_for_small_denominators():
+    from sextic.resolvents import _clearing_scale
+
+    rng = random.Random(6)
+    for _ in range(200):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 2**20)) for _ in range(6)] + [1]
+        p = RatPoly(coeffs)
+        assert _clearing_scale(p) == monic_integer_rescale(p)[1], p
+    # large smooth denominators need no factoring to reach the least scale
+    assert _clearing_scale(RatPoly([F(-1, 10**400), 0, 0, 0, 0, 0, 1])) == 10**67
+    assert _clearing_scale(RatPoly([F(1, 2**400 * 3), F(1, 1009**2), 0, 0, 0, 0, 1])) \
+        == 2**67 * 3 * 1009
+
+
+@pytest.mark.slow
+def test_resolvents_exact_matches_the_ff_oracle():
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.dirname(__file__))
+    from ff_oracle import resolvent_ff
+
+    from sextic.resolvents import _clearing_scale
+
+    # the oracle tries about |G| primes per split prime for Galois group G.
+    # For S6 the batch's 4-digit member takes about 20 s and its 1001 member
+    # 15 s, so those two are checked against the numeric path only, and a
+    # product of a quadratic and a quartic (|G| <= 48) stands in for the
+    # 1001 scale here
+    batch = [p for name, p in _exact_batch(random.Random(8), 1) if name in ("lead", "by_x")]
+    batch.append(RatPoly([F(3, 7), F(-2, 11), 1]) * RatPoly([F(5, 13), F(1, 7), F(-4, 11), 0, 1]))
+    assert _clearing_scale(batch[-1]) == 1001
+    for p in batch:
+        monic = p.monic()
+        m = _clearing_scale(monic)
+        q = [int(c * m ** (6 - j)) for j, c in enumerate(monic.coeffs)]
+        oracle = resolvent_ff(q, ("matching", "split"))
+        for kind, res, expected in zip(BOTH, resolvents_exact(p, BOTH), oracle):
+            w, deg = kind.weight, kind.degree
+            assert [res[k] * m ** (w * (deg - k)) for k in range(deg + 1)] == expected, (p, kind)
