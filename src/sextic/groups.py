@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import gcd
 
-import mpmath as mp
-
 N_POINTS = 6
 _S6_ORDER = 720
 
@@ -307,15 +305,16 @@ def partition_group_even() -> PermGroup:
     return intersect(partition_group(), alternating_group())
 
 
-def eval_monomial_sum(m: MonomialSum, roots) -> mp.mpc:
-    """Numerical value of m at six complex roots (any sequence, or a
-    ComplexRootSet)."""
+def eval_monomial_sum(m: MonomialSum, roots):
+    """Value of m at six roots (any sequence, or a ComplexRootSet), in the
+    roots' own ring: mpmath complex numbers, or the p-adic lifts of
+    resolvents._Lifted."""
     vals = tuple(getattr(roots, "roots", roots))
     if len(vals) != N_POINTS:
         raise ValueError("need exactly six root values")
-    total = mp.mpc(0)
+    total = vals[0] * 0
     for t in m.terms:
-        prod = mp.mpc(1)
+        prod = vals[0] ** 0
         for v, e in zip(vals, t):
             if e == 1:
                 prod *= v

@@ -11,7 +11,10 @@ Four construction routes, reconciled against each other:
 * a from-the-roots numeric oracle for arbitrary squarefree sextics
   (resolvent_numeric), which finds the roots to certified precision,
   evaluates the full invariant orbit, expands the product and rounds the
-  coefficients to integers, kept as an independent cross-check;
+  coefficients to integers, kept as a cross-check. The exact route runs
+  the same orbit evaluation, expansion and rounding on its lifted roots
+  (resolvent_from_roots), so the two differ only in where the roots live
+  and how the rounding is certified;
 * an interpolation reconstruction (reconstruct_reduced) that re-derives
   the closed-form tables from oracle samples and diffs them term by term
   against the transcription.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 import mpmath as mp
 
@@ -223,16 +226,6 @@ def discriminant_exact(p: RatPoly) -> Fraction:
 # exact resolvents by p-adic lifting
 # ---------------------------------------------------------------------------
 
-# the closed forms of the two invariant orbits: a matching invariant is
-# (product of all roots) * (sum of its three pair products), one per perfect
-# matching of the six roots; a partition invariant is
-# prod_A * sum_A + prod_B * sum_B, one per split into blocks A, B of three
-_PAIRS = tuple(itertools.combinations(range(6), 2))
-_MATCHINGS = tuple(m for m in itertools.combinations(_PAIRS, 3)
-                   if len(set(itertools.chain(*m))) == 6)
-_SPLITS = tuple((a, tuple(i for i in range(6) if i not in a))
-                for a in itertools.combinations(range(6), 3) if 0 in a)
-
 
 def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     """Resolvents of p itself (rational coefficients), one per kind in kinds,
@@ -240,33 +233,82 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     117-118, 1997; K. Geissler and J. Klüners, J. Symbolic Comput. 30, 2000).
     No floating point is involved.
 
-    q(y) = m^6 p(y/m) is a monic integer sextic for the integer m of
-    _clearing_scale, with the roots y = m * x. At the first odd prime r with
+    q(y) = m^6 p(y/m) is the monic integer sextic of monic_integer_rescale,
+    with the roots y = m * x. At the first odd prime r with
     x^(r^2) == x mod (q, r), q mod r is squarefree with factors of degree
     <= 2, so its six roots lie in F_r(sqrt n), n the least non-residue. Each
-    is Newton-lifted in (Z/r^N)[sqrt n], the invariant values come from the
-    closed forms above, and their product expands to the integer resolvent
-    R_q mod r^N, whose sqrt n part must vanish.
+    is Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit
+    product expands from those roots as on the complex path
+    (resolvent_from_roots) to the integer resolvent R_q mod r^N, whose
+    sqrt n part must vanish. This is resolvent_numeric_in_frame with
+    padic=True: only the ring the roots live in differs.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
     measure M(q) <= |q|_2 (Landau's inequality), and one root at most
-    Fujiwara's bound R (exact._root_bound). So a matching value is at most
-    V = 3 |q(0)| min(M, R^2), a partition value at most V = 6 R min(M, R^3),
-    and the coefficient of z^(deg - k) of R_q at most C(deg, k) V^k. r^N
-    exceeds twice the largest of these, so the symmetric residues are the
-    integer coefficients. The result is R_p(z) = m^(-w deg) R_q(m^w z), w the
-    invariant's weight.
+    Fujiwara's bound R (exact._root_bound). A matching value is
+    q(0) * (a sum of three pair products) and a partition value
+    prod_A * sum_A + prod_B * sum_B over a split into blocks A, B of three,
+    so a matching value is at most V = 3 |q(0)| min(M, R^2), a partition
+    value at most V = 6 R min(M, R^3), and the coefficient of z^(deg - k)
+    of R_q at most C(deg, k) V^k. r^N exceeds twice the largest of these,
+    so the symmetric residues are the integer coefficients. The result is
+    R_p(z) = m^(-w deg) R_q(m^w z), w the invariant's weight.
 
     Raises ValueError unless p has degree 6, and DegenerateSextic when p has
     a repeated root.
     """
-    if p.degree != 6:
-        raise ValueError("resolvent construction expects a degree-6 polynomial")
-    if resultant(p, p.derivative()) == 0:
-        raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
-    p = p.monic()
-    m = _clearing_scale(p)
-    q = [int(c * m ** (6 - j)) for j, c in enumerate(p.coeffs)]
+    return resolvent_numeric_in_frame(p, kinds, padic=True)
+
+
+class _Lifted:
+    """a + b sqrt(n) in (Z/M)[sqrt n], M = r^N: a root lifted r-adically, or
+    a value computed from such roots, with the arithmetic that
+    eval_monomial_sum and expand_from_roots use (integers mix in)."""
+
+    __slots__ = ("a", "b", "n", "modulus")
+
+    def __init__(self, a: int, b: int, n: int, modulus: int):
+        self.a, self.b, self.n, self.modulus = a, b, n, modulus
+
+    def _make(self, a: int, b: int) -> "_Lifted":
+        return _Lifted(a % self.modulus, b % self.modulus, self.n, self.modulus)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return self._make(self.a + other, self.b)
+        return self._make(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "_Lifted") -> "_Lifted":
+        return self._make(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._make(self.a * other, self.b * other)
+        return self._make(self.a * other.a + self.n * self.b * other.b,
+                          self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "_Lifted":
+        out = self._make(1, 0)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def rounded(self) -> tuple:
+        """(nearest integer, distance) for round_to_int_poly: the symmetric
+        residue of a, at distance 0 when the sqrt n part vanishes and 1
+        otherwise, so tolerance 0 accepts only rational values."""
+        a = self.a - self.modulus if self.a > self.modulus // 2 else self.a
+        return a, 1 if self.b else 0
+
+
+def _lifted_roots(q: list, kinds: tuple) -> list:
+    """The six roots of the squarefree monic integer sextic q (coefficients
+    low to high) as _Lifted values, modulo a power of r above twice the
+    resolvent coefficient bound of resolvents_exact for the given kinds."""
     prime = next(r for r in itertools.count(3, 2) if _is_probable_prime(r)
                  and modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
     R = _root_bound(q)
@@ -292,67 +334,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
             s = modp.sqrt((b * b - 4 * c) * pow(n, -1, prime), prime)
             a, t = _newton_lift(q, (-b * half % prime, s * half % prime), n, prime, modulus)
             roots += [(a, t), (a, -t % modulus)]  # the conjugate lifts the conjugate
-
-    def mul(x, y):
-        return (x[0] * y[0] + n * x[1] * y[1]) % modulus, (x[0] * y[1] + x[1] * y[0]) % modulus
-
-    def add(*xs):
-        return sum(x[0] for x in xs) % modulus, sum(x[1] for x in xs) % modulus
-
-    pair = {ij: mul(roots[ij[0]], roots[ij[1]]) for ij in _PAIRS}
-
-    def block(points):  # prod_A * sum_A
-        return mul(mul(pair[points[:2]], roots[points[2]]), add(*(roots[i] for i in points)))
-
-    out = []
-    for kind in kinds:
-        if kind is ResolventKind.MATCHING:
-            values = [mul((q[0], 0), add(*(pair[ij] for ij in matching)))
-                      for matching in _MATCHINGS]
-        else:
-            values = [add(block(left), block(right)) for left, right in _SPLITS]
-        coeffs = [(1, 0)]
-        for v in values:  # times (z - v)
-            nxt = [(0, 0)] + coeffs
-            for i, c in enumerate(coeffs):
-                cv = mul(c, v)
-                nxt[i] = ((nxt[i][0] - cv[0]) % modulus, (nxt[i][1] - cv[1]) % modulus)
-            coeffs = nxt
-        if any(c[1] for c in coeffs):
-            raise ArithmeticError("lifted resolvent has a nonzero sqrt part")
-        w, deg = kind.weight, kind.degree
-        out.append(RatPoly([
-            Fraction(c - modulus if c > modulus // 2 else c, m ** (w * (deg - k)))
-            for k, (c, _) in enumerate(coeffs)
-        ]))
-    return tuple(out)
-
-
-def _clearing_scale(p: RatPoly) -> int:
-    """An integer m such that m^(n-j) c_j is an integer for every coefficient
-    c_j of the monic degree-n polynomial p, found without factoring.
-
-    Each denominator gives m its primes below 2^10 with the least exponent
-    that clears them, and the rest of it (1, a prime, or a number with no
-    prime factor below 2^10) whole. So m is the least such integer whenever
-    those rests are squarefree, as they are for all denominators below 2^20.
-    For x^6 - 10^-400 it gives m = 10^67, where exact.monic_model of the
-    primitive part would scale by 10^400.
-    """
-    n, need, rest = p.degree, {}, 1
-    for j, c in enumerate(p.coeffs[:-1]):
-        d = c.denominator
-        for r in itertools.chain((2,), range(3, 1 << 10, 2)):
-            if r * r > d:
-                break
-            a = 0
-            while not d % r:
-                d //= r
-                a += 1
-            if a:
-                need[r] = max(need.get(r, 0), -(-a // (n - j)))
-        rest = lcm(rest, d)
-    return lcm(rest, *(r**a for r, a in need.items()))
+    return [_Lifted(a, b, n, modulus) for a, b in roots]
 
 
 def _newton_lift(q: list, root: tuple, n: int, prime: int, target: int) -> tuple:
@@ -373,7 +355,7 @@ def _newton_lift(q: list, root: tuple, n: int, prime: int, target: int) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# numeric oracle
+# resolvents from the roots, complex (numeric oracle) or p-adic
 # ---------------------------------------------------------------------------
 
 
@@ -414,16 +396,26 @@ def resolvent_numeric(p: RatPoly, kind: ResolventKind, precision: int = PRECISIO
 
 
 def resolvent_numeric_in_frame(
-    p: RatPoly, kinds: tuple, precision: int = PRECISION_START
+    p: RatPoly, kinds: tuple, precision: int = PRECISION_START, *, padic: bool = False
 ) -> tuple:
     """Resolvents of p itself (rational coefficients), one per kind in kinds:
-    each rescaled integer resolvent mapped back through x -> m^weight x.
+    each integer resolvent of the monic integer model q(y) = m^6 p(y/m)
+    (monic_integer_rescale) mapped back through x -> m^weight x.
 
-    All kinds share one root computation per precision rung.
+    The roots of q are complex by default: find_roots on the precision
+    ladder, all kinds sharing one root computation per rung. With padic=True
+    they are lifted r-adically instead, exact modulo r^N (resolvents_exact),
+    and precision is only validated. Either way resolvent_from_roots
+    expands the orbit product and rounds it.
     """
     poly, m = _numeric_prepare(p, precision)
+    if padic:
+        roots = _lifted_roots([int(c) for c in poly.coeffs], kinds)
+        scaled = [resolvent_from_roots(roots, kind, 0) for kind in kinds]
+    else:
+        scaled = _resolvents_scaled(poly, kinds, precision)
     out = []
-    for kind, res in zip(kinds, _resolvents_scaled(poly, kinds, precision)):
+    for kind, res in zip(kinds, scaled):
         res = res.to_rat()
         if m != 1:
             res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(

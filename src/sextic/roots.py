@@ -193,11 +193,13 @@ def min_separation(zs):
 
 def expand_from_roots(values, extra_prec: int = _GUARD_BITS):
     """Coefficients (low to high) of the monic polynomial with the given
-    complex roots."""
+    roots: mpmath complex numbers (worked extra_prec bits above the context
+    precision), or any other ring elements with +, -, * and ** 0, such as
+    the p-adic lifts of resolvents._Lifted."""
     with mp.workprec(mp.mp.prec + extra_prec):
-        coeffs = [mp.mpc(1)]
+        coeffs = [values[0] ** 0 if values else mp.mpc(1)]
         for v in values:
-            nxt = [mp.mpc(0)] * (len(coeffs) + 1)
+            nxt = [v * 0] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 nxt[i + 1] += c
                 nxt[i] -= c * v
@@ -206,19 +208,25 @@ def expand_from_roots(values, extra_prec: int = _GUARD_BITS):
 
 
 def round_to_int_poly(coeffs, tolerance) -> IntPoly:
-    """Round near-integer complex coefficients to an integer polynomial.
+    """Round near-integer coefficients to an integer polynomial.
 
-    Every coefficient must have |imag| and |real - nearest int| within
-    tolerance; otherwise NotNearInteger reports the worst offender.
+    A complex coefficient must have |imag| and |real - nearest int| within
+    tolerance. A coefficient with a rounded() method (resolvents._Lifted)
+    gives its own (nearest int, distance). When some distance exceeds
+    tolerance, NotNearInteger reports the worst.
     """
     out = []
-    worst = mp.mpf(0)
+    worst = 0
     for c in coeffs:
-        c = mp.mpc(c)
-        nearest = mp.nint(c.real)
-        dist = max(abs(c.imag), abs(c.real - nearest))
+        rounded = getattr(c, "rounded", None)
+        if rounded is not None:
+            nearest, dist = rounded()
+        else:
+            c = mp.mpc(c)
+            nearest = int(mp.nint(c.real))
+            dist = max(abs(c.imag), abs(c.real - nearest))
         worst = max(worst, dist)
-        out.append(int(nearest))
+        out.append(nearest)
     if worst > tolerance:
         raise NotNearInteger(mp.nstr(worst, 8))
     return IntPoly(out)

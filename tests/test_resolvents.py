@@ -315,18 +315,25 @@ def test_resolvents_exact_refuses_repeated_roots_and_other_degrees():
         resolvents_exact(RatPoly([1, 0, 0, 0, 0, 1]), BOTH)
 
 
-def test_clearing_scale_is_the_least_for_small_denominators():
-    from sextic.resolvents import _clearing_scale
+def test_monic_integer_rescale_takes_large_smooth_denominators():
+    assert monic_integer_rescale(RatPoly([F(-1, 10**400), 0, 0, 0, 0, 0, 1]))[1] == 10**67
+    p = RatPoly([F(1, 2**400 * 3), F(1, 1009**2), 0, 0, 0, 0, 1])
+    assert monic_integer_rescale(p)[1] == 2**67 * 3 * 1009
 
-    rng = random.Random(6)
-    for _ in range(200):
-        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 2**20)) for _ in range(6)] + [1]
-        p = RatPoly(coeffs)
-        assert _clearing_scale(p) == monic_integer_rescale(p)[1], p
-    # large smooth denominators need no factoring to reach the least scale
-    assert _clearing_scale(RatPoly([F(-1, 10**400), 0, 0, 0, 0, 0, 1])) == 10**67
-    assert _clearing_scale(RatPoly([F(1, 2**400 * 3), F(1, 1009**2), 0, 0, 0, 0, 1])) \
-        == 2**67 * 3 * 1009
+
+def test_lifted_values_round_to_their_symmetric_residue():
+    from sextic.errors import NotNearInteger
+    from sextic.exact import IntPoly
+    from sextic.resolvents import _Lifted
+    from sextic.roots import expand_from_roots, round_to_int_poly
+
+    modulus = 7**20
+    # 3 + sqrt 3 and 3 - sqrt 3 (3 is a non-residue mod 7): x^2 - 6x + 6
+    r, s = _Lifted(3, 1, 3, modulus), _Lifted(3, modulus - 1, 3, modulus)
+    assert round_to_int_poly(expand_from_roots([r, s]), 0) == IntPoly([6, -6, 1])
+    # one of the pair alone leaves a sqrt 3 part
+    with pytest.raises(NotNearInteger):
+        round_to_int_poly(expand_from_roots([r]), 0)
 
 
 @pytest.mark.slow
@@ -337,8 +344,6 @@ def test_resolvents_exact_matches_the_ff_oracle():
     sys.path.insert(0, os.path.dirname(__file__))
     from ff_oracle import resolvent_ff
 
-    from sextic.resolvents import _clearing_scale
-
     # the oracle tries about |G| primes per split prime for Galois group G.
     # For S6 the batch's 4-digit member takes about 20 s and its 1001 member
     # 15 s, so those two are checked against the numeric path only, and a
@@ -346,11 +351,11 @@ def test_resolvents_exact_matches_the_ff_oracle():
     # 1001 scale here
     batch = [p for name, p in _exact_batch(random.Random(8), 1) if name in ("lead", "by_x")]
     batch.append(RatPoly([F(3, 7), F(-2, 11), 1]) * RatPoly([F(5, 13), F(1, 7), F(-4, 11), 0, 1]))
-    assert _clearing_scale(batch[-1]) == 1001
+    assert monic_integer_rescale(batch[-1].monic())[1] == 1001
     for p in batch:
         monic = p.monic()
-        m = _clearing_scale(monic)
-        q = [int(c * m ** (6 - j)) for j, c in enumerate(monic.coeffs)]
+        q, m = monic_integer_rescale(monic)
+        q = [int(c) for c in q.coeffs]
         oracle = resolvent_ff(q, ("matching", "split"))
         for kind, res, expected in zip(BOTH, resolvents_exact(p, BOTH), oracle):
             w, deg = kind.weight, kind.degree
