@@ -28,7 +28,7 @@ from . import modp
 from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
     RatPoly,
-    _is_probable_prime,
+    _first_odd_prime,
     _rational_roots,
     is_rational_square,
     monic_model,
@@ -44,7 +44,6 @@ from .resolvents import (
     g_verified,
     resolvents_exact,
 )
-from .roots import PRECISION_START, check_precision
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
 
 
@@ -108,8 +107,7 @@ def is_irreducible(p: RatPoly) -> bool:
     if n <= 3:
         return True
     q = monic_model(list(p.primitive()[1].coeffs))
-    prime = next(r for r in itertools.count(3, 2)
-                 if _is_probable_prime(r) and modp.is_squarefree(modp.reduce(q, r), r))
+    prime = _first_odd_prime(lambda r: modp.is_squarefree(modp.reduce(q, r), r))
     q_mod = modp.reduce(q, prime)
     factors = modp.factor(q_mod, prime)
     norm2 = sum(c * c for c in q)
@@ -139,17 +137,14 @@ def _as_reduced(p: RatPoly) -> Optional[ReducedSextic]:
     return None
 
 
-def classify(p: RatPoly, precision: int = PRECISION_START) -> ClassificationReport:
+def classify(p: RatPoly) -> ClassificationReport:
     """Run the full decision tree on a degree-6 polynomial.
 
     Raises DegenerateSextic when p has a repeated root. Reducible inputs get
     solvable=NotApplicable (their factors have degree <= 5 and are handled
     classically); the containment tests only mean anything for irreducible
-    inputs. Every step is exact, so precision does not affect the report; it
-    is still validated (roots.check_precision), and a bad value raises
-    ValueError.
+    inputs. Every step is exact.
     """
-    check_precision(precision)
     if p.degree != 6:
         raise ValueError("classification expects degree exactly 6")
     monic = p.monic()

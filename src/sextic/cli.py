@@ -33,7 +33,7 @@ from .resolvents import (
     f_reduced,
     g_reduced,
     reconstruct_reduced,
-    resolvent_numeric_in_frame,
+    resolvents_exact,
 )
 from .roots import PRECISION_CAP, check_precision
 
@@ -147,7 +147,7 @@ def _complex_dict(z, digits: int = 30) -> dict:
 
 def _cmd_classify(args, parser) -> int:
     poly = _poly_from_args(args, parser)
-    report = classify(poly, args.precision_bits)
+    report = classify(poly)
     _emit(_report_dict(report), args.format)
     return 0
 
@@ -166,7 +166,7 @@ def _cmd_resolvent(args, parser) -> int:
         closed = f_reduced(reduced) if kind is ResolventKind.MATCHING else g_reduced(reduced)
         out["closed"] = _poly_strings(closed)
     if args.method in ("numeric", "both"):
-        (numeric,) = resolvent_numeric_in_frame(poly, (kind,), args.precision_bits)
+        (numeric,) = resolvents_exact(poly, (kind,))
         out["numeric"] = _poly_strings(numeric)
     if args.method == "both":
         diff = []
@@ -196,7 +196,7 @@ def _cmd_audit(args, parser) -> int:
     kinds = [args.kind] if args.kind else ["j", "k"]
     documents = []
     for label in kinds:
-        report = reconstruct_reduced(_KINDS[label], args.precision_bits)
+        report = reconstruct_reduced(_KINDS[label])
         terms = []
         for (x_power, d_power, e_power), match in sorted(report.printed_match.items()):
             ref = _table_cell(report, x_power, d_power, e_power, reference=True)
@@ -298,8 +298,7 @@ def _cmd_search(args, parser) -> int:
     if args.quintic:
         if args.box is None:
             parser.error("--quintic needs --box N")
-        for a, b in search_quintics(args.box):
-            params = params_from_ab(a, b)
+        for a, b, params in search_quintics(args.box):
             print(json.dumps({"a": str(a), "b": str(b), "params": _params_dict(params)}))
         return 0
     if args.d_range is None or args.e_range is None:
@@ -361,7 +360,8 @@ def build_parser() -> _Parser:
         type=_precision_bits,
         # argparse runs a string default through type, so a bad env value exits 1 too
         default=os.environ.get("SEXTIC_PRECISION_BITS", "256"),
-        help="starting working precision (default 256, env SEXTIC_PRECISION_BITS)",
+        help="working precision of the quintic radical tower "
+        "(default 256, env SEXTIC_PRECISION_BITS)",
     )
     common.add_argument("--format", choices=("json", "text"), default="json")
 

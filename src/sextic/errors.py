@@ -32,10 +32,6 @@ class NotNearInteger(NumericFailure):
         self.distance = distance
 
 
-class PrecisionExhausted(NumericFailure):
-    """The precision ladder hit its cap without producing a certified result."""
-
-
 class DegenerateSextic(NumericFailure):
     """The input polynomial has a repeated root; resolvent criteria need
     distinct roots, so construction is refused."""

@@ -244,6 +244,11 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+def _first_odd_prime(pred) -> int:
+    """The least odd prime r with pred(r)."""
+    return next(r for r in itertools.count(3, 2) if _is_probable_prime(r) and pred(r))
+
+
 def _brent_rho(n: int, budget: list) -> int:
     """One nontrivial factor of composite odd n, or raise FactoringExhausted."""
     for c in range(1, 64):
@@ -389,8 +394,8 @@ def _rational_roots(p: RatPoly) -> tuple[set, bool]:
     F = monic_model(A)
     dF = [i * c for i, c in enumerate(F)][1:]
     bound = 2 * _root_bound(F)
-    prime = next(q for q in itertools.count(3, 2) if _is_probable_prime(q)
-                 and all(_horner(dF, y, q) for y in range(q) if not _horner(F, y, q)))
+    prime = _first_odd_prime(lambda q: all(_horner(dF, y, q) for y in range(q)
+                                           if not _horner(F, y, q)))
     for y in (y for y in range(prime) if not _horner(F, y, prime)):
         m = prime
         while m <= bound:

@@ -172,8 +172,9 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
 
 
 def search_quintics(box: int) -> list:
-    """All integer (a, b) with |a|, |b| <= box, a != 0, where x^5 + a*x + b is
-    irreducible and solvable by radicals.
+    """(a, b, params) for all integer (a, b) with |a|, |b| <= box, a != 0,
+    where x^5 + a*x + b is irreducible and solvable by radicals, and params
+    is params_from_ab(a, b).
 
     Sound and complete: a hit has exact parameters and is irreducible, and
     params_from_ab misses no rational triple. box must be >= 1.
@@ -190,5 +191,5 @@ def search_quintics(box: int) -> list:
                 continue
             if not is_irreducible(RatPoly([b, a, 0, 0, 0, 1])):
                 continue
-            hits.append((a, b))
+            hits.append((a, b, params))
     return hits

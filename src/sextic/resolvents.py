@@ -1,34 +1,31 @@
 """Resolvent polynomials of sextics, and the audit of the closed forms for
 the reduced sextic x^6 + x^2 + d*x + e.
 
-Four construction routes, reconciled against each other:
+Three construction routes, reconciled against each other:
 
 * reference closed forms: the degree-15 and degree-10 coefficient tables
   transcribed verbatim from the source material (f_reduced, g_reduced),
   kept exactly as transcribed, typos included, so they can be audited;
 * exact resolvents of arbitrary squarefree sextics by p-adic lifting of
-  the roots (resolvents_exact), with no floating point;
-* a from-the-roots numeric oracle for arbitrary squarefree sextics
-  (resolvent_numeric), which finds the roots to certified precision,
+  the roots (resolvents_exact), with no floating point: the lifted roots go
+  through the generic from-roots construction (resolvent_from_roots), which
   evaluates the full invariant orbit, expands the product and rounds the
-  coefficients to integers, kept as a cross-check. The exact route runs
-  the same orbit evaluation, expansion and rounding on its lifted roots
-  (resolvent_from_roots), so the two differ only in where the roots live
-  and how the rounding is certified;
+  coefficients to integers;
 * an interpolation reconstruction (reconstruct_reduced) that re-derives
-  the closed-form tables from oracle samples and diffs them term by term
+  the closed-form tables from exact samples and diffs them term by term
   against the transcription.
 
 The reconstruction is the authority when the closed forms disagree;
 verified tables (f_verified, g_verified) carry its output. The
 classification pipeline consumes those tables for reduced-shape input and
 resolvents_exact for every other sextic. Discrepancies are reported, never
-silently patched.
+silently patched. resolvent_from_roots works on complex roots too; the
+tests cross-check resolvents_exact against it on roots from
+roots.find_roots (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,28 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-import mpmath as mp
-
 from . import modp
-from .errors import (
-    DegenerateSextic,
-    FitInconsistent,
-    NonConvergence,
-    NotNearInteger,
-    PrecisionExhausted,
-    RepeatedRootSuspected,
-)
-from .exact import IntPoly, RatPoly, _is_probable_prime, _root_bound, factorize, resultant
+from .errors import DegenerateSextic, FitInconsistent
+from .exact import IntPoly, RatPoly, _first_odd_prime, _root_bound, factorize, resultant
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, orbit
-from .roots import (
-    PRECISION_CAP,
-    PRECISION_START,
-    check_precision,
-    expand_from_roots,
-    find_roots,
-    precision_ladder,
-    round_to_int_poly,
-)
+from .roots import expand_from_roots, round_to_int_poly
+from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
 
 # d enters with weight 5 and e with weight 6 (they stand in for the degree-5
 # and degree-6 elementary symmetric functions of the roots).
@@ -238,10 +219,8 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     x^(r^2) == x mod (q, r), q mod r is squarefree with factors of degree
     <= 2, so its six roots lie in F_r(sqrt n), n the least non-residue. Each
     is Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit
-    product expands from those roots as on the complex path
-    (resolvent_from_roots) to the integer resolvent R_q mod r^N, whose
-    sqrt n part must vanish. This is resolvent_numeric_in_frame with
-    padic=True: only the ring the roots live in differs.
+    product expands from those roots (resolvent_from_roots) to the integer
+    resolvent R_q mod r^N, whose sqrt n part must vanish.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
     measure M(q) <= |q|_2 (Landau's inequality), and one root at most
@@ -257,7 +236,28 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     Raises ValueError unless p has degree 6, and DegenerateSextic when p has
     a repeated root.
     """
-    return resolvent_numeric_in_frame(p, kinds, padic=True)
+    if p.degree != 6:
+        raise ValueError("resolvent construction expects a degree-6 polynomial")
+    p = p.monic()
+    if resultant(p, p.derivative()) == 0:
+        raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
+    q, m = monic_integer_rescale(p)
+    roots = _lifted_roots([int(c) for c in q.coeffs], kinds)
+    out = []
+    for kind in kinds:
+        res = resolvent_from_roots(roots, kind, 0).to_rat()
+        if m != 1:
+            res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(
+                Fraction(1, m ** (kind.weight * kind.degree))
+            )
+        out.append(res)
+    return tuple(out)
+
+
+# perfbench/spans.py traces resolvent construction under this name; the
+# tracer wraps by identity, so calls to resolvents_exact count there too.
+# ROADMAP item 3 (the benchmark change) removes it.
+resolvent_numeric_in_frame = resolvents_exact
 
 
 class _Lifted:
@@ -309,8 +309,7 @@ def _lifted_roots(q: list, kinds: tuple) -> list:
     """The six roots of the squarefree monic integer sextic q (coefficients
     low to high) as _Lifted values, modulo a power of r above twice the
     resolvent coefficient bound of resolvents_exact for the given kinds."""
-    prime = next(r for r in itertools.count(3, 2) if _is_probable_prime(r)
-                 and modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
+    prime = _first_odd_prime(lambda r: modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
     R = _root_bound(q)
     M = isqrt(sum(c * c for c in q)) + 1
     value_bound = {
@@ -355,7 +354,7 @@ def _newton_lift(q: list, root: tuple, n: int, prime: int, target: int) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# resolvents from the roots, complex (numeric oracle) or p-adic
+# resolvents from the roots
 # ---------------------------------------------------------------------------
 
 
@@ -377,92 +376,11 @@ def monic_integer_rescale(p: RatPoly) -> tuple[RatPoly, int]:
 
 def resolvent_from_roots(roots, kind: ResolventKind, tolerance) -> IntPoly:
     """Expand the invariant-orbit product over the given six roots and round
-    to an integer polynomial."""
+    to an integer polynomial (round_to_int_poly): the roots are lifted
+    _Lifted values (tolerance 0) or complex numbers."""
     values = [eval_monomial_sum(m, roots) for m, _ in orbit(kind.invariant)]
     coeffs = expand_from_roots(values)
     return round_to_int_poly(coeffs, tolerance)
-
-
-def resolvent_numeric(p: RatPoly, kind: ResolventKind, precision: int = PRECISION_START) -> IntPoly:
-    """Integer resolvent of the monic-integer rescaling of p.
-
-    p must be a squarefree degree-6 polynomial (checked exactly); the result
-    is the resolvent of q(y) = m^6 p(y/m) for the smallest usable m, whose
-    rational roots are in bijection with those of the resolvent of p.
-    Walks the precision ladder on rounding or convergence failures.
-    """
-    poly, _ = _numeric_prepare(p, precision)
-    return _resolvents_scaled(poly, (kind,), precision)[0]
-
-
-def resolvent_numeric_in_frame(
-    p: RatPoly, kinds: tuple, precision: int = PRECISION_START, *, padic: bool = False
-) -> tuple:
-    """Resolvents of p itself (rational coefficients), one per kind in kinds:
-    each integer resolvent of the monic integer model q(y) = m^6 p(y/m)
-    (monic_integer_rescale) mapped back through x -> m^weight x.
-
-    The roots of q are complex by default: find_roots on the precision
-    ladder, all kinds sharing one root computation per rung. With padic=True
-    they are lifted r-adically instead, exact modulo r^N (resolvents_exact),
-    and precision is only validated. Either way resolvent_from_roots
-    expands the orbit product and rounds it.
-    """
-    poly, m = _numeric_prepare(p, precision)
-    if padic:
-        roots = _lifted_roots([int(c) for c in poly.coeffs], kinds)
-        scaled = [resolvent_from_roots(roots, kind, 0) for kind in kinds]
-    else:
-        scaled = _resolvents_scaled(poly, kinds, precision)
-    out = []
-    for kind, res in zip(kinds, scaled):
-        res = res.to_rat()
-        if m != 1:
-            res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(
-                Fraction(1, m ** (kind.weight * kind.degree))
-            )
-        out.append(res)
-    return tuple(out)
-
-
-def _numeric_prepare(p: RatPoly, precision: int) -> tuple[RatPoly, int]:
-    check_precision(precision)
-    if p.degree != 6:
-        raise ValueError("resolvent construction expects a degree-6 polynomial")
-    p = p.monic()
-    if resultant(p, p.derivative()) == 0:
-        raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
-    return monic_integer_rescale(p)
-
-
-def _resolvents_scaled(q: RatPoly, kinds: tuple, precision: int) -> tuple:
-    """Integer resolvents of q, one per kind, from one find_roots per rung.
-
-    A kind whose rounding fails at a rung climbs to the next with the kinds
-    still pending; the kinds already rounded keep their result.
-    """
-    done: dict = {}
-    last_exc: dict = {}
-    for prec in precision_ladder(max(precision, 64), PRECISION_CAP):
-        pending = [kind for kind in kinds if kind not in done]
-        try:
-            roots = find_roots(q, prec)
-        except (NonConvergence, RepeatedRootSuspected) as exc:
-            last_exc.update(dict.fromkeys(pending, exc))
-            continue
-        with mp.workprec(prec + 32):
-            tol = mp.mpf(2) ** -(prec // 8)
-            for kind in pending:
-                try:
-                    done[kind] = resolvent_from_roots(roots, kind, tol)
-                except NotNearInteger as exc:
-                    last_exc[kind] = exc
-        if all(kind in done for kind in kinds):
-            return tuple(done[kind] for kind in kinds)
-    first = next(kind for kind in kinds if kind not in done)
-    raise PrecisionExhausted(
-        f"resolvent construction failed at {PRECISION_CAP} bits: {last_exc[first]}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +457,11 @@ def _alternating(limit: int, include_zero: bool):
 
 
 def reconstruct_reduced(
-    kind: ResolventKind,
-    precision: int = PRECISION_START,
-    holdouts: int = 20,
-    seed: int = 20250811,
+    kind: ResolventKind, holdouts: int = 20, seed: int = 20250811
 ) -> ReconstructionReport:
-    """Re-derive the closed-form coefficient table from oracle samples.
+    """Re-derive the closed-form coefficient table from exact samples.
 
-    Samples resolvent_numeric on an integer (d, e) grid large enough to pin
+    Samples resolvents_exact on an integer (d, e) grid large enough to pin
     every admissible monomial, interpolates exactly, checks the fit against
     the weighted-degree support, validates on random holdout points, and
     diffs the result against the reference transcription.
@@ -554,11 +469,11 @@ def reconstruct_reduced(
     The result depends only on the arguments, so it is cached (the degree-15
     run takes tens of seconds); callers share it and must not mutate it.
     """
-    return _reconstruct_reduced(kind, precision, holdouts, seed)
+    return _reconstruct_reduced(kind, holdouts, seed)
 
 
 @lru_cache(maxsize=4)
-def _reconstruct_reduced(kind, precision, holdouts, seed) -> ReconstructionReport:
+def _reconstruct_reduced(kind, holdouts, seed) -> ReconstructionReport:
     deg, w = kind.degree, kind.weight
     nd = (w * deg) // D_WEIGHT + 1
     ne = (w * deg) // E_WEIGHT + 1
@@ -576,7 +491,7 @@ def _reconstruct_reduced(kind, precision, holdouts, seed) -> ReconstructionRepor
     for d in d_vals:
         for e in e_vals:
             poly = ReducedSextic(d, e).to_poly()
-            samples[(d, e)] = resolvent_numeric(poly, kind, precision).full_coeffs()
+            samples[(d, e)] = resolvents_exact(poly, (kind,))[0]
     fitted: dict = {}
     for x_power in range(deg):
         rows = []
@@ -616,8 +531,8 @@ def _reconstruct_reduced(kind, precision, holdouts, seed) -> ReconstructionRepor
             continue
         used.add((d, e))
         holdout_points.append((d, e))
-        oracle = resolvent_numeric(ReducedSextic(d, e).to_poly(), kind, precision)
-        if _eval_table(fitted, Fraction(d), Fraction(e), deg) != oracle.to_rat():
+        (exact,) = resolvents_exact(ReducedSextic(d, e).to_poly(), (kind,))
+        if _eval_table(fitted, Fraction(d), Fraction(e), deg) != exact:
             raise FitInconsistent(f"holdout mismatch at (d, e) = ({d}, {e})")
 
     reference = F_REFERENCE_TABLE if kind is ResolventKind.MATCHING else G_REFERENCE_TABLE

@@ -39,19 +39,11 @@ DOUBLE_ITERATIONS = 100  # sweeps of the double-precision first stage, at most
 _GUARD_BITS = 32
 
 
-def check_precision(bits: int, cap: int = PRECISION_CAP) -> int:
-    """Return bits when 1 <= bits <= cap; raise ValueError naming the range otherwise."""
-    if not 1 <= bits <= cap:
-        raise ValueError(f"precision must be between 1 and {cap} bits, got {bits}")
+def check_precision(bits: int) -> int:
+    """Return bits when 1 <= bits <= PRECISION_CAP; raise ValueError naming the range otherwise."""
+    if not 1 <= bits <= PRECISION_CAP:
+        raise ValueError(f"precision must be between 1 and {PRECISION_CAP} bits, got {bits}")
     return bits
-
-
-def precision_ladder(start: int = PRECISION_START, cap: int = PRECISION_CAP):
-    """Yield doubling precisions start, 2*start, ... up to cap."""
-    p = check_precision(start, cap)
-    while p <= cap:
-        yield p
-        p *= 2
 
 
 @dataclass(frozen=True)

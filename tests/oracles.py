@@ -10,9 +10,11 @@ from math import gcd, isqrt
 
 import mpmath as mp
 
+from sextic.errors import NonConvergence, NotNearInteger, RepeatedRootSuspected
 from sextic.exact import divisors, is_rational_square
 from sextic.quintic import QuinticParams, ab_from_params
-from sextic.roots import to_mpf
+from sextic.resolvents import monic_integer_rescale, resolvent_from_roots
+from sextic.roots import PRECISION_CAP, find_roots, to_mpf
 
 
 def sylvester_resultant(p, q) -> Fraction:
@@ -69,6 +71,34 @@ def rational_roots_by_divisors(p) -> set:
                 if not sum(c * s**i * den ** (n - i) for i, c in enumerate(coeffs)):
                     roots.add(Fraction(s, den))
     return roots
+
+
+def resolvent_by_complex_roots(p, kind, precision: int = 256):
+    """The resolvent of the given kind of the squarefree sextic p, the same
+    polynomial as resolvents_exact(p, (kind,))[0], from complex roots.
+
+    The roots of the monic integer model q(y) = m^6 p(y/m) come from
+    find_roots; the orbit product is rounded to integers within 2^-(bits/8),
+    a tolerance not derived from the root radius, so this is a cross-check
+    and not a proof. The working precision doubles from max(precision, 64)
+    while root finding or rounding fails, up to PRECISION_CAP; the last
+    failure propagates. The integer resolvent R_q maps back to
+    m^(-w deg) R_q(m^w z), w the invariant's weight.
+    """
+    q, m = monic_integer_rescale(p.monic())
+    bits = max(precision, 64)
+    while True:
+        try:
+            roots = find_roots(q, bits)
+            with mp.workprec(bits + 32):
+                res = resolvent_from_roots(roots, kind, mp.mpf(2) ** -(bits // 8))
+            break
+        except (NonConvergence, NotNearInteger, RepeatedRootSuspected):
+            if 2 * bits > PRECISION_CAP:
+                raise
+            bits *= 2
+    w, deg = kind.weight, kind.degree
+    return res.to_rat().substitute_scaled(Fraction(m) ** w).scale(Fraction(1, m ** (w * deg)))
 
 
 def radical_roots_by_search(p, precision: int):

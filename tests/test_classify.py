@@ -14,10 +14,10 @@ from sextic.classify import (
     is_irreducible,
     search_reduced,
 )
-from sextic import groups, modp, resolvents
-from sextic.errors import DegenerateSextic, PrecisionExhausted, ZeroD
+from sextic import groups, modp
+from sextic.errors import DegenerateSextic, ZeroD
 from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, rational_roots
-from sextic.resolvents import ReducedSextic, ResolventKind
+from sextic.resolvents import ReducedSextic
 
 
 def test_irreducible_scaled_family_sextic():
@@ -224,18 +224,6 @@ def test_search_reduced_propagates_errors_that_are_not_sextic_errors(monkeypatch
         search_reduced([1], [1])
 
 
-def test_classify_rejects_negative_precision():
-    # used to die with ZeroDivisionError inside the root finder
-    with pytest.raises(ValueError, match="between 1 and 4096"):
-        classify(ReducedSextic(1, 2).to_poly(), -64)
-
-
-def test_classify_checks_precision_before_deciding():
-    # x^6 - 1 is reducible by its rational root 1, decided before the ladder
-    with pytest.raises(ValueError, match="between 1 and 4096"):
-        classify(RatPoly([-1, 0, 0, 0, 0, 0, 1]), -64)
-
-
 @pytest.mark.parametrize(
     "d", [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, F(1, 2), F(-1, 3), F(2, 3), F(-5, 3)]
 )
@@ -329,8 +317,9 @@ def test_reduced_pipeline_never_finds_roots_numerically(monkeypatch):
 
 
 def test_classify_huge_coefficients():
-    # the numeric path exhausts its precision ladder on x^6 - 10^400 =
-    # (x^3 - 10^200)(x^3 + 10^200); the lifted resolvents need no precision
+    # complex root finding does not converge on x^6 - 10^400 =
+    # (x^3 - 10^200)(x^3 + 10^200) below 4096 bits; the lifted resolvents
+    # need no precision
     report = classify(RatPoly([-(10**400), 0, 0, 0, 0, 0, 1]))
     assert not report.irreducible and report.solvable is Solvable.NOT_APPLICABLE
     # x^6 - 10^-400, the CLI's --coeffs=-10^400,0,0,0,0,0,1 (highest first)
@@ -340,45 +329,6 @@ def test_classify_huge_coefficients():
     report = classify(RatPoly([3, 0, 0, 0, 0, 10**50, 1]))
     assert report.irreducible and report.solvable is Solvable.NO
     assert report.bound is GroupBound.NOT_SOLVABLE
-
-
-def test_numeric_classify_solves_roots_once_per_rung(monkeypatch):
-    # both numeric resolvents round from one root solve per precision rung
-    # (classify does not take this path: see the test above)
-    bits = []
-    find_roots = resolvents.find_roots
-
-    def counting(q, precision_bits):
-        bits.append(precision_bits)
-        return find_roots(q, precision_bits)
-
-    monkeypatch.setattr(resolvents, "find_roots", counting)
-    both = (ResolventKind.MATCHING, ResolventKind.PARTITION)
-    resolvents.resolvent_numeric_in_frame(RatPoly([1, 1, 1, 1, 1, 1, 1]), both)
-    assert bits == [256]
-    # from 64 bits the partition resolvent rounds at once and the matching
-    # resolvent climbs alone to 128
-    bits.clear()
-    p = RatPoly([120, 3, 1, 0, 0, 1, 1])
-    climbed = resolvents.resolvent_numeric_in_frame(p, both, 64)
-    assert bits == [64, 128]
-    assert climbed == resolvents.resolvent_numeric_in_frame(p, both)
-    assert climbed == resolvents.resolvents_exact(p, both)
-
-
-def test_numeric_classify_reports_the_first_pending_kind_when_exhausted(monkeypatch):
-    # at a 64-bit cap only the matching resolvent fails, as it does alone;
-    # classify takes the exact path and is not affected by the cap
-    monkeypatch.setattr(resolvents, "PRECISION_CAP", 64)
-    p = RatPoly([120, 3, 1, 0, 0, 1, 1])
-    with pytest.raises(PrecisionExhausted) as alone:
-        resolvents.resolvent_numeric(p, ResolventKind.MATCHING, 64)
-    with pytest.raises(PrecisionExhausted) as shared:
-        resolvents.resolvent_numeric_in_frame(
-            p, (ResolventKind.MATCHING, ResolventKind.PARTITION), 64
-        )
-    assert str(shared.value) == str(alone.value)
-    assert classify(p, 64) == classify(p)
 
 
 def _claimed_group(report):

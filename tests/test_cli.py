@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from sextic import resolvents
 from sextic.cli import main
+from sextic.exact import RatPoly
+from sextic.resolvents import ResolventKind
 
 EXPECTED_REPORT_FIELDS = [
     "input",
@@ -108,6 +112,46 @@ def test_resolvent_both_clean_for_partition(capsys):
     doc = json.loads(out)
     assert doc["diff"] == []
     assert doc["closed"] == doc["numeric"]
+
+
+def test_resolvent_numeric_on_huge_coefficients(capsys):
+    # x^6 - a has partition resolvent z^10 - 66a^2 z^7 + 129a^4 z^4 - 64a^6 z.
+    # For a = 10^400 complex root finding does not converge below 4096 bits;
+    # the lifted roots need no precision
+    from oracles import resolvent_by_complex_roots
+
+    def expected(a):
+        return [1, 0, 0, -66 * a**2, 0, 0, 129 * a**4, 0, 0, -64 * a**6, 0]
+
+    small = resolvent_by_complex_roots(RatPoly([-2, 0, 0, 0, 0, 0, 1]), ResolventKind.PARTITION)
+    assert list(reversed(small.coeffs)) == expected(2)
+    code, out, err = run(capsys, "resolvent", f"--coeffs=1,0,0,0,0,0,{-10**400}", "--kind", "k",
+                         "--method", "numeric")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["numeric"] == [str(c) for c in expected(10**400)]
+
+
+def test_numeric_resolvent_and_audit_never_find_roots(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex root finding called")
+
+    for name in ("sextic.roots", "sextic.resolvents", "sextic.cli"):
+        module = importlib.import_module(name)
+        if hasattr(module, "find_roots"):
+            monkeypatch.setattr(module, "find_roots", refuse)
+    # bypass the reconstruction cache, so that the audit is recomputed here
+    uncached = resolvents._reconstruct_reduced.__wrapped__
+    monkeypatch.setattr(resolvents, "_reconstruct_reduced", uncached)
+    code, out, _ = run(capsys, "audit", "--kind", "k")
+    assert code == 0 and json.loads(out)[0]["matches_reference"] is True
+    points = [("--d", "1", "--e", "2"), ("--d", "1/2", "--e=-1/3")]
+    for kind in ("j", "k"):
+        for poly in points + [("--coeffs", "1,1,1,1,1,1,1")]:
+            code, out, _ = run(capsys, "resolvent", *poly, "--kind", kind, "--method", "numeric")
+            assert code == 0 and json.loads(out)["numeric"], (kind, poly)
+        for poly in points:
+            code, out, _ = run(capsys, "resolvent", *poly, "--kind", kind, "--method", "both")
+            assert code == 0 and "diff" in json.loads(out), (kind, poly)
 
 
 def test_discriminant_command(capsys):

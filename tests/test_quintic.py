@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -102,11 +104,31 @@ def test_radical_roots_all_six():
 
 def test_search_small_boxes():
     assert search_quintics(4) == []
-    assert search_quintics(12) == [(-5, -12), (-5, 12)]
+    hits = search_quintics(12)
+    assert [(a, b) for a, b, _ in hits] == [(-5, -12), (-5, 12)]
+    assert all(params == params_from_ab(a, b) for a, b, params in hits)
 
 
 def test_search_box_40_matches_published_six():
-    assert set(search_quintics(40)) == SOLVABLE_BOX_40
+    assert {(a, b) for a, b, _ in search_quintics(40)} == SOLVABLE_BOX_40
+
+
+def test_search_solves_each_candidate_pair_once(monkeypatch, capsys):
+    # search --quintic prints the parameters the search found, not a re-solve
+    from sextic.cli import main
+
+    calls = Counter()
+
+    def counting(a, b):
+        calls[(a, b)] += 1
+        return params_from_ab(a, b)
+
+    for name in ("sextic.quintic", "sextic.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "params_from_ab", counting)
+    assert main(["search", "--quintic", "--box", "12"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(calls) == 24 * 25  # a in -12..12 without 0, b in -12..12
+    assert set(calls.values()) == {1}
 
 
 def _seeded_params(seed, count):

@@ -18,13 +18,13 @@ from sextic.resolvents import (
     monic_integer_rescale,
     reconstruct_reduced,
     resolvent_from_roots,
-    resolvent_numeric,
-    resolvent_numeric_in_frame,
     resolvents_exact,
 )
 from sextic.roots import find_roots
 
 import mpmath as mp
+
+from oracles import resolvent_by_complex_roots
 
 # frozen output of the finite-field CRT oracle (tests/ff_oracle.py), which
 # shares no code with the numeric pipeline
@@ -59,7 +59,7 @@ def test_f_transcription_vs_true_at_1_1():
 
 def test_f_verified_matches_ff_oracle_at_3_2():
     assert f_verified(ReducedSextic(3, 2)) == RatPoly(F_TRUE_3_2)
-    assert resolvent_numeric(ReducedSextic(3, 2).to_poly(), ResolventKind.MATCHING).to_rat() \
+    assert resolvent_by_complex_roots(ReducedSextic(3, 2).to_poly(), ResolventKind.MATCHING) \
         == RatPoly(F_TRUE_3_2)
 
 
@@ -100,25 +100,26 @@ def test_discriminant_sign_relation_constant():
 
 
 def test_resolvent_numeric_refuses_repeated_roots():
+    # the CLI's numeric method is resolvents_exact, one kind at a time
     with pytest.raises(DegenerateSextic):
-        resolvent_numeric(RatPoly([0, 0, 1, 0, 0, 0, 1]), ResolventKind.MATCHING)
+        resolvents_exact(RatPoly([0, 0, 1, 0, 0, 0, 1]), (ResolventKind.MATCHING,))
     with pytest.raises(DegenerateSextic):
-        resolvent_numeric(RatPoly([4, 4, -1, 0, 0, 0, 1]), ResolventKind.PARTITION)
+        resolvents_exact(RatPoly([4, 4, -1, 0, 0, 0, 1]), (ResolventKind.PARTITION,))
 
 
 def test_minus_x2_partition_resolvent_has_no_rational_root():
     # the minus-x^2 reading of the d=2, e=1 example is not partition-solvable
-    res = resolvent_numeric(RatPoly([1, 2, -1, 0, 0, 0, 1]), ResolventKind.PARTITION)
-    assert list(res.full_coeffs()) == G_TRUE_MINUS_X2_2_1
-    assert rational_roots(res.to_rat()) == set()
+    res = resolvent_by_complex_roots(RatPoly([1, 2, -1, 0, 0, 0, 1]), ResolventKind.PARTITION)
+    assert res == RatPoly(G_TRUE_MINUS_X2_2_1)
+    assert rational_roots(res) == set()
 
 
 def test_plus_x2_examples_have_partition_root_zero():
     for d, e in [(2, 1), (4, 4)]:
         s = ReducedSextic(d, e)
         assert F(0) in rational_roots(g_verified(s))
-        numeric = resolvent_numeric(s.to_poly(), ResolventKind.PARTITION)
-        assert numeric.to_rat() == g_verified(s)
+        numeric = resolvent_by_complex_roots(s.to_poly(), ResolventKind.PARTITION)
+        assert numeric == g_verified(s)
 
 
 def test_resolvent_numeric_agrees_with_tables_on_random_points():
@@ -128,8 +129,8 @@ def test_resolvent_numeric_agrees_with_tables_on_random_points():
         s = ReducedSextic(d, e)
         if discriminant_exact(s.to_poly()) == 0:
             continue
-        assert resolvent_numeric(s.to_poly(), ResolventKind.MATCHING).to_rat() == f_verified(s)
-        assert resolvent_numeric(s.to_poly(), ResolventKind.PARTITION).to_rat() == g_verified(s)
+        assert resolvent_by_complex_roots(s.to_poly(), ResolventKind.MATCHING) == f_verified(s)
+        assert resolvent_by_complex_roots(s.to_poly(), ResolventKind.PARTITION) == g_verified(s)
 
 
 def test_root_order_invariance():
@@ -157,31 +158,21 @@ def test_monic_integer_rescale():
 
 def test_resolvent_in_frame_matches_closed_form_for_rational_input():
     s = ReducedSextic(F(1, 2), F(5, 36))
-    (in_frame,) = resolvent_numeric_in_frame(s.to_poly(), (ResolventKind.MATCHING,))
+    in_frame = resolvent_by_complex_roots(s.to_poly(), ResolventKind.MATCHING)
     assert in_frame == f_verified(s)
     assert F(0) in rational_roots(in_frame)
     # different denominator structure, both kinds
     s = ReducedSextic(F(2, 3), F(-1, 4))
     assert monic_integer_rescale(s.to_poly())[1] == 6
-    both = (ResolventKind.MATCHING, ResolventKind.PARTITION)
-    assert resolvent_numeric_in_frame(s.to_poly(), both) == (f_verified(s), g_verified(s))
+    assert resolvent_by_complex_roots(s.to_poly(), ResolventKind.MATCHING) == f_verified(s)
+    assert resolvent_by_complex_roots(s.to_poly(), ResolventKind.PARTITION) == g_verified(s)
 
 
 def test_ladder_escalates_from_starved_start():
     # 64 starting bits cannot round the coefficients at (3, 120), which reach
-    # the 1e31 scale; the ladder must climb until rounding certifies
+    # the 1e31 scale; the oracle must climb until rounding succeeds
     s = ReducedSextic(3, 120)
-    res = resolvent_numeric(s.to_poly(), ResolventKind.MATCHING, precision=64)
-    assert res.to_rat() == f_verified(s)
-
-
-def test_precision_exhausted_when_cap_blocks_escalation(monkeypatch):
-    from sextic import resolvents
-    from sextic.errors import PrecisionExhausted
-
-    monkeypatch.setattr(resolvents, "PRECISION_CAP", 64)
-    with pytest.raises(PrecisionExhausted):
-        resolvent_numeric(ReducedSextic(3, 120).to_poly(), ResolventKind.MATCHING, precision=64)
+    assert resolvent_by_complex_roots(s.to_poly(), ResolventKind.MATCHING, 64) == f_verified(s)
 
 
 def test_reconstruct_partition_confirms_reference():
@@ -236,23 +227,13 @@ def test_ff_oracle_agrees_with_numeric_on_random_sextic():
     assert {monic_integer_rescale(p.monic())[1] for p in batch} >= {1, 3, 6}
     for p in batch:
         q, m = monic_integer_rescale(p.monic())
-        in_frame = resolvent_numeric_in_frame(p, both)
-        assert resolvents_exact(p, both) == in_frame, p
+        exact = resolvents_exact(p, both)
         oracle = resolvent_ff([int(c) for c in q.coeffs], ("matching", "split"))
-        for kind, expected, res in zip(both, oracle, in_frame):
-            assert list(resolvent_numeric(p, kind).full_coeffs()) == expected, (p, kind)
+        for kind, expected, res in zip(both, oracle, exact):
+            assert resolvent_by_complex_roots(p, kind) == res, (p, kind)
             # the in-frame resolvent is m^(-w*deg) R_q(m^w x)
             w, deg = kind.weight, kind.degree
             assert [c * m ** (w * (deg - k)) for k, c in enumerate(res.coeffs)] == expected
-
-
-@pytest.mark.parametrize("build", [resolvent_numeric, resolvent_numeric_in_frame])
-def test_numeric_resolvents_check_precision(build):
-    # checked on entry: the ladder itself starts at no less than 64 bits
-    kind = ResolventKind.PARTITION
-    kinds = kind if build is resolvent_numeric else (kind,)
-    with pytest.raises(ValueError, match="between 1 and 4096"):
-        build(ReducedSextic(1, 2).to_poly(), kinds, -64)
 
 
 BOTH = (ResolventKind.MATCHING, ResolventKind.PARTITION)
@@ -286,7 +267,7 @@ def test_resolvents_exact_matches_numeric_on_a_seeded_batch():
     batch = [p for _, p in _exact_batch(random.Random(8))] + _ff_batch(random.Random(71))
     for p in batch:
         exact = resolvents_exact(p, BOTH)
-        assert exact == resolvent_numeric_in_frame(p, BOTH), p
+        assert exact == tuple(resolvent_by_complex_roots(p, kind) for kind in BOTH), p
         # one kind alone is the same polynomial
         assert resolvents_exact(p, (ResolventKind.PARTITION,)) == exact[1:]
     assert any(not p.coeffs[0] for p in batch)

@@ -12,7 +12,6 @@ from sextic.roots import (
     ComplexRootSet,
     expand_from_roots,
     find_roots,
-    precision_ladder,
     round_to_int_poly,
 )
 
@@ -72,15 +71,6 @@ def test_doubling_precision_does_not_worsen():
     errs = [find_roots(p, bits).error_radius for bits in (256, 512, 1024)]
     assert errs[1] <= errs[0]
     assert errs[2] <= errs[1]
-
-
-def test_precision_ladder_rejects_bits_outside_one_to_cap():
-    with pytest.raises(ValueError, match="between 1 and 4096"):
-        next(precision_ladder(0))  # used to yield 0 forever
-    with pytest.raises(ValueError, match="between 1 and 64"):
-        next(precision_ladder(128, cap=64))  # checked against the cap passed in
-    assert list(precision_ladder(64, cap=64)) == [64]
-    assert list(precision_ladder(1024)) == [1024, 2048, 4096]
 
 
 def test_certified_radius_meets_contract():
