@@ -34,7 +34,8 @@ from .exact import (
     monic_model,
     poly_divide_exact,
     rational_roots,
-    resultant,
+    resultant,  # noqa: F401  not called; perfbench/spans.py requires the binding
+    squarefree,
 )
 from .resolvents import (
     ReducedSextic,
@@ -100,7 +101,7 @@ def is_irreducible(p: RatPoly) -> bool:
         raise ValueError("irreducibility test is specialized to degree <= 6")
     if not p.coeffs[0]:
         return False  # divisible by x
-    if resultant(p, p.derivative()) == 0:
+    if not squarefree(p):
         return False  # repeated factor
     if rational_roots(p):
         return False

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import FactoringExhausted
@@ -486,8 +487,16 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
     return cp**q.degree * cq**p.degree * base
 
 
+@lru_cache(maxsize=1)
+def _derivative_resultant(p: RatPoly) -> Fraction:
+    """Res(p, p'), kept for the last p only: classifying a sextic asks for it
+    three times in a row for the same monic polynomial (its discriminant,
+    and the repeated-root tests of is_irreducible and resolvents_exact)."""
+    return resultant(p, p.derivative())
+
+
 def squarefree(p: RatPoly) -> bool:
     """True when p has no repeated complex root."""
     if p.degree < 2:
         return True
-    return resultant(p, p.derivative()) != 0
+    return _derivative_resultant(p) != 0

@@ -35,7 +35,8 @@ from math import comb, isqrt
 
 from . import modp
 from .errors import DegenerateSextic, FitInconsistent
-from .exact import IntPoly, RatPoly, _first_odd_prime, _root_bound, factorize, resultant
+from .exact import IntPoly, RatPoly, _derivative_resultant, _first_odd_prime, _root_bound
+from .exact import factorize, resultant, squarefree
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, orbit
 from .roots import expand_from_roots, round_to_int_poly
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
@@ -162,9 +163,23 @@ _DISC_TABLE = {
 
 
 def _eval_table(table: dict, d: Fraction, e: Fraction, degree: int) -> RatPoly:
-    coeffs = [Fraction(0)] * (degree + 1)
+    """The polynomial whose x^power coefficient is the sum of c * d^i * e^j
+    over the cells (i, j): c of table[power], integer c.
+
+    In integers over one common denominator: with d = a/b, e = u/v in lowest
+    terms and m, n the table's largest d- and e-exponents, each coefficient
+    is the integer sum of c * a^i b^(m-i) * u^j v^(n-j) over b^m v^n, so
+    only the final Fraction of each coefficient takes a gcd.
+    """
+    m = max(i for terms in table.values() for i, _ in terms)
+    n = max(j for terms in table.values() for _, j in terms)
+    a, b, u, v = d.numerator, d.denominator, e.numerator, e.denominator
+    dp = [a**i * b ** (m - i) for i in range(m + 1)]
+    ep = [u**j * v ** (n - j) for j in range(n + 1)]
+    den = b**m * v**n
+    coeffs = [0] * (degree + 1)
     for power, terms in table.items():
-        coeffs[power] = sum((c * d**i * e**j for (i, j), c in terms.items()), Fraction(0))
+        coeffs[power] = Fraction(sum(c * dp[i] * ep[j] for (i, j), c in terms.items()), den)
     return RatPoly(coeffs)
 
 
@@ -190,8 +205,7 @@ def g_verified(s: ReducedSextic) -> RatPoly:
 
 def discriminant_reduced(s: ReducedSextic) -> Fraction:
     """Reference discriminant formula for x^6 + x^2 + d*x + e."""
-    d, e = s.d, s.e
-    return sum((c * d**i * e**j for (i, j), c in _DISC_TABLE.items()), Fraction(0))
+    return _eval_table({0: _DISC_TABLE}, s.d, s.e, 0)[0]
 
 
 def discriminant_exact(p: RatPoly) -> Fraction:
@@ -200,7 +214,7 @@ def discriminant_exact(p: RatPoly) -> Fraction:
     if n < 2:
         raise ValueError("discriminant needs degree >= 2")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.leading()
+    return sign * _derivative_resultant(p) / p.leading()
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +253,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     if p.degree != 6:
         raise ValueError("resolvent construction expects a degree-6 polynomial")
     p = p.monic()
-    if resultant(p, p.derivative()) == 0:
+    if not squarefree(p):
         raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
     q, m = monic_integer_rescale(p)
     roots = _lifted_roots([int(c) for c in q.coeffs], kinds)

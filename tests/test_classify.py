@@ -14,7 +14,7 @@ from sextic.classify import (
     is_irreducible,
     search_reduced,
 )
-from sextic import groups, modp
+from sextic import exact, groups, modp
 from sextic.errors import DegenerateSextic, ZeroD
 from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, rational_roots
 from sextic.resolvents import ReducedSextic
@@ -153,6 +153,19 @@ def test_classify_reducible():
 def test_classify_degenerate():
     with pytest.raises(DegenerateSextic):
         classify(RatPoly([0, 0, 1, 0, 0, 0, 1]))
+
+
+def test_classify_computes_one_resultant(monkeypatch):
+    # the discriminant, the irreducibility test and the p-adic resolvents all
+    # need Res(p, p') of the same monic sextic; it is computed once
+    real, calls = exact.resultant, []
+    monkeypatch.setattr(exact, "resultant", lambda p, q: calls.append(p) or real(p, q))
+    exact._derivative_resultant.cache_clear()
+    reduced, general = RatPoly([F(5, 36), F(1, 2), 1, 0, 0, 0, 1]), RatPoly([3, 1, -2, 0, 1, 0, 2])
+    for p in (reduced, general, reduced):
+        calls.clear()
+        report = classify(p)
+        assert report.irreducible and len(calls) == 1, p
 
 
 def test_classify_sign_flip_invariance():

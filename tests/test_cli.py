@@ -253,6 +253,16 @@ def test_search_grid_matches_golden_output(capsys, jobs):
     assert err == golden.with_suffix(".err").read_text()
 
 
+def test_search_fractional_grid_matches_golden_output(capsys):
+    # stdout and stderr captured before the closed-form tables moved to integer
+    # arithmetic; 136 of the 171 points have a non-integer d or e
+    golden = Path(__file__).parent / "golden" / "search_d-3_3_thirds_e-2_2_halves"
+    code, out, err = run(capsys, "search", "--d-range=-3:3:1/3", "--e-range=-2:2:1/2")
+    assert code == 0
+    assert out == golden.with_suffix(".out").read_text()
+    assert err == golden.with_suffix(".err").read_text()
+
+
 def test_search_jobs_pulls_a_bounded_window_of_points(monkeypatch):
     # the pool is fed a few chunks at a time instead of the whole grid up front
     import sextic.cli as cli

@@ -7,6 +7,11 @@ import pytest
 from sextic.errors import DegenerateSextic
 from sextic.exact import RatPoly, rational_roots
 from sextic.resolvents import (
+    _DISC_TABLE,
+    F_REFERENCE_TABLE,
+    F_VERIFIED_TABLE,
+    G_REFERENCE_TABLE,
+    G_VERIFIED_TABLE,
     ReducedSextic,
     ResolventKind,
     discriminant_exact,
@@ -276,6 +281,7 @@ def test_resolvents_exact_matches_numeric_on_a_seeded_batch():
 def test_resolvents_exact_matches_the_tables_and_pinned_values():
     rng = random.Random(32)
     points = [(1, 1), (3, 2), (2, 1), (F(1, 2), F(5, 36)), (F(2, 3), F(-1, 4)), (3, 120)]
+    points += [(F(1, 2), F(-3, 2)), (F(-5, 3), F(1, 3)), (F(7, 2), F(2, 3)), (F(-1, 3), F(-5, 2))]
     points += [(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)))
                for _ in range(6)]
     for d, e in points:
@@ -285,6 +291,32 @@ def test_resolvents_exact_matches_the_tables_and_pinned_values():
         assert resolvents_exact(s.to_poly(), BOTH) == (f_verified(s), g_verified(s)), (d, e)
     (g,) = resolvents_exact(RatPoly([1, 2, -1, 0, 0, 0, 1]), (ResolventKind.PARTITION,))
     assert g == RatPoly(G_TRUE_MINUS_X2_2_1)
+
+
+def _naive_eval(terms: dict, d: F, e: F) -> F:
+    return sum((c * d**i * e**j for (i, j), c in terms.items()), F(0))
+
+
+def test_tables_evaluate_exactly_at_rational_points():
+    # the integer evaluation over one common denominator against the plain
+    # Fraction sum, at zero, negative and large-denominator (d, e)
+    rng = random.Random(1009)
+
+    def value():
+        den = rng.choice((1, 2, 3, rng.randint(1, 10**3), rng.randint(10**5, 10**6)))
+        return F(rng.randint(-(10**6), 10**6), den)
+
+    points = [(0, 0), (0, F(-7, 3)), (F(5, 2), 0), (-1, -1), (F(1, 2), F(5, 36)),
+              (F(-999983, 10**6), F(3, 999979))]
+    points += [(value(), value()) for _ in range(30)]
+    closed = ((f_reduced, F_REFERENCE_TABLE, 15), (f_verified, F_VERIFIED_TABLE, 15),
+              (g_reduced, G_REFERENCE_TABLE, 10), (g_verified, G_VERIFIED_TABLE, 10))
+    for d, e in points:
+        s = ReducedSextic(d, e)
+        for evaluate, table, degree in closed:
+            naive = [_naive_eval(table.get(k, {}), s.d, s.e) for k in range(degree + 1)]
+            assert evaluate(s) == RatPoly(naive), (evaluate.__name__, d, e)
+        assert discriminant_reduced(s) == _naive_eval(_DISC_TABLE, s.d, s.e), (d, e)
 
 
 def test_resolvents_exact_refuses_repeated_roots_and_other_degrees():
