@@ -28,8 +28,9 @@ from . import modp
 from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
     RatPoly,
-    _first_odd_prime,
+    _odd_primes,
     _rational_roots,
+    _squarefree_prime,
     is_rational_square,
     monic_model,
     poly_divide_exact,
@@ -108,7 +109,7 @@ def is_irreducible(p: RatPoly) -> bool:
     if n <= 3:
         return True
     q = monic_model(list(p.primitive()[1].coeffs))
-    prime = _first_odd_prime(lambda r: modp.is_squarefree(modp.reduce(q, r), r))
+    prime = _squarefree_prime(q, _odd_primes())
     q_mod = modp.reduce(q, prime)
     factors = modp.factor(q_mod, prime)
     norm2 = sum(c * c for c in q)

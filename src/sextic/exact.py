@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from . import modp
 from .errors import FactoringExhausted
 
 Rat = Fraction
@@ -137,7 +138,7 @@ class RatPoly:
         if self.is_zero():
             return Fraction(0), IntPoly([])
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = math.gcd(*ints)
         return Fraction(g, den), IntPoly([c // g for c in ints])
 
@@ -245,9 +246,25 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+def _odd_primes():
+    """3, 5, 7, 11, ... without end."""
+    return (r for r in itertools.count(3, 2) if _is_probable_prime(r))
+
+
 def _first_odd_prime(pred) -> int:
     """The least odd prime r with pred(r)."""
-    return next(r for r in itertools.count(3, 2) if _is_probable_prime(r) and pred(r))
+    return next(r for r in _odd_primes() if pred(r))
+
+
+def _squarefree_prime(F: list, primes: Iterable[int]) -> Optional[int]:
+    """The first odd prime r of primes at which the monic integer polynomial
+    F is squarefree mod r, or None.
+
+    F is monic, so disc(F mod r) = disc F mod r: such an r proves F
+    squarefree, and every root of F mod r is simple. When F is squarefree,
+    a search over _odd_primes() ends at the first prime not dividing disc F.
+    """
+    return next((r for r in primes if modp.is_squarefree(modp.reduce(F, r), r)), None)
 
 
 def _brent_rho(n: int, budget: list) -> int:
@@ -349,7 +366,24 @@ def _squarefree_part(A: list) -> list:
     while r:
         g, b = [c // math.gcd(*r) for c in r], g
         r = _pseudo_rem(b, g)
-    return A if len(g) == 1 else list(poly_divmod(RatPoly(A), RatPoly(g))[0].primitive()[1].coeffs)
+    return A if len(g) == 1 else _exact_quotient(A, g)
+
+
+def _exact_quotient(A: list, B: list) -> list:
+    """A / B for integer polynomials, B dividing A over the integers (as a
+    primitive B dividing A over the rationals does, by Gauss's lemma)."""
+    R, dB = list(A), len(B) - 1
+    Q = [0] * (len(A) - dB)
+    for k in range(len(Q) - 1, -1, -1):
+        c, r = divmod(R[dB + k], B[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        Q[k] = c
+        for i, b in enumerate(B):
+            R[i + k] -= c * b
+    if any(R[:dB]):
+        raise ArithmeticError("inexact polynomial division")
+    return Q
 
 
 def _root_bound(F: list) -> int:
@@ -366,37 +400,50 @@ def monic_model(A: list) -> list:
     return [c * lead ** (n - 1 - i) for i, c in enumerate(A[:-1])] + [1]
 
 
+# Odd primes below 30, tried in order for a squarefree certificate. Every
+# squarefree resolvent of the benchmark corpora is certified by one of them.
+CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
 def rational_roots(p: RatPoly) -> set:
     """All rational roots of p (multiplicities not reported).
 
     p-adic lifting (Loos 1983). 0 is a root when x divides p; the others are
     y/lead for the integer roots y of the monic model F(y) = lead^(n-1) A(y/lead)
-    (monic_model) of the squarefree part A of p/x^k. Each root of F mod the
-    first odd prime where all are simple (any prime not dividing disc F) is
-    Newton-lifted above twice Fujiwara's root bound, reduced symmetrically,
-    checked exactly.
+    (monic_model) of the primitive part A of p/x^k. The lifting prime is the
+    first of CERTIFICATE_PRIMES at which F is squarefree: that certifies A
+    squarefree, and all roots of F mod it simple. When none certifies, A is
+    replaced by its squarefree part (subresultant PRS) and the first odd prime
+    at which that part's model is squarefree is used. Each root of F mod the
+    prime is Newton-lifted above twice Fujiwara's root bound, reduced
+    symmetrically, checked exactly.
     """
     return _rational_roots(p)[0]
 
 
 def _rational_roots(p: RatPoly) -> tuple[set, bool]:
     """(rational_roots(p), True when p has no repeated complex root); the
-    flag is read off the squarefree part the roots need anyway."""
+    flag is read off the certificate, or the squarefree part, that the
+    roots need anyway."""
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
     coeffs = list(p.primitive()[1].coeffs)
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {Fraction(0)} if k else set()
-    A = _squarefree_part(coeffs[k:])
-    simple = k <= 1 and len(A) == len(coeffs) - k
-    n, lead = len(A) - 1, A[-1]
-    if n < 1:
-        return roots, simple
+    A = coeffs[k:]
+    if len(A) < 2:
+        return roots, k <= 1
     F = monic_model(A)
+    prime = _squarefree_prime(F, CERTIFICATE_PRIMES)
+    simple = k <= 1
+    if prime is None:
+        A = _squarefree_part(A)
+        simple = simple and len(A) == len(coeffs) - k
+        F = monic_model(A)
+        prime = _squarefree_prime(F, _odd_primes())
+    lead = A[-1]
     dF = [i * c for i, c in enumerate(F)][1:]
     bound = 2 * _root_bound(F)
-    prime = _first_odd_prime(lambda q: all(_horner(dF, y, q) for y in range(q)
-                                           if not _horner(F, y, q)))
     for y in (y for y in range(prime) if not _horner(F, y, prime)):
         m = prime
         while m <= bound:

@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from sextic import exact
-from sextic.errors import FactoringExhausted
+from sextic.classify import classify
+from sextic.errors import DegenerateSextic, FactoringExhausted
 from sextic.exact import (
     IntPoly,
     RatPoly,
@@ -211,3 +213,68 @@ def test_rational_roots_report_repeated_roots_like_the_resultant():
         assert simple == exact.squarefree(p), p
         flags.add(simple)
     assert flags == {True, False}
+
+
+def _spy_squarefree_part(monkeypatch):
+    calls = []
+    original = exact._squarefree_part
+
+    def spy(A):
+        calls.append(list(A))
+        return original(A)
+
+    monkeypatch.setattr(exact, "_squarefree_part", spy)
+    return calls
+
+
+def test_rational_roots_fall_back_to_the_squarefree_part(monkeypatch):
+    # (x - 1 - B) = (x - 1) mod every certificate prime, so no prime in the
+    # list certifies (x - 1)(x - 1 - B), squarefree as it is
+    B = math.prod(exact.CERTIFICATE_PRIMES)
+    calls = _spy_squarefree_part(monkeypatch)
+    p = RatPoly([-1, 1]) * RatPoly([-1 - B, 1])
+    assert exact._rational_roots(p) == ({1, 1 + B}, True)
+    assert len(calls) == 1
+    assert exact._rational_roots(RatPoly([-1, 1]) * p) == ({1, 1 + B}, False)
+    assert len(calls) == 2
+
+
+def test_classify_on_the_small_reduced_grid_needs_no_prs(monkeypatch):
+    calls = _spy_squarefree_part(monkeypatch)
+    for d in (-3, -2, -1, 1, 2, 3):
+        for e in range(-3, 4):
+            try:
+                classify(RatPoly([e, d, 1, 0, 0, 0, 1]))
+            except DegenerateSextic:
+                continue
+    assert calls == []
+    classify(RatPoly([1, 0, 1, 0, 0, 0, 1]))  # even: its resolvents have repeated roots
+    assert calls
+
+
+def test_squarefree_prime_certifies_only_squarefree_models():
+    # squares of factors with no root mod small primes: their roots mod r
+    # are all simple, yet F mod r is not squarefree
+    x2_plus_x_plus_1 = RatPoly([1, 1, 1])
+    cases = [X2_PLUS_1**2 * RatPoly([-2, 1]), x2_plus_x_plus_1**2 * X2_PLUS_1, X2_PLUS_1 * x2_plus_x_plus_1]
+    rng = random.Random(11)
+    cases += [_random_poly_with_planted_roots(rng) for _ in range(200)]
+    outcomes = set()
+    for p in cases:
+        if p.degree < 1:
+            continue
+        F = exact.monic_model(list(p.primitive()[1].coeffs))
+        r = exact._squarefree_prime(F, exact.CERTIFICATE_PRIMES)
+        assert r is None or squarefree(p), p
+        if squarefree(p):
+            assert exact._squarefree_prime(F, exact._odd_primes()) is not None
+        outcomes.add((r is None, squarefree(p)))
+    assert {(False, True), (True, False)} <= outcomes
+
+
+def test_exact_quotient_raises_on_a_remainder():
+    assert exact._exact_quotient([-2, -1, 1], [1, 1]) == [-2, 1]  # (x + 1)(x - 2)
+    with pytest.raises(ArithmeticError):
+        exact._exact_quotient([-1, 0, 1], [1, 2])  # 2x + 1 divides only over Q
+    with pytest.raises(ArithmeticError):
+        exact._exact_quotient([1, 0, 1], [1, 1])
