@@ -28,12 +28,12 @@ from . import modp
 from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
     RatPoly,
+    _exact_quotient,
     _odd_primes,
     _rational_roots,
     _squarefree_prime,
     is_rational_square,
     monic_model,
-    poly_divide_exact,
     rational_roots,
     resultant,  # noqa: F401  not called; perfbench/spans.py requires the binding
     squarefree,
@@ -88,10 +88,11 @@ def is_irreducible(p: RatPoly) -> bool:
     prime p at which it is squarefree (Cantor-Zassenhaus), and every product
     of modular factors whose degree k lies in 2..n//2 is Hensel-lifted above
     twice the Mignotte bound C(k, k//2)*|q|_2 on the coefficients of a
-    degree-k factor of q, reduced symmetrically and trial-divided exactly
-    (Zassenhaus). A degree-k factor of q over the integers reduces to one of
-    those products, so finding none proves irreducibility; when no product
-    has a fitting degree, that proof needs no lifting at all.
+    degree-k factor of q, reduced symmetrically and trial-divided in integer
+    arithmetic (Zassenhaus). A degree-k factor of q over the integers
+    reduces to one of those products, so finding none proves
+    irreducibility; when no product has a fitting degree, that proof needs
+    no lifting at all.
     """
     n = p.degree
     if n < 1:
@@ -108,7 +109,7 @@ def is_irreducible(p: RatPoly) -> bool:
         return False
     if n <= 3:
         return True
-    q = monic_model(list(p.primitive()[1].coeffs))
+    q = monic_model(p.primitive()[1])
     prime = _squarefree_prime(q, _odd_primes())
     q_mod = modp.reduce(q, prime)
     factors = modp.factor(q_mod, prime)
@@ -126,9 +127,12 @@ def is_irreducible(p: RatPoly) -> bool:
                 g = modp.mul(g, f, prime)
             lifted, _ = modp.hensel_lift(q, g, modp.div_rem(q_mod, g, prime)[0], prime, lifts)
             modulus = prime**lifts
-            cand = [c - modulus if c > modulus // 2 else c for c in lifted]
-            if poly_divide_exact(RatPoly(q), RatPoly(cand)) is not None:
-                return False
+            cand = [modp.symmetric(c, modulus) for c in lifted]
+            try:
+                _exact_quotient(q, cand)
+            except ArithmeticError:
+                continue
+            return False
     return True
 
 

@@ -38,8 +38,9 @@ class DegenerateSextic(NumericFailure):
 
 
 class FactoringExhausted(NumericFailure):
-    """Integer factoring exceeded its budget; never a partial factorization.
-    Reachable only from resolvents.monic_integer_rescale, on input denominators."""
+    """Integer factoring (exact.factorize) exceeded its budget; never a
+    partial factorization. The decision pipeline does not factor, so no
+    subcommand raises it."""
 
 
 class FitInconsistent(SexticError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -21,9 +20,10 @@ from .errors import FactoringExhausted
 
 Rat = Fraction
 
-# Only input denominators are factored (resolvents.monic_integer_rescale).
-# Trial division handles the smooth part; Brent's rho handles the rest up to a
-# hard budget, after which we refuse rather than return a partial answer.
+# Library code only trial-divides (resolvents.monic_integer_rescale splits
+# input denominators with trial_split, which cannot fail). factorize adds
+# Brent's rho up to a hard budget, after which it refuses rather than return
+# a partial answer; nothing in the decision pipeline calls it.
 TRIAL_DIVISION_LIMIT = 10**6
 RHO_ITERATION_BUDGET = 4 * 10**6
 
@@ -129,49 +129,19 @@ class RatPoly:
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
 
-    def primitive(self) -> tuple[Fraction, "IntPoly"]:
-        """Split into (rational content, primitive integer polynomial).
+    def primitive(self) -> tuple[Fraction, list]:
+        """Split into (rational content, primitive integer coefficients).
 
-        content * primitive == self; the primitive part keeps the sign of the
-        leading coefficient.
+        The coefficients are a list of ints, lowest degree first, with gcd 1
+        ([] for the zero polynomial); content times them gives self, so they
+        keep the sign of the leading coefficient.
         """
         if self.is_zero():
-            return Fraction(0), IntPoly([])
+            return Fraction(0), []
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = math.gcd(*ints)
-        return Fraction(g, den), IntPoly([c // g for c in ints])
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial split as content * primitive part (gcd 1)."""
-
-    coeffs: tuple
-    content: int
-
-    def __init__(self, coeffs: Iterable[int], content: int = 1):
-        coeffs = _strip([int(c) for c in coeffs])
-        if coeffs:
-            g = math.gcd(*coeffs)
-            if g > 1:
-                content *= g
-                coeffs = tuple(c // g for c in coeffs)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "content", int(content))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def full_coeffs(self) -> tuple:
-        return tuple(self.content * c for c in self.coeffs)
-
-    def to_rat(self) -> RatPoly:
-        return RatPoly(self.full_coeffs())
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k <= self.degree else 0
+        return Fraction(g, den), [c // g for c in ints]
 
 
 def poly_eval(p: RatPoly, x) -> Fraction:
@@ -251,11 +221,6 @@ def _odd_primes():
     return (r for r in itertools.count(3, 2) if _is_probable_prime(r))
 
 
-def _first_odd_prime(pred) -> int:
-    """The least odd prime r with pred(r)."""
-    return next(r for r in _odd_primes() if pred(r))
-
-
 def _squarefree_prime(F: list, primes: Iterable[int]) -> Optional[int]:
     """The first odd prime r of primes at which the monic integer polynomial
     F is squarefree mod r, or None.
@@ -300,14 +265,12 @@ def _brent_rho(n: int, budget: list) -> int:
     raise FactoringExhausted(f"rho failed on {n}")
 
 
-def factorize(n: int) -> dict:
-    """Prime factorization {prime: multiplicity} of n >= 1.
-
-    Trial division up to TRIAL_DIVISION_LIMIT, then Brent rho within a fixed
-    budget; raises FactoringExhausted rather than returning a partial answer.
-    """
+def trial_split(n: int) -> tuple[dict, int]:
+    """({prime: multiplicity} for the primes up to TRIAL_DIVISION_LIMIT that
+    divide n >= 1, cofactor): their product is n, and the cofactor has no
+    prime factor up to the limit. Trial division only, so it cannot fail."""
     if n < 1:
-        raise ValueError("factorize expects a positive integer")
+        raise ValueError("factoring expects a positive integer")
     out: dict = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -322,8 +285,19 @@ def factorize(n: int) -> dict:
             n //= p
         p += wheel[i]
         i = (i + 1) % 8
-    if n == 1:
-        return out
+    if 1 < n <= TRIAL_DIVISION_LIMIT:  # no prime factor below p, and n < p*p
+        out[n] = out.get(n, 0) + 1
+        n = 1
+    return out, n
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization {prime: multiplicity} of n >= 1.
+
+    trial_split, then Brent rho on the cofactor within a fixed budget;
+    raises FactoringExhausted rather than returning a partial answer.
+    """
+    out, n = trial_split(n)
     budget = [RHO_ITERATION_BUDGET]
     stack = [n]
     while stack:
@@ -416,7 +390,7 @@ def rational_roots(p: RatPoly) -> set:
     replaced by its squarefree part (subresultant PRS) and the first odd prime
     at which that part's model is squarefree is used. Each root of F mod the
     prime is Newton-lifted above twice Fujiwara's root bound, reduced
-    symmetrically, checked exactly.
+    symmetrically (modp.newton_lift, modp.symmetric), checked exactly.
     """
     return _rational_roots(p)[0]
 
@@ -427,7 +401,7 @@ def _rational_roots(p: RatPoly) -> tuple[set, bool]:
     roots need anyway."""
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
-    coeffs = list(p.primitive()[1].coeffs)
+    coeffs = p.primitive()[1]
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {Fraction(0)} if k else set()
     A = coeffs[k:]
@@ -441,15 +415,11 @@ def _rational_roots(p: RatPoly) -> tuple[set, bool]:
         simple = simple and len(A) == len(coeffs) - k
         F = monic_model(A)
         prime = _squarefree_prime(F, _odd_primes())
-    lead = A[-1]
-    dF = [i * c for i, c in enumerate(F)][1:]
-    bound = 2 * _root_bound(F)
+    lead, bound, target = A[-1], 2 * _root_bound(F), prime
+    while target <= bound:
+        target *= prime
     for y in (y for y in range(prime) if not _horner(F, y, prime)):
-        m = prime
-        while m <= bound:
-            m *= m
-            y = (y - _horner(F, y, m) * pow(_horner(dF, y, m), -1, m)) % m
-        y = y - m if y > m // 2 else y
+        y = modp.symmetric(modp.newton_lift(F, (y, 0), 0, prime, target)[0], target)
         if not _horner(F, y):
             roots.add(Fraction(y, lead))
     return roots, simple
@@ -530,7 +500,7 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
         raise ValueError("resultant expects nonzero polynomials")
     cp, P = p.primitive()
     cq, Q = q.primitive()
-    base = _resultant_int(list(P.coeffs), list(Q.coeffs))
+    base = _resultant_int(P, Q)
     return cp**q.degree * cq**p.degree * base
 
 

@@ -1,22 +1,31 @@
 """Dense polynomials over F_p and Z/p^k: arithmetic, factoring, Hensel
-lifting; and square roots in F_p.
+lifting, Newton lifting of roots; square roots in F_p; symmetric residues.
 
 A polynomial is a list of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is []). Every function takes the modulus m (or the
-prime p) explicitly and returns coefficients reduced into 0..m-1. Division
+prime p) explicitly and returns residues in 0..m-1, except symmetric, which
+maps one into (-m/2, m/2] to read off the integer it stands for. Division
 needs a divisor whose leading coefficient is a unit mod m; gcd, xgcd and
 factoring need a prime modulus, and factoring a squarefree input.
 
 Factoring over F_p (odd p) is distinct-degree splitting followed by
 Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981), and the
 two-factor lift is the quadratic Hensel step (von zur Gathen & Gerhard,
-Modern Computer Algebra, Alg. 15.10). Square roots are Tonelli-Shanks.
+Modern Computer Algebra, Alg. 15.10). A simple root lifts by quadratic
+Newton steps, in Z/p^k or in (Z/p^k)[sqrt n]. Square roots are
+Tonelli-Shanks.
 Nothing here uses floating point or randomness.
 """
 
 from __future__ import annotations
 
 import itertools
+
+
+def symmetric(c: int, m: int) -> int:
+    """The residue of c in 0..m-1 taken into (-m/2, m/2]: the integer an
+    r-adic lift stands for once m exceeds twice its size."""
+    return c - m if c > m // 2 else c
 
 
 def trim(a: list) -> list:
@@ -194,3 +203,22 @@ def hensel_lift(f: list, g: list, h: list, p: int, k: int) -> tuple[list, list]:
         s = sub(s, d, m)
         t = sub(t, add(mul(t, b, m), mul(c, g, m), m), m)
     return g, h
+
+
+def newton_lift(q: list, root: tuple, n: int, p: int, target: int) -> tuple:
+    """The root a + b sqrt n of the integer polynomial q mod target, a power
+    of p, that reduces to the given simple root (a, b) mod p, by quadratic
+    Newton steps in (Z/p^k)[sqrt n]. A root in Z/target is the case b = 0,
+    for any n."""
+    a, b = root
+    m = p
+    while m < target:
+        m = min(m * m, target)
+        fa, fb, da, db = q[-1], 0, 0, 0  # q and q' by Horner
+        for c in reversed(q[:-1]):
+            da, db = (da * a + n * db * b + fa) % m, (da * b + db * a + fb) % m
+            fa, fb = (fa * a + n * fb * b + c) % m, (fa * b + fb * a) % m
+        inv = pow(da * da - n * db * db, -1, m)  # the norm of q'(root) is a unit
+        a = (a - (fa * da - n * fb * db) * inv) % m
+        b = (b - (fb * da - fa * db) * inv) % m
+    return a, b

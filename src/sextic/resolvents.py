@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, isqrt, lcm, prod
 
 from . import modp
 from .errors import DegenerateSextic, FitInconsistent
-from .exact import IntPoly, RatPoly, _derivative_resultant, _first_odd_prime, _root_bound
-from .exact import factorize, resultant, squarefree
+from .exact import RatPoly, _derivative_resultant, _odd_primes, _root_bound
+from .exact import resultant, squarefree, trial_split
+from .exact import factorize  # noqa: F401  not called; perfbench/spans.py requires the binding
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, orbit
 from .roots import expand_from_roots, round_to_int_poly
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
@@ -259,7 +260,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     roots = _lifted_roots([int(c) for c in q.coeffs], kinds)
     out = []
     for kind in kinds:
-        res = resolvent_from_roots(roots, kind, 0).to_rat()
+        res = resolvent_from_roots(roots, kind, 0)
         if m != 1:
             res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(
                 Fraction(1, m ** (kind.weight * kind.degree))
@@ -315,15 +316,15 @@ class _Lifted:
         """(nearest integer, distance) for round_to_int_poly: the symmetric
         residue of a, at distance 0 when the sqrt n part vanishes and 1
         otherwise, so tolerance 0 accepts only rational values."""
-        a = self.a - self.modulus if self.a > self.modulus // 2 else self.a
-        return a, 1 if self.b else 0
+        return modp.symmetric(self.a, self.modulus), 1 if self.b else 0
 
 
 def _lifted_roots(q: list, kinds: tuple) -> list:
     """The six roots of the squarefree monic integer sextic q (coefficients
     low to high) as _Lifted values, modulo a power of r above twice the
     resolvent coefficient bound of resolvents_exact for the given kinds."""
-    prime = _first_odd_prime(lambda r: modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
+    prime = next(r for r in _odd_primes()
+                 if modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
     R = _root_bound(q)
     M = isqrt(sum(c * c for c in q)) + 1
     value_bound = {
@@ -341,30 +342,13 @@ def _lifted_roots(q: list, kinds: tuple) -> list:
     roots = []
     for f in modp.factor(modp.reduce(q, prime), prime):
         if len(f) == 2:
-            roots.append(_newton_lift(q, (-f[0] % prime, 0), n, prime, modulus))
+            roots.append(modp.newton_lift(q, (-f[0] % prime, 0), n, prime, modulus))
         else:  # x^2 + b x + c: roots (-b +- s sqrt n) / 2 with s^2 n = b^2 - 4c
             c, b = f[0], f[1]
             s = modp.sqrt((b * b - 4 * c) * pow(n, -1, prime), prime)
-            a, t = _newton_lift(q, (-b * half % prime, s * half % prime), n, prime, modulus)
+            a, t = modp.newton_lift(q, (-b * half % prime, s * half % prime), n, prime, modulus)
             roots += [(a, t), (a, -t % modulus)]  # the conjugate lifts the conjugate
     return [_Lifted(a, b, n, modulus) for a, b in roots]
-
-
-def _newton_lift(q: list, root: tuple, n: int, prime: int, target: int) -> tuple:
-    """The root a + b sqrt n of monic integer q mod target, a power of prime,
-    that reduces to the given simple root mod prime (quadratic Newton steps)."""
-    a, b = root
-    m = prime
-    while m < target:
-        m = min(m * m, target)
-        fa, fb, da, db = q[-1], 0, 0, 0  # q and q' by Horner
-        for c in reversed(q[:-1]):
-            da, db = (da * a + n * db * b + fa) % m, (da * b + db * a + fb) % m
-            fa, fb = (fa * a + n * fb * b + c) % m, (fa * b + fb * a) % m
-        inv = pow(da * da - n * db * db, -1, m)  # the norm of q'(root) is a unit
-        a = (a - (fa * da - n * fb * db) * inv) % m
-        b = (b - (fb * da - fa * db) * inv) % m
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +357,32 @@ def _newton_lift(q: list, root: tuple, n: int, prime: int, target: int) -> tuple
 
 
 def monic_integer_rescale(p: RatPoly) -> tuple[RatPoly, int]:
-    """Smallest integer m such that q(y) = m^n p(y/m) has integer
-    coefficients for monic p; returns (q, m)."""
+    """An integer m such that q(y) = m^n p(y/m) has integer coefficients for
+    monic p; returns (q, m).
+
+    The denominator of the x^j coefficient splits as s_j * c_j
+    (exact.trial_split): s_j has only small prime factors, c_j none. m is
+    the product of the least powers of those small primes with
+    s_j | m^(n-j), times the lcm of the c_j, so den_j | m^(n-j). Nothing is
+    factored beyond trial division, so this cannot fail. m is the least
+    such integer when no c_j has a repeated prime factor; a larger m only
+    lengthens the lift.
+    """
     n = p.degree
     m_factors: dict = {}
+    rest = 1
     for j, c in enumerate(p.coeffs[:-1]):
-        for prime, a in factorize(c.denominator).items():
+        small, cofactor = trial_split(c.denominator)
+        for prime, a in small.items():
             need = -(-a // (n - j))  # ceil
             m_factors[prime] = max(m_factors.get(prime, 0), need)
-    m = 1
-    for prime, a in m_factors.items():
-        m *= prime**a
+        rest = lcm(rest, cofactor)
+    m = rest * prod(prime**a for prime, a in m_factors.items())
     q = RatPoly([c * Fraction(m) ** (n - j) for j, c in enumerate(p.coeffs)])
     return q, m
 
 
-def resolvent_from_roots(roots, kind: ResolventKind, tolerance) -> IntPoly:
+def resolvent_from_roots(roots, kind: ResolventKind, tolerance) -> RatPoly:
     """Expand the invariant-orbit product over the given six roots and round
     to an integer polynomial (round_to_int_poly): the roots are lifted
     _Lifted values (tolerance 0) or complex numbers."""
@@ -470,9 +464,11 @@ def _alternating(limit: int, include_zero: bool):
     return (vals + [s * k for k in range(1, limit + 1) for s in (1, -1)])[:limit]
 
 
-def reconstruct_reduced(
-    kind: ResolventKind, holdouts: int = 20, seed: int = 20250811
-) -> ReconstructionReport:
+# reconstruct_reduced validates its fit on this many random grid points
+HOLDOUTS, HOLDOUT_SEED = 20, 20250811
+
+
+def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     """Re-derive the closed-form coefficient table from exact samples.
 
     Samples resolvents_exact on an integer (d, e) grid large enough to pin
@@ -480,14 +476,14 @@ def reconstruct_reduced(
     the weighted-degree support, validates on random holdout points, and
     diffs the result against the reference transcription.
 
-    The result depends only on the arguments, so it is cached (the degree-15
+    The result depends only on the kind, so it is cached (the degree-15
     run takes tens of seconds); callers share it and must not mutate it.
     """
-    return _reconstruct_reduced(kind, holdouts, seed)
+    return _reconstruct_reduced(kind)
 
 
-@lru_cache(maxsize=4)
-def _reconstruct_reduced(kind, holdouts, seed) -> ReconstructionReport:
+@lru_cache(maxsize=2)
+def _reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     deg, w = kind.degree, kind.weight
     nd = (w * deg) // D_WEIGHT + 1
     ne = (w * deg) // E_WEIGHT + 1
@@ -535,10 +531,10 @@ def _reconstruct_reduced(kind, holdouts, seed) -> ReconstructionReport:
             fitted[x_power] = cells
     fitted[deg] = {(0, 0): 1}
 
-    rng = random.Random(seed)
+    rng = random.Random(HOLDOUT_SEED)
     used = set(samples)
     holdout_points = []
-    while len(holdout_points) < holdouts:
+    while len(holdout_points) < HOLDOUTS:
         d = rng.randint(-30, 30)
         e = rng.randint(-30, 30)
         if (d, e) in used or not _grid_ok(d, e):

@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import NonConvergence, NotNearInteger, RepeatedRootSuspected
-from .exact import IntPoly, RatPoly
+from .exact import RatPoly
 
 PRECISION_START = 256
 PRECISION_CAP = 4096
@@ -183,12 +183,12 @@ def min_separation(zs):
     return min((abs(a - b) for a, b in itertools.combinations(zs, 2)), default=mp.inf)
 
 
-def expand_from_roots(values, extra_prec: int = _GUARD_BITS):
+def expand_from_roots(values):
     """Coefficients (low to high) of the monic polynomial with the given
-    roots: mpmath complex numbers (worked extra_prec bits above the context
+    roots: mpmath complex numbers (worked _GUARD_BITS above the context
     precision), or any other ring elements with +, -, * and ** 0, such as
     the p-adic lifts of resolvents._Lifted."""
-    with mp.workprec(mp.mp.prec + extra_prec):
+    with mp.workprec(mp.mp.prec + _GUARD_BITS):
         coeffs = [values[0] ** 0 if values else mp.mpc(1)]
         for v in values:
             nxt = [v * 0] * (len(coeffs) + 1)
@@ -199,8 +199,8 @@ def expand_from_roots(values, extra_prec: int = _GUARD_BITS):
         return coeffs
 
 
-def round_to_int_poly(coeffs, tolerance) -> IntPoly:
-    """Round near-integer coefficients to an integer polynomial.
+def round_to_int_poly(coeffs, tolerance) -> RatPoly:
+    """Round near-integer coefficients to a RatPoly with integer coefficients.
 
     A complex coefficient must have |imag| and |real - nearest int| within
     tolerance. A coefficient with a rounded() method (resolvents._Lifted)
@@ -221,4 +221,4 @@ def round_to_int_poly(coeffs, tolerance) -> IntPoly:
         out.append(nearest)
     if worst > tolerance:
         raise NotNearInteger(mp.nstr(worst, 8))
-    return IntPoly(out)
+    return RatPoly(out)

@@ -58,7 +58,7 @@ def rational_roots_by_divisors(p) -> set:
     constant)/(divisor of the leading coefficient) of the primitive integer
     form with the power of x stripped, each checked by exact evaluation of
     den^n * p(num/den)."""
-    coeffs = list(p.primitive()[1].coeffs)
+    coeffs = p.primitive()[1]
     roots = {Fraction(0)} if not coeffs[0] else set()
     while not coeffs[0]:
         del coeffs[0]
@@ -98,7 +98,7 @@ def resolvent_by_complex_roots(p, kind, precision: int = 256):
                 raise
             bits *= 2
     w, deg = kind.weight, kind.degree
-    return res.to_rat().substitute_scaled(Fraction(m) ** w).scale(Fraction(1, m ** (w * deg)))
+    return res.substitute_scaled(Fraction(m) ** w).scale(Fraction(1, m ** (w * deg)))
 
 
 def radical_roots_by_search(p, precision: int):

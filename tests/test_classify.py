@@ -344,6 +344,20 @@ def test_classify_huge_coefficients():
     assert report.bound is GroupBound.NOT_SOLVABLE
 
 
+def test_classify_semiprime_denominator_needs_no_factoring():
+    # N = P*Q with P = nextprime(10^20), Q = nextprime(3*10^20) is beyond
+    # the rho budget of exact.factorize; the monic frame takes N as it is
+    import sympy
+
+    N = 30000000000000000017000000000000000002067
+    report = classify(RatPoly([1, F(1, N), 0, 0, 0, 0, 1]))
+    assert report.irreducible and report.solvable is Solvable.NO
+    assert report.bound is GroupBound.NOT_SOLVABLE
+    x = sympy.Symbol("x")
+    group, _ = sympy.galois_group(sympy.Poly(x**6 + x / N + 1, x, domain="QQ"), by_name=True)
+    assert group.name == "S6"
+
+
 def _claimed_group(report):
     J, K = groups.matching_group(), groups.partition_group()
     group = {
@@ -381,7 +395,7 @@ def test_frobenius_cycle_types_lie_in_the_claimed_group():
             continue
         seen_bounds.add(report.bound)
         allowed = {_cycle_type(g) for g in _claimed_group(report)}
-        q = monic_model(list(p.primitive()[1].coeffs))
+        q = monic_model(p.primitive()[1])
         good = (r for r in range(3, 10**4, 2)
                 if _is_probable_prime(r) and modp.is_squarefree(modp.reduce(q, r), r))
         for prime in itertools.islice(good, 20):

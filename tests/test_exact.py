@@ -8,7 +8,6 @@ from sextic import exact
 from sextic.classify import classify
 from sextic.errors import DegenerateSextic, FactoringExhausted
 from sextic.exact import (
-    IntPoly,
     RatPoly,
     divisors,
     factorize,
@@ -123,15 +122,7 @@ def test_resultant_zero_iff_repeated_root():
 def test_primitive_split():
     content, prim = RatPoly([F(5, 36), F(1, 2), 1, 0, 0, 0, 1]).primitive()
     assert content == F(1, 36)
-    assert prim.coeffs == (5, 18, 36, 0, 0, 0, 36)
-    assert prim.content == 1
-
-
-def test_int_poly_content():
-    p = IntPoly([6, 12, 18])
-    assert p.content == 6
-    assert p.coeffs == (1, 2, 3)
-    assert p.full_coeffs() == (6, 12, 18)
+    assert prim == [5, 18, 36, 0, 0, 0, 36]
 
 
 def test_factorize_roundtrip():
@@ -263,7 +254,7 @@ def test_squarefree_prime_certifies_only_squarefree_models():
     for p in cases:
         if p.degree < 1:
             continue
-        F = exact.monic_model(list(p.primitive()[1].coeffs))
+        F = exact.monic_model(p.primitive()[1])
         r = exact._squarefree_prime(F, exact.CERTIFICATE_PRIMES)
         assert r is None or squarefree(p), p
         if squarefree(p):

@@ -119,3 +119,20 @@ def test_sqrt_of_every_residue_and_the_least_nonresidue(p):
     for a in sorted(squares):
         r = modp.sqrt(a, p)
         assert 0 <= r < p and r * r % p == a
+
+
+def test_newton_lift_in_z_and_in_the_quadratic_extension():
+    p, target = 7, 7**9
+    # (x - 12345)(x^2 + 1): 12345 = 4 mod 7 is a simple root, and the
+    # symmetric residue of its lift is the integer root
+    q = [-12345, 1, -12345, 1]
+    a, b = modp.newton_lift(q, (12345 % p, 0), 0, p, target)
+    assert b == 0 and modp.symmetric(a, target) == 12345
+    assert modp.symmetric(target - 5, target) == -5 and modp.symmetric(5, target) == 5
+    # x^2 - x - 1 has roots (1 +- sqrt 5)/2; 5 = 3 * 2^2 mod 7, n = 3 the
+    # least non-residue, so (4, 1) = (1 + 2 sqrt 3)/2 is a root mod 7
+    q, n = [-1, -1, 1], modp.nonresidue(p)
+    a, b = modp.newton_lift(q, (4, 1), n, p, target)
+    assert (a - 4) % p == 0 and (b - 1) % p == 0
+    # q(a + b sqrt n) = (a^2 + n b^2 - a - 1) + (2ab - b) sqrt n
+    assert (a * a + n * b * b - a - 1) % target == 0 and (2 * a * b - b) % target == 0

@@ -334,16 +334,23 @@ def test_monic_integer_rescale_takes_large_smooth_denominators():
     assert monic_integer_rescale(p)[1] == 2**67 * 3 * 1009
 
 
+def test_monic_integer_rescale_takes_large_cofactors_as_they_are():
+    # the least m is 3PQ; the cofactor P^2 Q of trial division enters whole
+    P, Q = 100000000000000000039, 300000000000000000053
+    s = ReducedSextic(F(1, P * P * Q), F(2, 3))
+    assert monic_integer_rescale(s.to_poly())[1] == 3 * P * P * Q
+    assert resolvents_exact(s.to_poly(), BOTH) == (f_verified(s), g_verified(s))
+
+
 def test_lifted_values_round_to_their_symmetric_residue():
     from sextic.errors import NotNearInteger
-    from sextic.exact import IntPoly
     from sextic.resolvents import _Lifted
     from sextic.roots import expand_from_roots, round_to_int_poly
 
     modulus = 7**20
     # 3 + sqrt 3 and 3 - sqrt 3 (3 is a non-residue mod 7): x^2 - 6x + 6
     r, s = _Lifted(3, 1, 3, modulus), _Lifted(3, modulus - 1, 3, modulus)
-    assert round_to_int_poly(expand_from_roots([r, s]), 0) == IntPoly([6, -6, 1])
+    assert round_to_int_poly(expand_from_roots([r, s]), 0) == RatPoly([6, -6, 1])
     # one of the pair alone leaves a sqrt 3 part
     with pytest.raises(NotNearInteger):
         round_to_int_poly(expand_from_roots([r]), 0)
