@@ -197,10 +197,12 @@ def _cmd_audit(args, parser) -> int:
     documents = []
     for label in kinds:
         report = reconstruct_reduced(_KINDS[label])
+        reference = F_REFERENCE_TABLE if label == "j" else G_REFERENCE_TABLE
+        tables = (reference, report.fitted)
+        cells = {(x, *cell) for table in tables for x, row in table.items() for cell in row}
         terms = []
-        for (x_power, d_power, e_power), match in sorted(report.printed_match.items()):
-            ref = _table_cell(report, x_power, d_power, e_power, reference=True)
-            fit = _table_cell(report, x_power, d_power, e_power, reference=False)
+        for x_power, d_power, e_power in sorted(cells):
+            ref, fit = (t.get(x_power, {}).get((d_power, e_power), 0) for t in tables)
             terms.append(
                 {
                     "x_power": x_power,
@@ -208,7 +210,7 @@ def _cmd_audit(args, parser) -> int:
                     "e_power": e_power,
                     "reference": ref,
                     "fitted": fit,
-                    "match": match,
+                    "match": ref == fit,
                 }
             )
         documents.append(
@@ -237,21 +239,13 @@ def _cmd_audit(args, parser) -> int:
     return 0
 
 
-def _table_cell(report, x_power, d_power, e_power, reference: bool) -> int:
-    if reference:
-        table = F_REFERENCE_TABLE if report.kind is ResolventKind.MATCHING else G_REFERENCE_TABLE
-    else:
-        table = report.fitted
-    return table.get(x_power, {}).get((d_power, e_power), 0)
-
-
 def _parse_range(text: str) -> tuple:
     """(lo, hi, step) of LO:HI[:STEP]; the values are generated by _range_values."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(f"range must be LO:HI or LO:HI:STEP, got {text!r}")
-    lo, hi = Fraction(parts[0]), Fraction(parts[1])
-    step = Fraction(parts[2]) if len(parts) == 3 else Fraction(1)
+    lo, hi = _fraction(parts[0]), _fraction(parts[1])
+    step = _fraction(parts[2]) if len(parts) == 3 else Fraction(1)
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be positive")
     return lo, hi, step

@@ -22,14 +22,9 @@ class RepeatedRootSuspected(NumericFailure):
 
 
 class NotNearInteger(NumericFailure):
-    """A coefficient expected to be an integer is not close to one.
-
-    Carries the worst offender's distance in ``distance``.
-    """
-
-    def __init__(self, distance):
-        super().__init__(f"coefficient is {distance} away from the nearest integer")
-        self.distance = distance
+    """A coefficient expected to be an integer is not one: a lifted
+    coefficient keeps a sqrt n part (roots.round_to_int_poly), or a complex
+    one misses every integer by more than the tolerance (the tests' oracle)."""
 
 
 class DegenerateSextic(NumericFailure):

@@ -306,10 +306,9 @@ def partition_group_even() -> PermGroup:
 
 
 def eval_monomial_sum(m: MonomialSum, roots):
-    """Value of m at six roots (any sequence, or a ComplexRootSet), in the
-    roots' own ring: mpmath complex numbers, or the p-adic lifts of
-    resolvents._Lifted."""
-    vals = tuple(getattr(roots, "roots", roots))
+    """Value of m at a sequence of six roots, in the roots' own ring: the
+    p-adic lifts of resolvents._Lifted, or any values with +, * and **."""
+    vals = tuple(roots)
     if len(vals) != N_POINTS:
         raise ValueError("need exactly six root values")
     total = vals[0] * 0

@@ -19,9 +19,9 @@ The reconstruction is the authority when the closed forms disagree;
 verified tables (f_verified, g_verified) carry its output. The
 classification pipeline consumes those tables for reduced-shape input and
 resolvents_exact for every other sextic. Discrepancies are reported, never
-silently patched. resolvent_from_roots works on complex roots too; the
-tests cross-check resolvents_exact against it on roots from
-roots.find_roots (tests/oracles.py).
+silently patched. The tests cross-check resolvents_exact against an
+orbit product of their own over complex roots from roots.find_roots
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     roots = _lifted_roots([int(c) for c in q.coeffs], kinds)
     out = []
     for kind in kinds:
-        res = resolvent_from_roots(roots, kind, 0)
+        res = resolvent_from_roots(roots, kind)
         if m != 1:
             res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(
                 Fraction(1, m ** (kind.weight * kind.degree))
@@ -278,7 +278,8 @@ resolvent_numeric_in_frame = resolvents_exact
 class _Lifted:
     """a + b sqrt(n) in (Z/M)[sqrt n], M = r^N: a root lifted r-adically, or
     a value computed from such roots, with the arithmetic that
-    eval_monomial_sum and expand_from_roots use (integers mix in)."""
+    eval_monomial_sum and expand_from_roots use (integers mix in);
+    round_to_int_poly reads the integer a coefficient stands for."""
 
     __slots__ = ("a", "b", "n", "modulus")
 
@@ -311,12 +312,6 @@ class _Lifted:
         for _ in range(e):
             out = out * self
         return out
-
-    def rounded(self) -> tuple:
-        """(nearest integer, distance) for round_to_int_poly: the symmetric
-        residue of a, at distance 0 when the sqrt n part vanishes and 1
-        otherwise, so tolerance 0 accepts only rational values."""
-        return modp.symmetric(self.a, self.modulus), 1 if self.b else 0
 
 
 def _lifted_roots(q: list, kinds: tuple) -> list:
@@ -382,13 +377,11 @@ def monic_integer_rescale(p: RatPoly) -> tuple[RatPoly, int]:
     return q, m
 
 
-def resolvent_from_roots(roots, kind: ResolventKind, tolerance) -> RatPoly:
-    """Expand the invariant-orbit product over the given six roots and round
-    to an integer polynomial (round_to_int_poly): the roots are lifted
-    _Lifted values (tolerance 0) or complex numbers."""
+def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
+    """Expand the invariant-orbit product over the six lifted roots (_Lifted
+    values) and read off its integer coefficients (round_to_int_poly)."""
     values = [eval_monomial_sum(m, roots) for m, _ in orbit(kind.invariant)]
-    coeffs = expand_from_roots(values)
-    return round_to_int_poly(coeffs, tolerance)
+    return round_to_int_poly(expand_from_roots(values))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +404,6 @@ class TermDiff:
 class ReconstructionReport:
     kind: ResolventKind
     fitted: dict
-    printed_match: dict
     discrepancies: tuple
     holdout_points: tuple
     notes: tuple = field(default_factory=tuple)
@@ -468,6 +460,7 @@ def _alternating(limit: int, include_zero: bool):
 HOLDOUTS, HOLDOUT_SEED = 20, 20250811
 
 
+@lru_cache(maxsize=2)
 def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     """Re-derive the closed-form coefficient table from exact samples.
 
@@ -477,13 +470,8 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     diffs the result against the reference transcription.
 
     The result depends only on the kind, so it is cached (the degree-15
-    run takes tens of seconds); callers share it and must not mutate it.
+    run takes seconds); callers share it and must not mutate it.
     """
-    return _reconstruct_reduced(kind)
-
-
-@lru_cache(maxsize=2)
-def _reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     deg, w = kind.degree, kind.weight
     nd = (w * deg) // D_WEIGHT + 1
     ne = (w * deg) // E_WEIGHT + 1
@@ -546,16 +534,13 @@ def _reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
             raise FitInconsistent(f"holdout mismatch at (d, e) = ({d}, {e})")
 
     reference = F_REFERENCE_TABLE if kind is ResolventKind.MATCHING else G_REFERENCE_TABLE
-    printed_match: dict = {}
     discrepancies = []
     notes = []
     for x_power in range(deg + 1):
         ref = reference.get(x_power, {})
         fit = fitted.get(x_power, {})
         for cell in sorted(set(ref) | set(fit)):
-            same = ref.get(cell, 0) == fit.get(cell, 0)
-            printed_match[(x_power, *cell)] = same
-            if not same:
+            if ref.get(cell, 0) != fit.get(cell, 0):
                 discrepancies.append(
                     TermDiff(x_power, cell[0], cell[1], ref.get(cell, 0), fit.get(cell, 0))
                 )
@@ -569,7 +554,6 @@ def _reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     return ReconstructionReport(
         kind=kind,
         fitted=fitted,
-        printed_match=printed_match,
         discrepancies=tuple(discrepancies),
         holdout_points=tuple(holdout_points),
         notes=tuple(notes),

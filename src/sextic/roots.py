@@ -1,9 +1,15 @@
-"""Arbitrary-precision complex root finding (all roots at once).
+"""Polynomials from their roots, and complex root finding.
 
-Built on mpmath. The solver is Aberth-Ehrlich simultaneous iteration,
-polished by Newton steps and certified through the Newton residual bound:
-any z has a true root within n*|p(z)/p'(z)|, so the maximum of that
-quantity over the final iterates is a valid error radius for the whole set.
+expand_from_roots and round_to_int_poly are the exact half: they expand a
+monic polynomial from its roots in any ring and read off the integer
+coefficients of one whose roots are p-adic lifts (resolvents._Lifted), with
+no floating point. find_roots is the complex half, built on mpmath and used
+only by the tests' complex-root oracle (tests/oracles.py).
+
+find_roots is Aberth-Ehrlich simultaneous iteration, polished by Newton
+steps and certified through the Newton residual bound: any z has a true
+root within n*|p(z)/p'(z)|, so the maximum of that quantity over the final
+iterates is a valid error radius for the whole set.
 
 The iteration runs in two stages with one update rule (_aberth_sweep, which
 is generic over Python complex and mpmath mpc). A first stage in double
@@ -29,6 +35,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from . import modp
 from .errors import NonConvergence, NotNearInteger, RepeatedRootSuspected
 from .exact import RatPoly
 
@@ -185,40 +192,23 @@ def min_separation(zs):
 
 def expand_from_roots(values):
     """Coefficients (low to high) of the monic polynomial with the given
-    roots: mpmath complex numbers (worked _GUARD_BITS above the context
-    precision), or any other ring elements with +, -, * and ** 0, such as
-    the p-adic lifts of resolvents._Lifted."""
-    with mp.workprec(mp.mp.prec + _GUARD_BITS):
-        coeffs = [values[0] ** 0 if values else mp.mpc(1)]
-        for v in values:
-            nxt = [v * 0] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] += c
-                nxt[i] -= c * v
-            coeffs = nxt
-        return coeffs
+    roots, in the roots' own ring: any values with +, -, * and ** 0, such as
+    the p-adic lifts of resolvents._Lifted. Plain ring arithmetic; a caller
+    with mpmath values sets the working precision."""
+    coeffs = [values[0] ** 0 if values else 1]
+    for v in values:
+        nxt = [v * 0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c
+            nxt[i] -= c * v
+        coeffs = nxt
+    return coeffs
 
 
-def round_to_int_poly(coeffs, tolerance) -> RatPoly:
-    """Round near-integer coefficients to a RatPoly with integer coefficients.
-
-    A complex coefficient must have |imag| and |real - nearest int| within
-    tolerance. A coefficient with a rounded() method (resolvents._Lifted)
-    gives its own (nearest int, distance). When some distance exceeds
-    tolerance, NotNearInteger reports the worst.
-    """
-    out = []
-    worst = 0
-    for c in coeffs:
-        rounded = getattr(c, "rounded", None)
-        if rounded is not None:
-            nearest, dist = rounded()
-        else:
-            c = mp.mpc(c)
-            nearest = int(mp.nint(c.real))
-            dist = max(abs(c.imag), abs(c.real - nearest))
-        worst = max(worst, dist)
-        out.append(nearest)
-    if worst > tolerance:
-        raise NotNearInteger(mp.nstr(worst, 8))
-    return RatPoly(out)
+def round_to_int_poly(coeffs) -> RatPoly:
+    """The integer polynomial of lifted coefficients: each a + b sqrt(n)
+    mod M (resolvents._Lifted) must have b = 0 and stands for the symmetric
+    residue of a. Raises NotNearInteger when a sqrt n part survives."""
+    if any(c.b for c in coeffs):
+        raise NotNearInteger("a lifted coefficient keeps a nonzero sqrt n part")
+    return RatPoly([modp.symmetric(c.a, c.modulus) for c in coeffs])

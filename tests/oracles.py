@@ -6,14 +6,14 @@ Kept deliberately naive and independent of the library's own algorithms.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 
 from sextic.errors import NonConvergence, NotNearInteger, RepeatedRootSuspected
-from sextic.exact import divisors, is_rational_square
+from sextic.exact import RatPoly, divisors, is_rational_square
+from sextic.groups import orbit
 from sextic.quintic import QuinticParams, ab_from_params
-from sextic.resolvents import monic_integer_rescale, resolvent_from_roots
 from sextic.roots import PRECISION_CAP, find_roots, to_mpf
 
 
@@ -73,25 +73,51 @@ def rational_roots_by_divisors(p) -> set:
     return roots
 
 
+def orbit_product(roots, kind) -> list:
+    """Coefficients, low to high, of the product of z - v over the images of
+    kind's invariant under S6 (groups.orbit), each v evaluated term by term
+    at the six complex roots, at the caller's working precision."""
+    coeffs = [mp.mpc(1)]
+    for image, _ in orbit(kind.invariant):
+        v = mp.fsum(mp.fprod(r**e for r, e in zip(roots, term)) for term in image.terms)
+        coeffs = [mp.mpc(0)] + coeffs  # times z, then minus v times the old product
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= v * coeffs[i + 1]
+    return coeffs
+
+
+def round_within(coeffs, tolerance) -> RatPoly:
+    """The integer polynomial nearest to the complex coefficients; raises
+    NotNearInteger when one lies farther than tolerance from every integer."""
+    out = [int(mp.nint(mp.re(c))) for c in coeffs]
+    worst = max(abs(c - n) for c, n in zip(coeffs, out))
+    if worst > tolerance:
+        raise NotNearInteger(f"coefficient is {mp.nstr(worst, 8)} away from the nearest integer")
+    return RatPoly(out)
+
+
 def resolvent_by_complex_roots(p, kind, precision: int = 256):
     """The resolvent of the given kind of the squarefree sextic p, the same
     polynomial as resolvents_exact(p, (kind,))[0], from complex roots.
 
-    The roots of the monic integer model q(y) = m^6 p(y/m) come from
-    find_roots; the orbit product is rounded to integers within 2^-(bits/8),
+    With m the lcm of the denominators of monic p, the roots of the integer
+    sextic q(y) = m^6 p(y/m) come from find_roots; their orbit product
+    (orbit_product) is rounded to integers within 2^-(bits/8) (round_within),
     a tolerance not derived from the root radius, so this is a cross-check
     and not a proof. The working precision doubles from max(precision, 64)
     while root finding or rounding fails, up to PRECISION_CAP; the last
     failure propagates. The integer resolvent R_q maps back to
     m^(-w deg) R_q(m^w z), w the invariant's weight.
     """
-    q, m = monic_integer_rescale(p.monic())
+    p = p.monic()
+    m = lcm(*(c.denominator for c in p.coeffs))
+    q = RatPoly([c * m ** (6 - j) for j, c in enumerate(p.coeffs)])
     bits = max(precision, 64)
     while True:
         try:
-            roots = find_roots(q, bits)
+            roots = find_roots(q, bits).roots
             with mp.workprec(bits + 32):
-                res = resolvent_from_roots(roots, kind, mp.mpf(2) ** -(bits // 8))
+                res = round_within(orbit_product(roots, kind), mp.mpf(2) ** -(bits // 8))
             break
         except (NonConvergence, NotNearInteger, RepeatedRootSuspected):
             if 2 * bits > PRECISION_CAP:

@@ -289,6 +289,23 @@ def test_is_irreducible_agrees_with_sympy_factor_list():
     assert split_without_rational_root >= 100
 
 
+def test_exact_path_calls_no_mpmath(monkeypatch):
+    from sextic.resolvents import ResolventKind, resolvents_exact
+
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath used: mp.{name}")
+
+    monkeypatch.setattr(importlib.import_module("sextic.roots"), "mp", Refuse())
+    general = [RatPoly([1, 1, 1, 1, 1, 1, 1]), RatPoly([120, 3, 1, 0, 0, 1, 1]),
+               RatPoly([F(1, 3), F(-1, 2), 0, 2, F(1, 6), 1, 1]), RatPoly([F(5, 7), 0, 3, 0, 0, 0, 2])]
+    for p in general:
+        assert classify(p).notes[0] == "resolvents built exactly by p-adic lifting of the roots"
+    kinds = (ResolventKind.MATCHING, ResolventKind.PARTITION)
+    resolvents = resolvents_exact(RatPoly([-2, 0, 0, 0, 0, 0, 1]), kinds)
+    assert [r.degree for r in resolvents] == [15, 10]
+
+
 def test_reduced_pipeline_never_finds_roots_numerically(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numeric path called")

@@ -140,8 +140,8 @@ def test_numeric_resolvent_and_audit_never_find_roots(capsys, monkeypatch):
         if hasattr(module, "find_roots"):
             monkeypatch.setattr(module, "find_roots", refuse)
     # bypass the reconstruction cache, so that the audit is recomputed here
-    uncached = resolvents._reconstruct_reduced.__wrapped__
-    monkeypatch.setattr(resolvents, "_reconstruct_reduced", uncached)
+    uncached = resolvents.reconstruct_reduced.__wrapped__
+    monkeypatch.setattr(importlib.import_module("sextic.cli"), "reconstruct_reduced", uncached)
     code, out, _ = run(capsys, "audit", "--kind", "k")
     assert code == 0 and json.loads(out)[0]["matches_reference"] is True
     points = [("--d", "1", "--e", "2"), ("--d", "1/2", "--e=-1/3")]
@@ -309,6 +309,14 @@ def test_height_bound_flag_is_gone(capsys):
         code, out, err = run(capsys, *argv, "--height-bound", "24")
         assert code == 1 and out == ""
         assert "unrecognized arguments: --height-bound 24" in err
+
+
+@pytest.mark.parametrize("d_range", ["1/0:2", "0:2:1/0"])
+def test_search_range_with_zero_denominator_is_a_usage_error(capsys, d_range):
+    # used to end in a ZeroDivisionError traceback
+    code, out, err = run(capsys, "search", f"--d-range={d_range}", "--e-range=0:1")
+    assert (code, out) == (1, "")
+    assert err.endswith("argument --d-range: not a rational number: '1/0'\n")
 
 
 def test_search_rejects_jobs_below_one(capsys):

@@ -252,9 +252,9 @@ def test_eval_monomial_sum_vieta():
         sigma1 = eval_monomial_sum(MonomialSum([
             (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
             (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1),
-        ]), rs)
+        ]), rs.roots)
         assert abs(sigma1) < mp.mpf(10) ** -50
-        sigma6 = eval_monomial_sum(MonomialSum([(1, 1, 1, 1, 1, 1)]), rs)
+        sigma6 = eval_monomial_sum(MonomialSum([(1, 1, 1, 1, 1, 1)]), rs.roots)
         assert abs(sigma6 - 2) < mp.mpf(10) ** -50
 
 
@@ -268,7 +268,7 @@ def test_partition_invariant_value_is_resolvent_root():
     rs = find_roots(p, 256)
     g = g_verified(ReducedSextic(2, 1))
     with mp.workprec(300):
-        value = eval_monomial_sum(PARTITION_INVARIANT, rs)
+        value = eval_monomial_sum(PARTITION_INVARIANT, rs.roots)
         acc = mp.mpc(0)
         for c in reversed(g.coeffs):
             acc = acc * value + int(c)

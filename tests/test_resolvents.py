@@ -14,6 +14,7 @@ from sextic.resolvents import (
     G_VERIFIED_TABLE,
     ReducedSextic,
     ResolventKind,
+    _lifted_roots,
     discriminant_exact,
     discriminant_reduced,
     f_reduced,
@@ -25,9 +26,6 @@ from sextic.resolvents import (
     resolvent_from_roots,
     resolvents_exact,
 )
-from sextic.roots import find_roots
-
-import mpmath as mp
 
 from oracles import resolvent_by_complex_roots
 
@@ -140,16 +138,14 @@ def test_resolvent_numeric_agrees_with_tables_on_random_points():
 
 def test_root_order_invariance():
     rng = random.Random(55)
-    p = ReducedSextic(3, 2).to_poly()
-    rs = find_roots(p, 256)
-    with mp.workprec(300):
-        tol = mp.mpf(2) ** -32
-        baseline = resolvent_from_roots(rs, ResolventKind.MATCHING, tol)
-        for _ in range(10):
-            shuffled = list(rs.roots)
-            rng.shuffle(shuffled)
-            again = resolvent_from_roots(shuffled, ResolventKind.MATCHING, tol)
-            assert again == baseline
+    q, _ = monic_integer_rescale(ReducedSextic(3, 2).to_poly())
+    roots = _lifted_roots([int(c) for c in q.coeffs], (ResolventKind.MATCHING,))
+    baseline = resolvent_from_roots(roots, ResolventKind.MATCHING)
+    assert baseline == f_verified(ReducedSextic(3, 2))
+    for _ in range(10):
+        shuffled = list(roots)
+        rng.shuffle(shuffled)
+        assert resolvent_from_roots(shuffled, ResolventKind.MATCHING) == baseline
 
 
 def test_monic_integer_rescale():
@@ -350,10 +346,10 @@ def test_lifted_values_round_to_their_symmetric_residue():
     modulus = 7**20
     # 3 + sqrt 3 and 3 - sqrt 3 (3 is a non-residue mod 7): x^2 - 6x + 6
     r, s = _Lifted(3, 1, 3, modulus), _Lifted(3, modulus - 1, 3, modulus)
-    assert round_to_int_poly(expand_from_roots([r, s]), 0) == RatPoly([6, -6, 1])
+    assert round_to_int_poly(expand_from_roots([r, s])) == RatPoly([6, -6, 1])
     # one of the pair alone leaves a sqrt 3 part
     with pytest.raises(NotNearInteger):
-        round_to_int_poly(expand_from_roots([r]), 0)
+        round_to_int_poly(expand_from_roots([r]))
 
 
 @pytest.mark.slow
