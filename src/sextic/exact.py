@@ -508,7 +508,8 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
 def _derivative_resultant(p: RatPoly) -> Fraction:
     """Res(p, p'), kept for the last p only: classifying a sextic asks for it
     three times in a row for the same monic polynomial (its discriminant,
-    and the repeated-root tests of is_irreducible and resolvents_exact)."""
+    the repeated-root test of is_irreducible, and the lifting-prime sieve of
+    resolvents_exact)."""
     return resultant(p, p.derivative())
 
 

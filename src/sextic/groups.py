@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import gcd
+from operator import add, mul
 
 N_POINTS = 6
 _S6_ORDER = 720
@@ -305,19 +306,42 @@ def partition_group_even() -> PermGroup:
     return intersect(partition_group(), alternating_group())
 
 
-def eval_monomial_sum(m: MonomialSum, roots):
+@lru_cache(maxsize=None)
+def _factored(m: MonomialSum) -> tuple:
+    """m as (g, rest) pairs, one per support of its terms: g the exponent-wise
+    minimum of the terms with that support, rest their quotients by g (empty
+    for a lone term). The matching invariant becomes u1...u6 times
+    (u1u4 + u2u5 + u3u6)."""
+    groups: dict = {}
+    for t in m.terms:
+        groups.setdefault(tuple(e > 0 for e in t), []).append(t)
+    out = []
+    for terms in groups.values():
+        g = tuple(map(min, zip(*terms)))
+        rest = tuple(tuple(e - f for e, f in zip(t, g)) for t in terms)
+        out.append((g, rest if len(terms) > 1 else ()))
+    return tuple(out)
+
+
+def eval_monomial_sum(m: MonomialSum, roots, memo=None):
     """Value of m at a sequence of six roots, in the roots' own ring: the
-    p-adic lifts of resolvents._Lifted, or any values with +, * and **."""
+    p-adic lifts of resolvents._Lifted, or any values with +, * and **.
+
+    m is evaluated in its factored form (_factored), each monomial's value
+    kept in memo by exponent tuple. A caller evaluating a whole orbit at the
+    same roots passes one dict to every call, so that the product of all six
+    roots, say, is computed once.
+    """
     vals = tuple(roots)
     if len(vals) != N_POINTS:
         raise ValueError("need exactly six root values")
-    total = vals[0] * 0
-    for t in m.terms:
-        prod = vals[0] ** 0
-        for v, e in zip(vals, t):
-            if e == 1:
-                prod *= v
-            elif e:
-                prod *= v**e
-        total += prod
-    return total
+    memo = {} if memo is None else memo
+
+    def monomial(t):
+        if t not in memo:
+            factors = [v if e == 1 else v**e for v, e in zip(vals, t) if e]
+            memo[t] = reduce(mul, factors) if factors else vals[0] ** 0
+        return memo[t]
+
+    return reduce(add, (monomial(g) * reduce(add, map(monomial, rest)) if rest else monomial(g)
+                        for g, rest in _factored(m)))

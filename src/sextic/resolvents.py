@@ -36,7 +36,7 @@ from math import comb, isqrt, lcm, prod
 from . import modp
 from .errors import DegenerateSextic, FitInconsistent
 from .exact import RatPoly, _derivative_resultant, _odd_primes, _root_bound
-from .exact import resultant, squarefree, trial_split
+from .exact import resultant, trial_split
 from .exact import factorize  # noqa: F401  not called; perfbench/spans.py requires the binding
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, orbit
 from .roots import expand_from_roots, round_to_int_poly
@@ -230,11 +230,16 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     No floating point is involved.
 
     q(y) = m^6 p(y/m) is the monic integer sextic of monic_integer_rescale,
-    with the roots y = m * x. At the first odd prime r with
-    x^(r^2) == x mod (q, r), q mod r is squarefree with factors of degree
-    <= 2, so its six roots lie in F_r(sqrt n), n the least non-residue. Each
-    is Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit
-    product expands from those roots (resolvent_from_roots) to the integer
+    with the roots y = m * x. The lifting prime is the first odd prime r with
+    x^(r^2) == x mod (q, r): q mod r is then squarefree with factors of
+    degree <= 2, so its six roots lie in F_r(sqrt n), n the least
+    non-residue. The sieve (_split_small) skips the r dividing
+    disc q = m^30 Res(p, p') and computes h = x^r mod (q, r) once:
+    L = gcd(q, h - x) is the product of the linear factors, an odd degree of
+    q/L rejects r, and h(h(x)) = x^(r^2) decides a degree of 4 or 6. L and
+    q/L then split by equal-degree splitting alone. Each root is
+    Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit product
+    expands from those roots (resolvent_from_roots) to the integer
     resolvent R_q mod r^N, whose sqrt n part must vanish.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
@@ -254,10 +259,9 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     if p.degree != 6:
         raise ValueError("resolvent construction expects a degree-6 polynomial")
     p = p.monic()
-    if not squarefree(p):
-        raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
     q, m = monic_integer_rescale(p)
-    roots = _lifted_roots([int(c) for c in q.coeffs], kinds)
+    disc = int(m**30 * _derivative_resultant(p))  # Res(q, q'), the roots scaled by m
+    roots = _lifted_roots([int(c) for c in q.coeffs], kinds, disc)
     out = []
     for kind in kinds:
         res = resolvent_from_roots(roots, kind)
@@ -277,9 +281,9 @@ resolvent_numeric_in_frame = resolvents_exact
 
 class _Lifted:
     """a + b sqrt(n) in (Z/M)[sqrt n], M = r^N: a root lifted r-adically, or
-    a value computed from such roots, with the arithmetic that
-    eval_monomial_sum and expand_from_roots use (integers mix in);
-    round_to_int_poly reads the integer a coefficient stands for."""
+    a value computed from such roots, with the ring arithmetic that
+    eval_monomial_sum and expand_from_roots use; round_to_int_poly reads the
+    integer a coefficient stands for."""
 
     __slots__ = ("a", "b", "n", "modulus")
 
@@ -289,23 +293,18 @@ class _Lifted:
     def _make(self, a: int, b: int) -> "_Lifted":
         return _Lifted(a % self.modulus, b % self.modulus, self.n, self.modulus)
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            return self._make(self.a + other, self.b)
+    def __add__(self, other: "_Lifted") -> "_Lifted":
         return self._make(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
 
     def __sub__(self, other: "_Lifted") -> "_Lifted":
         return self._make(self.a - other.a, self.b - other.b)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._make(self.a * other, self.b * other)
+    def __neg__(self) -> "_Lifted":
+        return self._make(-self.a, -self.b)
+
+    def __mul__(self, other: "_Lifted") -> "_Lifted":
         return self._make(self.a * other.a + self.n * self.b * other.b,
                           self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "_Lifted":
         out = self._make(1, 0)
@@ -314,12 +313,39 @@ class _Lifted:
         return out
 
 
-def _lifted_roots(q: list, kinds: tuple) -> list:
-    """The six roots of the squarefree monic integer sextic q (coefficients
-    low to high) as _Lifted values, modulo a power of r above twice the
-    resolvent coefficient bound of resolvents_exact for the given kinds."""
-    prime = next(r for r in _odd_primes()
-                 if modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
+def _split_small(f: list, r: int):
+    """The sorted monic irreducible factors of the monic sextic f, squarefree
+    mod r, when none has degree above 2 (x^(r^2) == x mod (f, r)); else None.
+    The sieve of resolvents_exact."""
+    h = modp.powmod([0, 1], r, f, r)
+    linear = modp.gcd(f, modp.sub(h, [0, 1], r), r)
+    rest = modp.div_rem(f, linear, r)[0]  # no linear factor
+    degree = len(rest) - 1
+    if degree % 2:  # a factor of odd degree >= 3
+        return None
+    if degree >= 4:  # x^(r^2) = h(h(x)) mod rest, by Horner
+        h, hh = modp.div_rem(h, rest, r)[1], []
+        for c in reversed(h):
+            hh = modp.add(modp.div_rem(modp.mul(hh, h, r), rest, r)[1], [c], r)
+        if hh != [0, 1]:
+            return None
+    factors = modp.equal_degree(linear, 1, r) if degree < 6 else []
+    return sorted(factors + (modp.equal_degree(rest, 2, r) if degree else []))
+
+
+def _lifted_roots(q: list, kinds: tuple, disc=None) -> list:
+    """The six roots of the monic integer sextic q (coefficients low to
+    high) as _Lifted values, modulo a power of r above twice the resolvent
+    coefficient bound of resolvents_exact for the given kinds. disc is
+    Res(q, q'), computed when not given; DegenerateSextic when it is 0."""
+    if disc is None:
+        disc = resultant(RatPoly(q), RatPoly(q).derivative())
+    if not disc:
+        raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
+    for prime in _odd_primes():
+        factors = _split_small(modp.reduce(q, prime), prime) if disc % prime else None
+        if factors:
+            break
     R = _root_bound(q)
     M = isqrt(sum(c * c for c in q)) + 1
     value_bound = {
@@ -335,7 +361,7 @@ def _lifted_roots(q: list, kinds: tuple) -> list:
     n = modp.nonresidue(prime)
     half = pow(2, -1, prime)
     roots = []
-    for f in modp.factor(modp.reduce(q, prime), prime):
+    for f in factors:
         if len(f) == 2:
             roots.append(modp.newton_lift(q, (-f[0] % prime, 0), n, prime, modulus))
         else:  # x^2 + b x + c: roots (-b +- s sqrt n) / 2 with s^2 n = b^2 - 4c
@@ -379,8 +405,10 @@ def monic_integer_rescale(p: RatPoly) -> tuple[RatPoly, int]:
 
 def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
     """Expand the invariant-orbit product over the six lifted roots (_Lifted
-    values) and read off its integer coefficients (round_to_int_poly)."""
-    values = [eval_monomial_sum(m, roots) for m, _ in orbit(kind.invariant)]
+    values) and read off its integer coefficients (round_to_int_poly). One
+    monomial memo serves the whole orbit (eval_monomial_sum)."""
+    memo: dict = {}
+    values = [eval_monomial_sum(m, roots, memo) for m, _ in orbit(kind.invariant)]
     return round_to_int_poly(expand_from_roots(values))
 
 

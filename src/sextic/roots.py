@@ -192,16 +192,17 @@ def min_separation(zs):
 
 def expand_from_roots(values):
     """Coefficients (low to high) of the monic polynomial with the given
-    roots, in the roots' own ring: any values with +, -, * and ** 0, such as
-    the p-adic lifts of resolvents._Lifted. Plain ring arithmetic; a caller
-    with mpmath values sets the working precision."""
+    roots, in the roots' own ring: any values with +, -, unary -, * and
+    ** 0, such as the p-adic lifts of resolvents._Lifted. Multiplying by
+    (z - v) updates the coefficients in place, c_i <- c_(i-1) - v c_i, one
+    multiplication each. Plain ring arithmetic; a caller with mpmath values
+    sets the working precision."""
     coeffs = [values[0] ** 0 if values else 1]
     for v in values:
-        nxt = [v * 0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * v
-        coeffs = nxt
+        coeffs.append(coeffs[-1])
+        for i in range(len(coeffs) - 2, 0, -1):
+            coeffs[i] = coeffs[i - 1] - v * coeffs[i]
+        coeffs[0] = -(v * coeffs[0])
     return coeffs
 
 

@@ -412,3 +412,18 @@ def test_audit_matching_cli_reports_the_four_defects(capsys):
     assert mismatched_powers == {0, 7, 9, 12}
     assert {"x_power", "d_power", "e_power", "reference", "fitted", "match"} <= set(doc["terms"][0])
     assert len(doc["holdout_points"]) == 20
+
+
+@pytest.mark.parametrize("kind", ["j", "k"])
+@pytest.mark.parametrize(
+    "coeffs", ["1,2,3,4,5,6,7", "36,0,0,0,36,18,5", "1,0,3/7,0,0,1,-2/9", "2,0,-3,1/5,0,0,7"]
+)
+def test_numeric_resolvent_matches_golden_output(capsys, coeffs, kind):
+    # stdout captured before the p-adic engine shared its orbit products and
+    # reused x^r in the lifting-prime sieve; three inputs have a non-integer
+    # monic form, so the lift runs on a rescaled model (m > 1)
+    name = f"resolvent_{kind}_" + coeffs.replace(",", "_").replace("/", "over")
+    golden = Path(__file__).parent / "golden" / f"{name}.out"
+    code, out, err = run(capsys, "resolvent", "--method", "numeric", "--kind", kind, f"--coeffs={coeffs}")
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import mpmath as mp
@@ -256,6 +257,52 @@ def test_eval_monomial_sum_vieta():
         assert abs(sigma1) < mp.mpf(10) ** -50
         sigma6 = eval_monomial_sum(MonomialSum([(1, 1, 1, 1, 1, 1)]), rs.roots)
         assert abs(sigma6 - 2) < mp.mpf(10) ** -50
+
+
+def _term_by_term(m: MonomialSum, roots) -> int:
+    return sum(math.prod(v**e for v, e in zip(roots, t)) for t in m.terms)
+
+
+def test_factored_evaluation_equals_term_by_term():
+    roots = [2, -3, 5, 7, -11, 13]
+    mixed = [
+        MonomialSum([tuple(int(i == j) for j in range(6)) for i in range(6)]),  # sigma1
+        MonomialSum([(1, 1, 1, 1, 1, 1)]),  # sigma6
+        MonomialSum([(2, 1, 0, 0, 0, 0), (0, 0, 2, 1, 0, 0), (0, 0, 0, 0, 1, 2)]),
+        MonomialSum([(2, 1, 1, 0, 0, 0), (1, 1, 2, 0, 0, 0), (0, 1, 0, 3, 0, 0)]),
+        MonomialSum([(0, 0, 0, 0, 0, 0)]),
+    ]
+    images = [m for inv in (MATCHING_INVARIANT, PARTITION_INVARIANT) for m, _ in orbit(inv)]
+    shared: dict = {}
+    for m in images + mixed:
+        expected = _term_by_term(m, roots)
+        assert eval_monomial_sum(m, roots) == expected, m
+        assert eval_monomial_sum(m, roots, shared) == expected, m
+
+
+def test_orbit_values_share_the_monomial_memo():
+    # one product of all six roots for the matching orbit, one per pair
+    roots = [2, -3, 5, 7, -11, 13]
+    memo: dict = {}
+    for m, _ in orbit(MATCHING_INVARIANT):
+        eval_monomial_sum(m, roots, memo)
+    assert memo[(1, 1, 1, 1, 1, 1)] == math.prod(roots)
+    assert sorted(t for t in memo if sum(t) == 2) == sorted(
+        tuple(int(k in (i, j)) for k in range(6)) for i, j in itertools.combinations(range(6), 2)
+    )
+
+
+def test_expand_from_roots_on_integer_roots():
+    from sextic.roots import expand_from_roots
+
+    # (z - 2)(z + 3)(z - 5) = z^3 - 4z^2 - 11z + 30
+    assert expand_from_roots([2, -3, 5]) == [30, -11, -4, 1]
+    assert expand_from_roots([7]) == [-7, 1]
+    assert expand_from_roots([]) == [1]
+    roots = [2, -3, 5, 7, -11, 13]
+    coeffs = expand_from_roots(roots)
+    for z in range(-4, 5):
+        assert sum(c * z**k for k, c in enumerate(coeffs)) == math.prod(z - v for v in roots)
 
 
 def test_eval_monomial_sum_needs_six_roots():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from sextic.errors import DegenerateSextic
-from sextic.exact import RatPoly, rational_roots
+from sextic.exact import RatPoly, rational_roots, resultant
 from sextic.resolvents import (
     _DISC_TABLE,
     F_REFERENCE_TABLE,
@@ -322,6 +322,54 @@ def test_resolvents_exact_refuses_repeated_roots_and_other_degrees():
         resolvents_exact(RatPoly([4, 4, -1, 0, 0, 0, 1]), BOTH)
     with pytest.raises(ValueError):
         resolvents_exact(RatPoly([1, 0, 0, 0, 0, 1]), BOTH)
+
+
+def test_lifted_roots_refuses_a_repeated_root():
+    # x^2 divides x^6 + x^2 mod every prime, so no lifting prime exists
+    with pytest.raises(DegenerateSextic):
+        _lifted_roots([0, 0, 1, 0, 0, 0, 1], BOTH)
+
+
+def _lifting_prime_by_definition(q: list) -> int:
+    """The first odd prime r with x^(r^2) == x mod (q, r), tested directly:
+    the reference the sieve of _lifted_roots must match."""
+    from sextic import modp
+    from sextic.exact import _odd_primes
+
+    return next(r for r in _odd_primes() if modp.powmod([0, 1], r * r, modp.reduce(q, r), r) == [0, 1])
+
+
+def _seeded_models(count: int) -> list:
+    """Squarefree monic integer sextics: random ones, models m^6 p(y/m) of
+    rational ones (m > 1), and ones with a square factor mod 3, 5 or 7."""
+    rng = random.Random(1414)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            q = [rng.randint(-30, 30) for _ in range(6)] + [1]
+        elif kind == 1:
+            p = RatPoly([F(rng.randint(-9, 9), rng.choice([2, 3, 4, 5, 6, 9, 10])) for _ in range(6)] + [1])
+            model, m = monic_integer_rescale(p)
+            assert m > 1
+            q = [int(c) for c in model.coeffs]
+        else:  # q == s^2 t mod r
+            r = rng.choice([3, 5, 7])
+            s = [rng.randint(-4, 4), 1]
+            t = [rng.randint(-9, 9) for _ in range(4)] + [1]
+            st = RatPoly(s) * RatPoly(s) * RatPoly(t)
+            q = [int(c) + r * rng.randint(-3, 3) for c in st.coeffs[:6]] + [1]
+        if resultant(RatPoly(q), RatPoly(q).derivative()):
+            out.append(q)
+    return out
+
+
+def test_lifting_sieve_picks_the_first_prime_with_small_factors():
+    for q in _seeded_models(330):
+        modulus, prime = _lifted_roots(q, BOTH)[0].modulus, _lifting_prime_by_definition(q)
+        while modulus % prime == 0:
+            modulus //= prime
+        assert modulus == 1, q
 
 
 def test_monic_integer_rescale_takes_large_smooth_denominators():
