@@ -9,10 +9,12 @@ each bound to its even part; rational roots in both resolvents pin the
 group inside the order-12 dihedral intersection.
 
 Every step is exact and no verdict involves floating point.
-Irreducibility is decided by factoring mod a prime and Hensel lifting
-(is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) read their
-resolvents off the audited closed-form tables; every other sextic builds
-them by p-adic lifting of its roots (resolvents.resolvents_exact).
+Irreducibility is decided by degree analysis: the factor degrees mod a few
+primes usually leave no room for a factor over the rationals. Only when
+they do is the input factored mod the best of those primes and Hensel
+lifted (is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) read
+their resolvents off the audited closed-form tables; every other sextic
+builds them by p-adic lifting of its roots (resolvents.resolvents_exact).
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ from .resolvents import (
     resolvents_exact,
 )
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
+
+# Odd primes, squarefree for the input, whose factor degrees is_irreducible
+# intersects before it lifts. On the reduced benchmark corpora of seeds 1-3
+# (786 inputs) the lift is still needed for 117 inputs after 2 primes, 41
+# after 3 and 13 after 4; beyond 3 the time saved is lost in the noise.
+DEGREE_SIEVE_PRIMES = 3
 
 
 class GroupBound(Enum):
@@ -84,15 +92,20 @@ def is_irreducible(p: RatPoly) -> bool:
     """Exact irreducibility over the rationals for degree <= 6.
 
     Degree-1 factors come from the exact rational roots. For the rest, the
-    monic integer model q (exact.monic_model) is factored mod the first odd
-    prime p at which it is squarefree (Cantor-Zassenhaus), and every product
-    of modular factors whose degree k lies in 2..n//2 is Hensel-lifted above
-    twice the Mignotte bound C(k, k//2)*|q|_2 on the coefficients of a
-    degree-k factor of q, reduced symmetrically and trial-divided in integer
-    arithmetic (Zassenhaus). A degree-k factor of q over the integers
-    reduces to one of those products, so finding none proves
-    irreducibility; when no product has a fitting degree, that proof needs
-    no lifting at all.
+    monic integer model q (exact.monic_model) is split into distinct-degree
+    parts mod each of the first DEGREE_SIEVE_PRIMES odd primes at which it
+    is squarefree. A degree-k factor of q over the integers is a product of
+    modular factors at every such prime, so k must be a subset sum of the
+    factor degrees at each of them; when no k in 2..n//2 is, q is
+    irreducible (Musser's degree analysis, J. ACM 25, 1978).
+
+    Otherwise the prime with the fewest modular factors finishes the proof
+    (Zassenhaus, J. Number Theory 1, 1969): its distinct-degree parts are
+    split into irreducibles (Cantor-Zassenhaus), and every product of them
+    whose degree k survived the sieve is Hensel-lifted above twice the
+    Mignotte bound C(k, k//2)*|q|_2 on the coefficients of a degree-k
+    factor of q, reduced symmetrically and trial-divided in integer
+    arithmetic. Finding no factor proves irreducibility.
     """
     n = p.degree
     if n < 1:
@@ -110,14 +123,28 @@ def is_irreducible(p: RatPoly) -> bool:
     if n <= 3:
         return True
     q = monic_model(p.primitive()[1])
-    prime = _squarefree_prime(q, _odd_primes())
-    q_mod = modp.reduce(q, prime)
-    factors = modp.factor(q_mod, prime)
+    possible = set(range(2, n // 2 + 1))
+    primes, sieved = _odd_primes(), []
+    for _ in range(DEGREE_SIEVE_PRIMES):
+        prime = _squarefree_prime(q, primes)
+        q_mod = modp.reduce(q, prime)
+        parts = modp.distinct_degree(q_mod, prime)
+        sums, count = {0}, 0
+        for g, d in parts:
+            for _ in range((len(g) - 1) // d):
+                sums |= {s + d for s in sums}
+                count += 1
+        possible &= sums
+        if not possible:
+            return True
+        sieved.append((count, prime, q_mod, parts))
+    _, prime, q_mod, parts = min(sieved, key=lambda entry: entry[0])
+    factors = [h for g, d in parts for h in modp.equal_degree(g, d, prime)]
     norm2 = sum(c * c for c in q)
     for r in range(1, len(factors)):
         for subset in itertools.combinations(factors, r):
             k = sum(len(f) - 1 for f in subset)
-            if not 2 <= k <= n // 2:
+            if k not in possible:
                 continue
             lifts = 1  # until prime^lifts > 2 * C(k, k//2) * |q|_2
             while prime ** (2 * lifts) <= 4 * math.comb(k, k // 2) ** 2 * norm2:

@@ -96,14 +96,17 @@ def xgcd(a: list, b: list, p: int) -> tuple[list, list, list]:
 
 
 def powmod(a: list, e: int, f: list, m: int) -> list:
-    """a^e mod (f, m) by square and multiply."""
-    result, base = [1], div_rem(a, f, m)[1]
-    while e:
-        if e & 1:
+    """a^e mod (f, m) by left-to-right square and multiply: each set bit
+    multiplies by a itself, so for a = x it costs a shift and one reduction
+    step, not a full product."""
+    if not e:
+        return div_rem([1], f, m)[1]
+    result = base = div_rem(a, f, m)[1]
+    for bit in bin(e)[3:]:
+        result = div_rem(mul(result, result, m), f, m)[1]
+        if bit == "1":
             result = div_rem(mul(result, base, m), f, m)[1]
-        base = div_rem(mul(base, base, m), f, m)[1]
-        e >>= 1
-    return div_rem(result, f, m)[1]
+    return result
 
 
 def derivative(a: list, m: int) -> list:

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -287,6 +288,60 @@ def test_is_irreducible_agrees_with_sympy_factor_list():
             split_without_rational_root += 1
     # enough reducible inputs that only recombination and lifting can refute
     assert split_without_rational_root >= 100
+
+
+@pytest.mark.parametrize("coeffs", [
+    [2, 3, 1, 0, 0, 0, 1],  # degrees (2, 4) mod 3, then (6) mod 5
+    [5, 3, 1, 0, 0, 0, 1],  # (2, 4) mod 3, (1, 1, 2, 2) mod 5, (3, 3) mod 7
+])
+def test_factor_degrees_mod_three_primes_prove_irreducibility_without_lifting(monkeypatch, coeffs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hensel_lift called")
+
+    monkeypatch.setattr(modp, "hensel_lift", refuse)
+    assert is_irreducible(RatPoly(coeffs))
+
+
+def _rootless_factor(rng, degree, leads):
+    while True:
+        factor = RatPoly([rng.randint(-7, 7) for _ in range(degree)] + [rng.choice(leads)])
+        if factor.coeffs[0] and not rational_roots(factor):
+            return factor
+
+
+def test_zassenhaus_fallback_agrees_with_sympy_when_factor_degrees_fit(monkeypatch):
+    # Products without a rational root keep a fitting degree at every prime,
+    # and so, at three primes, do many imprimitive irreducibles (x^6 + a,
+    # x^6 + a x^3 + b, even sextics, cyclotomics); only lifting decides them.
+    rng = random.Random(15)
+    cases = []
+    for degrees in ((3, 3), (2, 4), (2, 2, 2)):
+        for i in range(25):
+            product = RatPoly([1])
+            for degree in degrees:
+                product = product * _rootless_factor(rng, degree, (1, 1, 3) if i % 3 else (1,))
+            cases.append(product)
+    for _ in range(15):
+        a, b, c = (rng.choice([-1, 1]) * rng.randint(1, 40) for _ in range(3))
+        cases += [RatPoly([a, 0, 0, 0, 0, 0, 1]), RatPoly([b, 0, 0, a, 0, 0, 1]),
+                  RatPoly([c, 0, b, 0, a, 0, 1])]
+    cases += [RatPoly([1, 1, 1, 1, 1, 1, 1]), RatPoly([1, 0, 0, 1, 0, 0, 1])]  # Phi_7, Phi_9
+    lifted = []
+    real = modp.hensel_lift
+
+    def spy(*args):
+        lifted.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(modp, "hensel_lift", spy)
+    reached = Counter()
+    for p in cases:
+        lifted.clear()
+        expected = _sympy_irreducible(p)
+        assert is_irreducible(p) == expected, p
+        if lifted:
+            reached[expected] += 1
+    assert reached[False] >= 1 and reached[True] >= 1, reached
 
 
 def test_exact_path_calls_no_mpmath(monkeypatch):

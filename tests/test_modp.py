@@ -71,11 +71,12 @@ def test_xgcd_and_division_identities():
 
 
 def test_powmod_matches_repeated_multiplication():
-    f, m = [3, 0, 5, 1, 1], 7**3
-    a, acc = [2, 1, 4], [1]
-    for e in range(12):
-        assert modp.powmod(a, e, f, m) == acc
-        acc = modp.div_rem(modp.mul(acc, a, m), f, m)[1]
+    f = [3, 0, 5, 1, 1]
+    for a, m in itertools.product(([2, 1, 4], [0, 1]), (7, 7**3)):
+        acc = [1]
+        for e in range(41):
+            assert modp.powmod(a, e, f, m) == acc, (a, m, e)
+            acc = modp.div_rem(modp.mul(acc, a, m), f, m)[1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 13])
