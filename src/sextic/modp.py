@@ -14,6 +14,14 @@ two-factor lift is the quadratic Hensel step (von zur Gathen & Gerhard,
 Modern Computer Algebra, Alg. 15.10). A simple root lifts by quadratic
 Newton steps, in Z/p^k or in (Z/p^k)[sqrt n]. Square roots are
 Tonelli-Shanks.
+
+Powers mod (f, m) (powmod) run on packed residues. With n = deg f, a
+polynomial of degree below 2n - 1 is one int with one coefficient in each
+w-bit slot, so a product is one integer multiplication. Slots n..2n-2 fold
+back through the packed rows x^n..x^(2n-2) mod f, and every slot is
+reduced mod m at once by exact division by multiplication (Granlund and
+Montgomery, PLDI 1994): q = (v * c >> u) masked to the slots, then v - q*m.
+w is wide enough that no slot carries into the next.
 Nothing here uses floating point or randomness.
 """
 
@@ -96,17 +104,48 @@ def xgcd(a: list, b: list, p: int) -> tuple[list, list, list]:
 
 
 def powmod(a: list, e: int, f: list, m: int) -> list:
-    """a^e mod (f, m) by left-to-right square and multiply: each set bit
-    multiplies by a itself, so for a = x it costs a shift and one reduction
-    step, not a full product."""
-    if not e:
-        return div_rem([1], f, m)[1]
-    result = base = div_rem(a, f, m)[1]
+    """a^e mod (f, m) by left-to-right square and multiply on packed
+    residues (see the module docstring); every slot is reduced mod m after
+    each product and again after its fold."""
+    n = len(f) - 1
+    if not n:
+        return []
+    # a slot value v is at most n(m-1)^2 < 2^t, after a product and after a
+    # fold, so v // m == v * c >> u, and a slot of w bits holds v * c
+    t = (n * (m - 1) ** 2).bit_length()
+    u = t + m.bit_length()
+    c = -(-(1 << u) // m)
+    w = t + c.bit_length()
+    slot = (1 << w) - 1
+    quotient_bits = ((1 << w - u) - 1) * (((1 << (2 * n - 1) * w) - 1) // slot)
+    low = (1 << n * w) - 1
+
+    def residues(v):
+        return v - ((v * c >> u) & quotient_bits) * m
+
+    inv, row, base = pow(f[-1], -1, m), 0, 0
+    for k in reversed(f[:n]):
+        row = row << w | -k * inv % m
+    rows = [row]  # x^(n+k) = x * x^(n+k-1), folding its slot n
+    for _ in range(n - 2):
+        rows.append(residues((rows[-1] << w & low) + (rows[-1] >> (n - 1) * w) * row))
+
+    def product(v, b):
+        v = residues(v * b)
+        high, v = v >> n * w, v & low
+        for row in rows:
+            v += (high & slot) * row
+            high >>= w
+        return residues(v)
+
+    for k in reversed(div_rem(a, f, m)[1]):
+        base = base << w | k
+    result = base if e else 1
     for bit in bin(e)[3:]:
-        result = div_rem(mul(result, result, m), f, m)[1]
+        result = product(result, result)
         if bit == "1":
-            result = div_rem(mul(result, base, m), f, m)[1]
-    return result
+            result = product(result, base)
+    return trim([result >> i * w & slot for i in range(n)])
 
 
 def derivative(a: list, m: int) -> list:

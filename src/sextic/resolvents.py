@@ -234,13 +234,13 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     x^(r^2) == x mod (q, r): q mod r is then squarefree with factors of
     degree <= 2, so its six roots lie in F_r(sqrt n), n the least
     non-residue. The sieve (_split_small) skips the r dividing
-    disc q = m^30 Res(p, p') and computes h = x^r mod (q, r) once:
-    L = gcd(q, h - x) is the product of the linear factors, an odd degree of
-    q/L rejects r, and h(h(x)) = x^(r^2) decides a degree of 4 or 6. L and
-    q/L then split by equal-degree splitting alone. Each root is
-    Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit product
-    expands from those roots (resolvent_from_roots) to the integer
-    resolvent R_q mod r^N, whose sqrt n part must vanish.
+    disc q = m^30 Res(p, p') and rejects r unless x^(r^2) == x mod (q, r),
+    one packed modp.powmod per prime. At the prime it accepts,
+    L = gcd(q, x^r - x) is the product of the linear factors, q/L that of
+    the quadratic ones, and both split by equal-degree splitting alone.
+    Each root is Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the
+    orbit product expands from those roots (resolvent_from_roots) to the
+    integer resolvent R_q mod r^N, whose sqrt n part must vanish.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
     measure M(q) <= |q|_2 (Landau's inequality), and one root at most
@@ -317,20 +317,13 @@ def _split_small(f: list, r: int):
     """The sorted monic irreducible factors of the monic sextic f, squarefree
     mod r, when none has degree above 2 (x^(r^2) == x mod (f, r)); else None.
     The sieve of resolvents_exact."""
-    h = modp.powmod([0, 1], r, f, r)
-    linear = modp.gcd(f, modp.sub(h, [0, 1], r), r)
-    rest = modp.div_rem(f, linear, r)[0]  # no linear factor
-    degree = len(rest) - 1
-    if degree % 2:  # a factor of odd degree >= 3
+    x = [0, 1]
+    if modp.powmod(x, r * r, f, r) != x:
         return None
-    if degree >= 4:  # x^(r^2) = h(h(x)) mod rest, by Horner
-        h, hh = modp.div_rem(h, rest, r)[1], []
-        for c in reversed(h):
-            hh = modp.add(modp.div_rem(modp.mul(hh, h, r), rest, r)[1], [c], r)
-        if hh != [0, 1]:
-            return None
-    factors = modp.equal_degree(linear, 1, r) if degree < 6 else []
-    return sorted(factors + (modp.equal_degree(rest, 2, r) if degree else []))
+    linear = modp.gcd(f, modp.sub(modp.powmod(x, r, f, r), x, r), r)
+    rest = modp.div_rem(f, linear, r)[0]  # quadratic factors only
+    return sorted(g for part, d in ((linear, 1), (rest, 2)) if len(part) > 1
+                  for g in modp.equal_degree(part, d, r))
 
 
 def _lifted_roots(q: list, kinds: tuple, disc=None) -> list:

@@ -1,6 +1,7 @@
 """sextic.modp against brute force over small prime fields."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -77,6 +78,37 @@ def test_powmod_matches_repeated_multiplication():
         for e in range(41):
             assert modp.powmod(a, e, f, m) == acc, (a, m, e)
             acc = modp.div_rem(modp.mul(acc, a, m), f, m)[1]
+
+
+def _powmod_by_lists(a, e, f, m):
+    """a^e mod (f, m) by right-to-left square and multiply in list arithmetic."""
+    result, base = modp.div_rem([1], f, m)[1], modp.div_rem(a, f, m)[1]
+    while e:
+        if e & 1:
+            result = modp.div_rem(modp.mul(result, base, m), f, m)[1]
+        base = modp.div_rem(modp.mul(base, base, m), f, m)[1]
+        e >>= 1
+    return result
+
+
+def test_packed_powmod_matches_list_arithmetic():
+    # every modulus 3..181, prime or not, a prime power, a Mersenne prime and
+    # a prime near 10^30; f of degree 1..8 with a unit leading coefficient
+    # that is not 1 every other time. The bases are [], x, one of degree
+    # >= deg f, one with negative and unreduced coefficients, and n
+    # coefficients m - 1, whose square puts the largest value n(m-1)^2 in
+    # a slot: the one that needs the full slot width and the full shift u
+    rng = random.Random(16)
+    moduli = list(range(3, 182)) + [7**3, 2**61 - 1, 10**30 + 57]
+    for case, (m, n) in enumerate(itertools.product(moduli, range(1, 9))):
+        lead = rng.randrange(2, m) if case % 2 else 1
+        while math.gcd(lead, m) > 1:
+            lead += 1
+        f = [rng.randrange(m) for _ in range(n)] + [lead]
+        a = [[], [0, 1], [rng.randrange(m) for _ in range(n)] + [rng.randrange(1, m)],
+             [rng.randrange(-3 * m, 3 * m) for _ in range(rng.randint(1, 2 * n + 2))]][case % 4]
+        for base, e in itertools.product((a, [m - 1] * n), (0, 1, 2, m, m * m, rng.getrandbits(48))):
+            assert modp.powmod(base, e, f, m) == _powmod_by_lists(base, e, f, m), (base, e, f, m)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 13])

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -370,6 +372,43 @@ def test_lifting_sieve_picks_the_first_prime_with_small_factors():
         while modulus % prime == 0:
             modulus //= prime
         assert modulus == 1, q
+
+
+def _small_factors_by_enumeration(f: list, r: int):
+    """The monic linear and irreducible quadratic divisors of the squarefree
+    f mod r, found by trying every one, when their degrees add up to deg f;
+    else None."""
+    from sextic import modp
+
+    found = []
+    for k in (1, 2):
+        for low in itertools.product(range(r), repeat=k):
+            g = list(low) + [1]
+            irreducible = k == 1 or all((g[0] + g[1] * x + x * x) % r for x in range(r))
+            if irreducible and not modp.div_rem(f, g, r)[1]:
+                found.append(g)
+    return sorted(found) if sum(len(g) - 1 for g in found) == len(f) - 1 else None
+
+
+def test_lifting_sieve_matches_factoring_mod_every_small_prime():
+    from sextic import modp
+    from sextic.exact import _odd_primes
+    from sextic.resolvents import _split_small
+
+    outcomes = Counter()
+    for q in _seeded_models(60):
+        disc = resultant(RatPoly(q), RatPoly(q).derivative())
+        for r in itertools.takewhile(lambda r: r < 200, _odd_primes()):
+            if disc % r == 0:
+                continue
+            f = modp.reduce(q, r)
+            factors = modp.factor(f, r)
+            expected = factors if all(len(g) <= 3 for g in factors) else None
+            assert _split_small(f, r) == expected, (q, r)
+            if r <= 13:
+                assert _small_factors_by_enumeration(f, r) == expected, (q, r)
+            outcomes[expected is None] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_monic_integer_rescale_takes_large_smooth_denominators():
