@@ -248,7 +248,7 @@ def scan_point(point):
 
     Returns (d, e, report, error): report only for an irreducible solvable
     point, error "Type: message" only for a SexticError; other exceptions
-    propagate. Module-level so a process pool can pickle it.
+    propagate.
     """
     d, e = map(Fraction, point)
     try:

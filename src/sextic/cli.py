@@ -9,12 +9,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
-import collections
-import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -38,11 +35,6 @@ from .resolvents import (
 from .roots import PRECISION_CAP, check_precision
 
 _KINDS = {"j": ResolventKind.MATCHING, "k": ResolventKind.PARTITION}
-
-# search --jobs N sends the pool chunks of SEARCH_CHUNK grid points and keeps
-# at most SEARCH_AHEAD chunks per worker in flight ahead of the printed point
-SEARCH_CHUNK = 8
-SEARCH_AHEAD = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,28 +259,12 @@ def _print_scan(results) -> None:
             print(json.dumps({"d": str(d), "e": str(e), "report": _report_dict(report)}))
 
 
-def _scan_chunk(points: list) -> list:
-    """scan_point over a list of points; module-level so a process pool can pickle it."""
-    return [scan_point(point) for point in points]
-
-
-def _pool_scan(pool, points, jobs: int):
-    """scan_point results for the points, in order, computed on the pool.
-
-    Points are pulled from the iterator only as results are consumed, so at
-    most SEARCH_AHEAD * jobs chunks are pending at any time.
-    """
-    chunks = iter(lambda: list(itertools.islice(points, SEARCH_CHUNK)), [])
-    pending = collections.deque()
-    for chunk in chunks:
-        pending.append(pool.submit(_scan_chunk, chunk))
-        if len(pending) == SEARCH_AHEAD * jobs:
-            yield from pending.popleft().result()
-    while pending:
-        yield from pending.popleft().result()
-
-
 def _cmd_search(args, parser) -> int:
+    grid = args.d_range is not None or args.e_range is not None
+    if grid and args.quintic:
+        parser.error("--quintic and --d-range/--e-range are mutually exclusive")
+    if grid and args.box is not None:
+        parser.error("--box and --d-range/--e-range are mutually exclusive (--box bounds --quintic)")
     if args.quintic:
         if args.box is None:
             parser.error("--quintic needs --box N")
@@ -299,16 +275,14 @@ def _cmd_search(args, parser) -> int:
         parser.error("provide --d-range and --e-range (or --quintic --box N)")
     # nested generators, not itertools.product, which would materialize both ranges
     points = ((d, e) for d in _range_values(*args.d_range) for e in _range_values(*args.e_range))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            _print_scan(_pool_scan(pool, points, args.jobs))
-    else:
-        _print_scan(map(scan_point, points))
+    _print_scan(map(scan_point, points))
     return 0
 
 
 def _cmd_quintic(args, parser) -> int:
     if args.params is not None:
+        if args.a is not None or args.b is not None:
+            parser.error("--params and --a/--b are mutually exclusive")
         try:
             eps_s, c_s, e_s = args.params.split(",")
             params = QuinticParams(int(eps_s), Fraction(c_s), Fraction(e_s))
@@ -397,7 +371,8 @@ def build_parser() -> _Parser:
                    help="LO:HI[:STEP]; write --e-range=-3:3 for a negative LO")
     p.add_argument("--quintic", action="store_true")
     p.add_argument("--box", type=int)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="accepted for compatibility and ignored; the scan runs in one process")
     p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser(

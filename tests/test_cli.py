@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -236,16 +237,10 @@ def test_search_reduced_grid(capsys):
     assert "DegenerateSextic" in err  # the (0, 0) grid point
 
 
-def test_search_jobs_parallel_matches_serial(capsys):
-    serial = run(capsys, "search", "--d-range", "0:2", "--e-range=-2:2")
-    parallel = run(capsys, "search", "--d-range", "0:2", "--e-range=-2:2", "--jobs", "2")
-    assert serial == parallel
-
-
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_search_grid_matches_golden_output(capsys, jobs):
     # stdout and stderr of the 7x7 grid, captured before the scan was merged
-    # into classify.scan_point; hits and errors keep grid order at any --jobs
+    # into classify.scan_point; --jobs is accepted and changes nothing
     golden = Path(__file__).parent / "golden" / "search_d-3_3_e-3_3"
     code, out, err = run(capsys, "search", "--d-range=-3:3", "--e-range=-3:3", "--jobs", jobs)
     assert code == 0
@@ -263,8 +258,42 @@ def test_search_fractional_grid_matches_golden_output(capsys):
     assert err == golden.with_suffix(".err").read_text()
 
 
-def test_search_jobs_pulls_a_bounded_window_of_points(monkeypatch):
-    # the pool is fed a few chunks at a time instead of the whole grid up front
+# golden stem of each command line in README's "Command line" section; stdout
+# and stderr were captured before search lost its process pool
+README_GOLDENS = {
+    "sextic classify --coeffs 36,0,0,0,36,18,5": "readme_classify_36_0_0_0_36_18_5",
+    "sextic classify --d 1/2 --e 5/36 --format text": "readme_classify_d_1over2_e_5over36_text",
+    "sextic resolvent --d 1 --e 2 --kind j --method both": "readme_resolvent_d_1_e_2_j_both",
+    "sextic discriminant --d 0 --e 1": "readme_discriminant_d_0_e_1",
+    "sextic audit --kind k": "readme_audit_k",
+    "sextic search --d-range=-3:3 --e-range=-3:3": "search_d-3_3_e-3_3",
+    "sextic search --quintic --box 40": "readme_search_quintic_box_40",
+    "sextic quintic --a 20 --b 32": "readme_quintic_a_20_b_32",
+}
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("## Library", 1)[0]
+    return [line.split("#")[0].strip() for line in section.splitlines() if line.startswith("sextic ")]
+
+
+def test_readme_lists_the_command_lines_with_goldens():
+    assert _readme_command_lines() == list(README_GOLDENS)
+
+
+@pytest.mark.parametrize("line", list(README_GOLDENS), ids=list(README_GOLDENS.values()))
+def test_readme_command_line_matches_golden_output(capsys, monkeypatch, line):
+    monkeypatch.delenv("SEXTIC_PRECISION_BITS", raising=False)
+    golden = Path(__file__).parent / "golden" / README_GOLDENS[line]
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    assert out == golden.with_suffix(".out").read_text()
+    assert err == golden.with_suffix(".err").read_text()
+
+
+def test_search_pulls_no_point_ahead_of_the_printed_one(monkeypatch):
+    # the grid is never materialized, so memory stays flat however large it is
     import sextic.cli as cli
 
     pulled = 0
@@ -290,10 +319,8 @@ def test_search_jobs_pulls_a_bounded_window_of_points(monkeypatch):
     monkeypatch.setattr(cli, "_range_values", counting_range)
     monkeypatch.setattr(cli, "_print_scan", print_first_hundred)
     with pytest.raises(Enough):
-        main(["search", "--d-range=1:1", "--e-range=1:2000", "--jobs", "2"])
-    assert len(ahead) == 100
-    assert max(ahead) < 100  # a few chunks, not the 2000-point grid
-    assert max(ahead) <= 2 * cli.SEARCH_AHEAD * cli.SEARCH_CHUNK
+        main(["search", "--d-range=1:1", "--e-range=1:2000"])
+    assert ahead == [0] * 100
 
 
 def test_search_negative_range_equals_form(capsys):
@@ -317,6 +344,23 @@ def test_search_range_with_zero_denominator_is_a_usage_error(capsys, d_range):
     code, out, err = run(capsys, "search", f"--d-range={d_range}", "--e-range=0:1")
     assert (code, out) == (1, "")
     assert err.endswith("argument --d-range: not a rational number: '1/0'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("quintic", "--a", "1", "--b", "2", "--params=-1,1/2,1"), ("--params", "--a/--b")),
+        (("search", "--box", "3", "--d-range=0:1", "--e-range=0:1"),
+         ("--box", "--d-range/--e-range")),
+        (("search", "--quintic", "--box", "3", "--d-range=0:1", "--e-range=0:1"),
+         ("--quintic", "--d-range/--e-range")),
+    ],
+)
+def test_contradictory_flags_exit_one(capsys, argv, flags):
+    # each used to exit 0 and silently drop one of the two flags
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"{flags[0]} and {flags[1]} are mutually exclusive" in err
 
 
 def test_search_rejects_jobs_below_one(capsys):
