@@ -8,7 +8,6 @@ from .classify import (
     classify,
     vanishing_constant_family,
     is_irreducible,
-    search_reduced,
 )
 from .exact import (
     Rat,
@@ -72,5 +71,4 @@ __all__ = [
     "resolvents_exact",
     "resultant",
     "search_quintics",
-    "search_reduced",
 ]

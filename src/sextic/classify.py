@@ -259,15 +259,3 @@ def scan_point(point):
         return d, e, report, None
     return d, e, None, None
 
-
-def search_reduced(d_values, e_values):
-    """Classify x^6 + x^2 + d*x + e over a finite grid.
-
-    Returns (hits, errors): hits are (d, e, report) triples for irreducible
-    solvable points in grid order; points that raise a SexticError are
-    collected as (d, e, message) and never abort the scan.
-    """
-    results = [scan_point((d, e)) for d in d_values for e in e_values]
-    hits = [(d, e, report) for d, e, report, _ in results if report is not None]
-    errors = [(d, e, error) for d, e, _, error in results if error is not None]
-    return hits, errors

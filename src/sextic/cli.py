@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,8 +22,6 @@ from .errors import NumericFailure, ZeroD
 from .exact import RatPoly, rational_roots
 from .quintic import QuinticParams, params_from_ab, radical_roots, search_quintics
 from .resolvents import (
-    F_REFERENCE_TABLE,
-    G_REFERENCE_TABLE,
     ReducedSextic,
     ResolventKind,
     discriminant_exact,
@@ -189,22 +188,7 @@ def _cmd_audit(args, parser) -> int:
     documents = []
     for label in kinds:
         report = reconstruct_reduced(_KINDS[label])
-        reference = F_REFERENCE_TABLE if label == "j" else G_REFERENCE_TABLE
-        tables = (reference, report.fitted)
-        cells = {(x, *cell) for table in tables for x, row in table.items() for cell in row}
-        terms = []
-        for x_power, d_power, e_power in sorted(cells):
-            ref, fit = (t.get(x_power, {}).get((d_power, e_power), 0) for t in tables)
-            terms.append(
-                {
-                    "x_power": x_power,
-                    "d_power": d_power,
-                    "e_power": e_power,
-                    "reference": ref,
-                    "fitted": fit,
-                    "match": ref == fit,
-                }
-            )
+        terms = [{**asdict(t), "match": t.reference == t.fitted} for t in report.terms]
         documents.append(
             {
                 "kind": label,
@@ -338,7 +322,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("classify", parents=[common], help="solvability report for a sextic")
     _add_poly_flags(p)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, parser=p)
 
     p = subs.add_parser(
         "resolvent", parents=[common], help="resolvent polynomial by closed form or root orbit"
@@ -348,19 +332,19 @@ def build_parser() -> _Parser:
                    help="j: degree-15 matching resolvent, k: degree-10 partition resolvent")
     p.add_argument("--method", choices=("closed", "numeric", "both"), default="both")
     p.add_argument("--roots", action="store_true", help="also list rational roots")
-    p.set_defaults(func=_cmd_resolvent)
+    p.set_defaults(func=_cmd_resolvent, parser=p)
 
     p = subs.add_parser(
         "discriminant", parents=[common], help="exact discriminant (and reduced-form formula)"
     )
     _add_poly_flags(p)
-    p.set_defaults(func=_cmd_discriminant)
+    p.set_defaults(func=_cmd_discriminant, parser=p)
 
     p = subs.add_parser(
         "audit", parents=[common], help="re-derive closed-form tables and diff the transcription"
     )
     p.add_argument("--kind", choices=("j", "k"))
-    p.set_defaults(func=_cmd_audit)
+    p.set_defaults(func=_cmd_audit, parser=p)
 
     p = subs.add_parser(
         "search", parents=[common], help="scan reduced sextics or Bring-Jerrard quintics"
@@ -373,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--box", type=int)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="accepted for compatibility and ignored; the scan runs in one process")
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_search, parser=p)
 
     p = subs.add_parser(
         "quintic", parents=[common], help="parameters and radical roots for x^5 + a x + b"
@@ -385,7 +369,7 @@ def build_parser() -> _Parser:
         help="eps,c,e with epsilon in {1,-1}, c >= 0, e != 0; "
         "use --params=-1,1/2,1 for a leading minus",
     )
-    p.set_defaults(func=_cmd_quintic)
+    p.set_defaults(func=_cmd_quintic, parser=p)
     return parser
 
 
@@ -396,7 +380,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except SystemExit as exc:  # parser.error inside a subcommand
         return int(exc.code or 0)
     except NumericFailure as exc:

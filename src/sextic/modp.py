@@ -9,7 +9,10 @@ needs a divisor whose leading coefficient is a unit mod m; gcd, xgcd and
 factoring need a prime modulus, and factoring a squarefree input.
 
 Factoring over F_p (odd p) is distinct-degree splitting followed by
-Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981), and the
+Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981). factor
+runs both and is what the lifting-prime sieve of resolvents_exact calls;
+classify.is_irreducible, which already holds the distinct-degree parts
+for its degree analysis, splits them with equal_degree. The
 two-factor lift is the quadratic Hensel step (von zur Gathen & Gerhard,
 Modern Computer Algebra, Alg. 15.10). A simple root lifts by quadratic
 Newton steps, in Z/p^k or in (Z/p^k)[sqrt n]. Square roots are

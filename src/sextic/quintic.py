@@ -171,25 +171,22 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
                            omega=omega, roots=tuple(xs), residual=residual)
 
 
-def search_quintics(box: int) -> list:
-    """(a, b, params) for all integer (a, b) with |a|, |b| <= box, a != 0,
-    where x^5 + a*x + b is irreducible and solvable by radicals, and params
-    is params_from_ab(a, b).
+def search_quintics(box: int):
+    """Yield (a, b, params), in order of a then b, for every integer (a, b)
+    with |a|, |b| <= box, a != 0, where x^5 + a*x + b is irreducible and
+    solvable by radicals; params is params_from_ab(a, b). Each hit is
+    yielded as soon as it is found.
 
     Sound and complete: a hit has exact parameters and is irreducible, and
-    params_from_ab misses no rational triple. box must be >= 1.
+    params_from_ab misses no rational triple. box must be >= 1; a smaller
+    box raises ValueError on the first step.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
-    hits = []
     for a in range(-box, box + 1):
         if a == 0:
             continue
         for b in range(-box, box + 1):
             params = params_from_ab(a, b)
-            if params is None:
-                continue
-            if not is_irreducible(RatPoly([b, a, 0, 0, 0, 1])):
-                continue
-            hits.append((a, b, params))
-    return hits
+            if params is not None and is_irreducible(RatPoly([b, a, 0, 0, 0, 1])):
+                yield a, b, params

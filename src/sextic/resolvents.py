@@ -36,7 +36,7 @@ from math import comb, isqrt, lcm, prod
 from . import modp
 from .errors import DegenerateSextic, FitInconsistent
 from .exact import RatPoly, _derivative_resultant, _odd_primes, _root_bound
-from .exact import resultant, trial_split
+from .exact import resultant, squarefree, trial_split
 from .exact import factorize  # noqa: F401  not called; perfbench/spans.py requires the binding
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, orbit
 from .roots import expand_from_roots, round_to_int_poly
@@ -235,12 +235,11 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     degree <= 2, so its six roots lie in F_r(sqrt n), n the least
     non-residue. The sieve (_split_small) skips the r dividing
     disc q = m^30 Res(p, p') and rejects r unless x^(r^2) == x mod (q, r),
-    one packed modp.powmod per prime. At the prime it accepts,
-    L = gcd(q, x^r - x) is the product of the linear factors, q/L that of
-    the quadratic ones, and both split by equal-degree splitting alone.
-    Each root is Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the
-    orbit product expands from those roots (resolvent_from_roots) to the
-    integer resolvent R_q mod r^N, whose sqrt n part must vanish.
+    one packed modp.powmod per prime. At the prime it accepts, modp.factor
+    splits q mod r into its linear and quadratic factors. Each root is
+    Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit
+    product expands from those roots (resolvent_from_roots) to the integer
+    resolvent R_q mod r^N, whose sqrt n part must vanish.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
     measure M(q) <= |q|_2 (Landau's inequality), and one root at most
@@ -320,10 +319,7 @@ def _split_small(f: list, r: int):
     x = [0, 1]
     if modp.powmod(x, r * r, f, r) != x:
         return None
-    linear = modp.gcd(f, modp.sub(modp.powmod(x, r, f, r), x, r), r)
-    rest = modp.div_rem(f, linear, r)[0]  # quadratic factors only
-    return sorted(g for part, d in ((linear, 1), (rest, 2)) if len(part) > 1
-                  for g in modp.equal_degree(part, d, r))
+    return modp.factor(f, r)
 
 
 def _lifted_roots(q: list, kinds: tuple, disc=None) -> list:
@@ -411,8 +407,9 @@ def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
 
 
 @dataclass(frozen=True)
-class TermDiff:
-    """One (x-power, d-power, e-power) cell where fit and reference differ."""
+class Term:
+    """One (x-power, d-power, e-power) cell of the reference or the fitted
+    table, with its coefficient in each (0 where the table lacks it)."""
 
     x_power: int
     d_power: int
@@ -425,9 +422,14 @@ class TermDiff:
 class ReconstructionReport:
     kind: ResolventKind
     fitted: dict
-    discrepancies: tuple
+    terms: tuple  # every cell of either table, sorted by (x, d, e) power
     holdout_points: tuple
     notes: tuple = field(default_factory=tuple)
+
+    @property
+    def discrepancies(self) -> tuple:
+        """The terms where fit and reference differ."""
+        return tuple(t for t in self.terms if t.reference != t.fitted)
 
     def matches_reference(self) -> bool:
         return not self.discrepancies
@@ -488,7 +490,8 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     Samples resolvents_exact on an integer (d, e) grid large enough to pin
     every admissible monomial, interpolates exactly, checks the fit against
     the weighted-degree support, validates on random holdout points, and
-    diffs the result against the reference transcription.
+    pairs every cell of the reference transcription or the fit with its
+    coefficient in both (terms; discrepancies are the pairs that differ).
 
     The result depends only on the kind, so it is cached (the degree-15
     run takes seconds); callers share it and must not mutate it.
@@ -555,16 +558,13 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
             raise FitInconsistent(f"holdout mismatch at (d, e) = ({d}, {e})")
 
     reference = F_REFERENCE_TABLE if kind is ResolventKind.MATCHING else G_REFERENCE_TABLE
-    discrepancies = []
+    terms = []
     notes = []
     for x_power in range(deg + 1):
         ref = reference.get(x_power, {})
         fit = fitted.get(x_power, {})
         for cell in sorted(set(ref) | set(fit)):
-            if ref.get(cell, 0) != fit.get(cell, 0):
-                discrepancies.append(
-                    TermDiff(x_power, cell[0], cell[1], ref.get(cell, 0), fit.get(cell, 0))
-                )
+            terms.append(Term(x_power, *cell, ref.get(cell, 0), fit.get(cell, 0)))
         if ref and fit and ref != fit:
             shift = _e_shift(ref, fit)
             if shift:
@@ -575,7 +575,7 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     return ReconstructionReport(
         kind=kind,
         fitted=fitted,
-        discrepancies=tuple(discrepancies),
+        terms=tuple(terms),
         holdout_points=tuple(holdout_points),
         notes=tuple(notes),
     )
@@ -583,8 +583,7 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
 
 def _grid_ok(d: int, e: int) -> bool:
     # exact squarefree test, independent of the transcribed formulas
-    poly = ReducedSextic(d, e).to_poly()
-    return resultant(poly, poly.derivative()) != 0
+    return squarefree(ReducedSextic(d, e).to_poly())
 
 
 def _e_shift(ref: dict, fit: dict):

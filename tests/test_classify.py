@@ -13,7 +13,7 @@ from sextic.classify import (
     classify,
     vanishing_constant_family,
     is_irreducible,
-    search_reduced,
+    scan_point,
 )
 from sextic import exact, groups, modp
 from sextic.errors import DegenerateSextic, ZeroD
@@ -215,18 +215,7 @@ def test_vanishing_constant_family_always_has_f_root_zero():
         assert poly_eval(f_verified(member), 0) == 0
 
 
-def test_search_reduced():
-    hits, errors = search_reduced([F(1, 2)], [F(5, 36)])
-    assert len(hits) == 1 and hits[0][:2] == (F(1, 2), F(5, 36))
-    assert hits[0][2].solvable is Solvable.YES
-    hits, errors = search_reduced([], [])
-    assert hits == [] and errors == []
-    hits, errors = search_reduced([0, 2], [0, 1])
-    assert [(h[0], h[1]) for h in hits] == [(0, 1), (2, 1)]
-    assert errors and "DegenerateSextic" in errors[0][2]  # the (0, 0) point
-
-
-def test_search_reduced_propagates_errors_that_are_not_sextic_errors(monkeypatch):
+def test_scan_point_propagates_errors_that_are_not_sextic_errors(monkeypatch):
     # only SexticError is per-point data; anything else is a bug and must surface
     module = importlib.import_module("sextic.classify")  # the attribute is the function
 
@@ -235,7 +224,7 @@ def test_search_reduced_propagates_errors_that_are_not_sextic_errors(monkeypatch
 
     monkeypatch.setattr(module, "classify", broken)
     with pytest.raises(RuntimeError, match="bug inside classify"):
-        search_reduced([1], [1])
+        scan_point((1, 1))
 
 
 @pytest.mark.parametrize(

@@ -292,6 +292,18 @@ def test_readme_command_line_matches_golden_output(capsys, monkeypatch, line):
     assert err == golden.with_suffix(".err").read_text()
 
 
+@pytest.mark.parametrize("stem", ["audit", "audit_text"])
+def test_audit_matches_golden_output(capsys, stem):
+    # both kinds, captured before the reconstruction paired each reference
+    # cell with its fitted cell itself
+    argv = ["audit"] + (["--format", "text"] if stem == "audit_text" else [])
+    golden = Path(__file__).parent / "golden" / stem
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == golden.with_suffix(".out").read_text()
+    assert err == golden.with_suffix(".err").read_text()
+
+
 def test_search_pulls_no_point_ahead_of_the_printed_one(monkeypatch):
     # the grid is never materialized, so memory stays flat however large it is
     import sextic.cli as cli
@@ -361,6 +373,26 @@ def test_contradictory_flags_exit_one(capsys, argv, flags):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert f"{flags[0]} and {flags[1]} are mutually exclusive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify",), "provide either --coeffs or both --d and --e"),  # _poly_from_args
+        (("resolvent", "--coeffs", "1,0,0,0,0,1,1", "--kind", "j", "--method", "closed"),
+         "--method closed needs the reduced --d/--e form"),
+        (("search", "--quintic", "--box", "3", "--d-range=0:1", "--e-range=0:1"),
+         "--quintic and --d-range/--e-range are mutually exclusive"),
+        (("quintic", "--a", "0", "--b", "1"), "--a must be nonzero"),
+    ],
+    ids=["poly_from_args", "resolvent", "search", "quintic"],
+)
+def test_subcommand_usage_errors_name_the_subcommand(capsys, argv, message):
+    # as argparse's own errors for the subcommand do, e.g. search --jobs 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: sextic {argv[0]} [-h] ")
+    assert err.endswith(f"\nsextic {argv[0]}: error: {message}\n")
 
 
 def test_search_rejects_jobs_below_one(capsys):

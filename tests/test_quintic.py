@@ -103,8 +103,8 @@ def test_radical_roots_all_six():
 
 
 def test_search_small_boxes():
-    assert search_quintics(4) == []
-    hits = search_quintics(12)
+    assert list(search_quintics(4)) == []
+    hits = list(search_quintics(12))
     assert [(a, b) for a, b, _ in hits] == [(-5, -12), (-5, 12)]
     assert all(params == params_from_ab(a, b) for a, b, params in hits)
 
@@ -129,6 +129,37 @@ def test_search_solves_each_candidate_pair_once(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert len(calls) == 24 * 25  # a in -12..12 without 0, b in -12..12
     assert set(calls.values()) == {1}
+
+
+def test_search_prints_each_hit_when_it_is_found(monkeypatch):
+    # the first hit (-5, -12) is pair 176 in scan order: 7 values of a before
+    # -5, 25 values of b each, then b = -12; a search that builds the whole
+    # box first prints only after all 600 pairs
+    import io
+    import sys
+
+    from sextic.cli import main
+
+    calls = 0
+    printed_after = []
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return params_from_ab(a, b)
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            printed_after.append(calls)
+            return super().write(text)
+
+    monkeypatch.setattr(quintic, "params_from_ab", counting)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["search", "--quintic", "--box", "12"]) == 0
+    first = sys.stdout.getvalue().splitlines()[0]
+    assert first.startswith('{"a": "-5", "b": "-12", ')
+    assert printed_after[0] <= 176
+    assert calls == 600
 
 
 def _seeded_params(seed, count):
