@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .classify import ClassificationReport, classify, scan_point
-from .errors import NumericFailure, ZeroD
+from .errors import NumericFailure
 from .exact import RatPoly, rational_roots
 from .quintic import QuinticParams, params_from_ab, radical_roots, search_quintics
 from .resolvents import (
@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--e-range", type=_parse_range,
                    help="LO:HI[:STEP]; write --e-range=-3:3 for a negative LO")
     p.add_argument("--quintic", action="store_true")
-    p.add_argument("--box", type=int)
+    p.add_argument("--box", type=_positive_int)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="accepted for compatibility and ignored; the scan runs in one process")
     p.set_defaults(func=_cmd_search, parser=p)
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ZeroD, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

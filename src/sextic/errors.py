@@ -14,11 +14,13 @@ class NumericFailure(SexticError):
 
 
 class NonConvergence(NumericFailure):
-    """Simultaneous root iteration did not reach the target residual."""
+    """Complex root finding (roots.find_roots) failed: mpmath's polyroots ran
+    out of steps, or the certified error radius misses its target."""
 
 
 class RepeatedRootSuspected(NumericFailure):
-    """Root clusters prevent certification; input is likely not squarefree."""
+    """The derivative vanishes, within rounding, at a polished root, so no
+    error radius can be certified; the input likely has a repeated root."""
 
 
 class NotNearInteger(NumericFailure):

@@ -402,6 +402,16 @@ def test_search_rejects_jobs_below_one(capsys):
     assert "--jobs: must be an integer >= 1" in err
 
 
+@pytest.mark.parametrize("box", ["0", "-3", "x"])
+def test_search_rejects_box_below_one_through_the_search_parser(capsys, box):
+    # 0 and -3 used to print a bare "error: box must be >= 1"
+    code, out, err = run(capsys, "search", "--quintic", f"--box={box}")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: sextic search [-h] ")
+    message = f"argument --box: must be an integer >= 1, got {box!r}"
+    assert err.endswith(f"\nsextic search: error: {message}\n")
+
+
 def test_bad_range_step_exits_before_any_point_is_built():
     # the d range used to be built in full inside argparse before the bad e
     # step was reached; a child process keeps a regression from eating memory

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from sextic import roots as roots_module
-from sextic.errors import NotNearInteger, NumericFailure
+from sextic.errors import NonConvergence, NotNearInteger, NumericFailure
 from sextic.exact import RatPoly
 from sextic.resolvents import ReducedSextic, ResolventKind, f_verified
 from sextic.roots import expand_from_roots, find_roots
@@ -120,47 +120,48 @@ def test_squarefree_resultant_agrees_with_root_separation():
             assert min(gaps) > 4 * rs.error_radius
 
 
-def _outcome(p: RatPoly, bits: int = 256):
-    try:
-        rs = find_roots(p, bits)
-    except NumericFailure as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return rs.roots, rs.error_radius
+def test_coefficients_beyond_double_range_are_certified_once_the_precision_reaches_the_roots():
+    # 10^400 fits no double; polyroots runs on p rescaled by a power of two
+    rs = find_roots(RatPoly([1, 1, 0, 0, 0, 0, 10**400]), 256)
+    assert rs.error_radius <= mp.mpf(2) ** -128
+    with mp.workprec(300):
+        gaps = [abs(a - b) for i, a in enumerate(rs.roots) for b in rs.roots[i + 1 :]]
+    assert min(gaps) > 4 * rs.error_radius  # roots of modulus about 10^-66.7, told apart
+    # roots of modulus about 10^66.7: no absolute radius <= 2^-128 at 288 working bits
+    big = RatPoly([-(10**400), 0, 0, 0, 0, 0, 1])
+    with pytest.raises(NonConvergence):
+        find_roots(big, 256)
+    rs = find_roots(big, 512)
+    assert rs.error_radius <= mp.mpf(2) ** -256
+    with mp.workprec(700):
+        true = [mp.root(mp.mpf(10) ** 400, 6) * mp.expjpi(mp.mpf(k) / 3) for k in range(6)]
+        nearest = sorted(min(range(6), key=lambda k: abs(z - true[k])) for z in rs.roots)
+        assert nearest == list(range(6))  # one entry per root
+        assert all(min(abs(z - w) for w in true) <= rs.error_radius for z in rs.roots)
+
+
+def test_exhausted_iteration_budget_is_nonconvergence(monkeypatch):
+    monkeypatch.setattr(roots_module, "MAX_ITERATIONS", 1)
+    with pytest.raises(NonConvergence):
+        find_roots(RatPoly([3, 1, 1, 0, 0, 0, 1]), 256)
 
 
 @pytest.mark.parametrize(
-    "p, converges",
+    "p, true_roots",
     [
-        (RatPoly([1, 1, 0, 0, 0, 0, 10**400]), True),  # monic coefficients underflow to 0
-        (RatPoly([-(10**400), 0, 0, 0, 0, 0, 1]), False),  # 1e400 overflows
+        (RatPoly([1, -2, 1, 0, 1, -2, 1]),
+         lambda: [1, 1] + [mp.expjpi(mp.mpf(2 * k + 1) / 4) for k in range(4)]),
+        (RatPoly([0, 0, 0, 0, 0, 0, 1]), lambda: [0] * 6),
+        (RatPoly([-8, 0, 12, 0, -6, 0, 1]), lambda: [mp.sqrt(2), -mp.sqrt(2)] * 3),
     ],
-    ids=["underflow", "overflow"],
+    ids=["(x-1)^2(x^4+1)", "x^6", "(x^2-2)^3"],
 )
-def test_coefficients_outside_double_range_start_from_the_circle(monkeypatch, p, converges):
-    seeds = []
-    seed_in_double = roots_module._seed_in_double
-
-    def spy(coeffs, starts):
-        seeds.append(seed_in_double(coeffs, starts))
-        return seeds[-1]
-
-    monkeypatch.setattr(roots_module, "_seed_in_double", spy)
-    outcome = _outcome(p)
-    assert seeds == [None]
-    assert isinstance(outcome, tuple) == converges
-    # without the double stage find_roots is the circle-start iteration alone
-    monkeypatch.setattr(roots_module, "_seed_in_double", lambda coeffs, starts: None)
-    assert _outcome(p) == outcome
-
-
-def test_double_seeding_moves_roots_only_within_the_radius(monkeypatch):
-    rng = random.Random(808)
-    polys = [RatPoly([rng.randint(-9, 9) for _ in range(6)] + [1]) for _ in range(8)]
-    polys += [RatPoly([F(5, 36), F(1, 2), 1, 0, 0, 0, 1]), RatPoly([1, 0, 1])]
-    seeded = [find_roots(p, 256) for p in polys]
-    monkeypatch.setattr(roots_module, "_seed_in_double", lambda coeffs, starts: None)
-    for p, a in zip(polys, seeded):
-        b = find_roots(p, 256)
-        with mp.workprec(300):
-            for z in a.roots:
-                assert min(abs(z - w) for w in b.roots) <= a.error_radius + b.error_radius
+def test_repeated_roots_fail_or_stay_within_the_radius(p, true_roots):
+    try:
+        rs = find_roots(p, 256)
+    except NumericFailure:
+        return
+    with mp.workprec(600):
+        true = true_roots()
+        for z in rs.roots:
+            assert min(abs(z - w) for w in true) <= rs.error_radius
