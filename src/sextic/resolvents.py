@@ -163,25 +163,33 @@ _DISC_TABLE = {
 }
 
 
-def _eval_table(table: dict, d: Fraction, e: Fraction, degree: int) -> RatPoly:
-    """The polynomial whose x^power coefficient is the sum of c * d^i * e^j
-    over the cells (i, j): c of table[power], integer c.
+def _table_integers(table: dict, d: Fraction, e: Fraction, degree: int) -> tuple[list, int]:
+    """Integers (nums, den) such that nums[power] / den is the sum of
+    c * d^i * e^j over the cells (i, j): c of table[power], integer c.
 
-    In integers over one common denominator: with d = a/b, e = u/v in lowest
-    terms and m, n the table's largest d- and e-exponents, each coefficient
-    is the integer sum of c * a^i b^(m-i) * u^j v^(n-j) over b^m v^n, so
-    only the final Fraction of each coefficient takes a gcd.
+    With d = a/b, e = u/v in lowest terms and m, n the table's largest d- and
+    e-exponents, den = b^m v^n and each numerator is the integer sum of
+    c * a^i b^(m-i) * u^j v^(n-j). Nothing here takes a gcd.
     """
     m = max(i for terms in table.values() for i, _ in terms)
     n = max(j for terms in table.values() for _, j in terms)
     a, b, u, v = d.numerator, d.denominator, e.numerator, e.denominator
     dp = [a**i * b ** (m - i) for i in range(m + 1)]
     ep = [u**j * v ** (n - j) for j in range(n + 1)]
-    den = b**m * v**n
-    coeffs = [0] * (degree + 1)
+    nums = [0] * (degree + 1)
     for power, terms in table.items():
-        coeffs[power] = Fraction(sum(c * dp[i] * ep[j] for (i, j), c in terms.items()), den)
-    return RatPoly(coeffs)
+        nums[power] = sum(c * dp[i] * ep[j] for (i, j), c in terms.items())
+    return nums, b**m * v**n
+
+
+def _eval_table(table: dict, d: Fraction, e: Fraction, degree: int) -> RatPoly:
+    """The polynomial whose x^power coefficient is the sum of c * d^i * e^j
+    over the cells (i, j): c of table[power], integer c; the integers of
+    _table_integers over their common denominator, so only the final
+    Fraction of each coefficient takes a gcd.
+    """
+    nums, den = _table_integers(table, d, e, degree)
+    return RatPoly([Fraction(c, den) for c in nums])
 
 
 def f_reduced(s: ReducedSextic) -> RatPoly:

@@ -16,9 +16,9 @@ from sextic.classify import (
     scan_point,
 )
 from sextic import exact, groups, modp
-from sextic.errors import DegenerateSextic, ZeroD
+from sextic.errors import DegenerateSextic, SexticError, ZeroD
 from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, rational_roots
-from sextic.resolvents import ReducedSextic
+from sextic.resolvents import ReducedSextic, f_verified, g_verified
 
 
 def test_irreducible_scaled_family_sextic():
@@ -184,8 +184,6 @@ def test_classify_sign_flip_invariance():
 
 
 def test_solvable_roots_satisfy_resolvent_exactly():
-    from sextic.resolvents import f_verified, g_verified
-
     for coeffs in ([5, 18, 36, 0, 0, 0, 36], [1, 2, 1, 0, 0, 0, 1]):
         report = classify(RatPoly(coeffs))
         reduced = ReducedSextic(
@@ -206,8 +204,6 @@ def test_vanishing_constant_family():
 
 def test_vanishing_constant_family_always_has_f_root_zero():
     rng = random.Random(12)
-    from sextic.resolvents import f_verified
-
     for _ in range(20):
         d = F(rng.randint(1, 12), rng.randint(1, 6)) * rng.choice([1, -1])
         member = vanishing_constant_family(d)
@@ -224,7 +220,89 @@ def test_scan_point_propagates_errors_that_are_not_sextic_errors(monkeypatch):
 
     monkeypatch.setattr(module, "classify", broken)
     with pytest.raises(RuntimeError, match="bug inside classify"):
-        scan_point((1, 1))
+        scan_point((F(1, 2), F(5, 36)))  # a hit, so the root sieve passes it on
+
+
+def _scan_by_classify(point):
+    """scan_point without the resolvent-root sieve: classify every point."""
+    d, e = map(F, point)
+    try:
+        report = classify(ReducedSextic(d, e).to_poly())
+    except SexticError as exc:
+        return d, e, None, f"{type(exc).__name__}: {exc}"
+    if report.irreducible and report.solvable is Solvable.YES:
+        return d, e, report, None
+    return d, e, None, None
+
+
+def _sieve_test_points():
+    rng = random.Random(20)
+    halves_thirds = [(F(rng.randint(-24, 24), 2), F(rng.randint(-15, 15), 3)) for _ in range(150)]
+    thirds_halves = [(F(rng.randint(-24, 24), 3), F(rng.randint(-15, 15), 2)) for _ in range(150)]
+    family = [vanishing_constant_family(F(p, q))
+              for p in range(-5, 6) if p for q in (1, 2, 3)]
+    # t is a double root of x^6 + x^2 + d*x + e: DegenerateSextic points
+    double_root = [(-6 * t**5 - 2 * t, 5 * t**6 + t**2)
+                   for t in {F(p, q) for p in range(-6, 7) for q in (1, 2, 3)}]
+    return (
+        list(itertools.product(range(-20, 21), range(-5, 6)))
+        + halves_thirds
+        + thirds_halves
+        + [(0, F(e, 2)) for e in range(-40, 41)]
+        + [(s.d, s.e) for s in family]
+        + sorted(double_root)
+    )
+
+
+def test_scan_point_agrees_with_classify_on_every_point():
+    # the sieve may only skip points that are neither hits nor errors
+    points = _sieve_test_points()
+    results = [scan_point(point) for point in points]
+    assert results == [_scan_by_classify(point) for point in points]
+    assert sum(report is not None for _, _, report, _ in results) >= 30  # the family members
+    assert sum(error is not None for _, _, _, error in results) >= 29  # the double-root points
+
+
+def test_root_sieve_rules_out_only_resolvents_without_rational_roots():
+    # reducible points included: the sieve's claim holds whatever classify says
+    module = importlib.import_module("sextic.classify")
+    for d, e in _sieve_test_points():
+        s = ReducedSextic(d, e)
+        if module._resolvents_rootless(s.d, s.e):
+            assert not rational_roots(f_verified(s)) and not rational_roots(g_verified(s)), (d, e)
+
+
+def test_root_sieve_reduces_only_where_the_resolvent_stays_monic(monkeypatch):
+    # a rational root reduces to a root mod r only when r divides no
+    # denominator, i.e. not the leading numerator of the monic resolvent
+    module = importlib.import_module("sextic.classify")
+    seen = []
+    original = module._has_root_mod
+
+    def spy(nums, r):
+        seen.append((nums[-1], r))
+        return original(nums, r)
+
+    monkeypatch.setattr(module, "_has_root_mod", spy)
+    for d, e in [(F(1, 3), 1), (F(2, 5), F(1, 7)), (F(-7, 15), F(3, 11)), (F(1, 2), F(5, 36))]:
+        module._resolvents_rootless(F(d), F(e))
+    assert seen and all(lead % r for lead, r in seen)
+
+
+def test_root_sieve_settles_most_of_the_benchmark_grid(monkeypatch):
+    module = importlib.import_module("sextic.classify")
+    calls = []
+    original = module.classify
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(module, "classify", counting)
+    grid = list(itertools.product(range(-50, 51), range(-2, 3)))
+    for point in grid:
+        scan_point(point)
+    assert len(calls) <= 0.3 * len(grid)
 
 
 @pytest.mark.parametrize(

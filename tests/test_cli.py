@@ -237,12 +237,23 @@ def test_search_reduced_grid(capsys):
     assert "DegenerateSextic" in err  # the (0, 0) grid point
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_search_grid_matches_golden_output(capsys, jobs):
-    # stdout and stderr of the 7x7 grid, captured before the scan was merged
-    # into classify.scan_point; --jobs is accepted and changes nothing
-    golden = Path(__file__).parent / "golden" / "search_d-3_3_e-3_3"
-    code, out, err = run(capsys, "search", "--d-range=-3:3", "--e-range=-3:3", "--jobs", jobs)
+@pytest.mark.parametrize(
+    "stem, argv",
+    [
+        # the 7x7 grid, captured before the scan was merged into
+        # classify.scan_point; --jobs is accepted and changes nothing
+        ("search_d-3_3_e-3_3", ["--d-range=-3:3", "--e-range=-3:3", "--jobs", "1"]),
+        ("search_d-3_3_e-3_3", ["--d-range=-3:3", "--e-range=-3:3", "--jobs", "2"]),
+        # captured before scan_point sieved points by resolvent roots mod
+        # small primes: 1701 integer points, and 323 halves by thirds
+        ("search_d-40_40_e-10_10", ["--d-range=-40:40", "--e-range=-10:10"]),
+        ("search_d-4_4_halves_e-3_3_thirds", ["--d-range=-4:4:1/2", "--e-range=-3:3:1/3"]),
+    ],
+    ids=["1", "2", "d-40_40_e-10_10", "d-4_4_halves_e-3_3_thirds"],
+)
+def test_search_grid_matches_golden_output(capsys, stem, argv):
+    golden = Path(__file__).parent / "golden" / stem
+    code, out, err = run(capsys, "search", *argv)
     assert code == 0
     assert out == golden.with_suffix(".out").read_text()
     assert err == golden.with_suffix(".err").read_text()
