@@ -305,13 +305,18 @@ def _add_poly_flags(sub):
     sub.add_argument("--e", type=_fraction, help="reduced-form constant coefficient")
 
 
+def _precision_default() -> str:
+    # argparse runs a string default through type, so a bad env value exits 1 too
+    return os.environ.get("SEXTIC_PRECISION_BITS", "256")
+
+
 def build_parser() -> _Parser:
+    """The sextic parser; its subcommand parsers are in its `commands` list."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--precision-bits",
         type=_precision_bits,
-        # argparse runs a string default through type, so a bad env value exits 1 too
-        default=os.environ.get("SEXTIC_PRECISION_BITS", "256"),
+        default=_precision_default(),
         help="working precision of the quintic radical tower "
         "(default 256, env SEXTIC_PRECISION_BITS)",
     )
@@ -370,11 +375,20 @@ def build_parser() -> _Parser:
         "use --params=-1,1/2,1 for a leading minus",
     )
     p.set_defaults(func=_cmd_quintic, parser=p)
+    parser.commands = list(subs.choices.values())
     return parser
 
 
+_PARSER = None  # built by the first main call, reused by the later ones
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
+    for command in parser.commands:
+        command.set_defaults(precision_bits=_precision_default())
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -282,7 +282,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
 
 # perfbench/spans.py traces resolvent construction under this name; the
 # tracer wraps by identity, so calls to resolvents_exact count there too.
-# ROADMAP item 3 (the benchmark change) removes it.
+# ROADMAP item 2 (the benchmark change) removes it.
 resolvent_numeric_in_frame = resolvents_exact
 
 

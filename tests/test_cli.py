@@ -456,6 +456,41 @@ def test_precision_env_out_of_range_exits_one(capsys, monkeypatch):
     assert "1..4096" in err and "Traceback" not in err
 
 
+def test_main_builds_its_parser_once_and_reads_the_env_per_call(capsys, monkeypatch):
+    cli = importlib.import_module("sextic.cli")
+    builds, bits = [], []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    def recording_radical_roots(params, precision_bits):
+        bits.append(precision_bits)
+        return radical_roots(params, precision_bits)
+
+    build_parser, radical_roots = cli.build_parser, cli.radical_roots
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "radical_roots", recording_radical_roots)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.delenv("SEXTIC_PRECISION_BITS", raising=False)
+    golden = Path(__file__).parent / "golden" / "search_d-3_3_e-3_3"
+    assert run(capsys, "search", "--d-range=-3:3")[0] == 1  # usage error first
+    code, out, err = run(capsys, "search", "--d-range=-3:3", "--e-range=-3:3")
+    assert code == 0
+    assert out == golden.with_suffix(".out").read_text()
+    assert err == golden.with_suffix(".err").read_text()
+    monkeypatch.setenv("SEXTIC_PRECISION_BITS", "320")
+    assert run(capsys, "quintic", "--a", "20", "--b", "32")[0] == 0
+    monkeypatch.setenv("SEXTIC_PRECISION_BITS", "abc")
+    code, out, err = run(capsys, "classify", "--d", "1", "--e", "2")
+    assert code == 1 and out == ""
+    assert "1..4096" in err and "Traceback" not in err
+    monkeypatch.delenv("SEXTIC_PRECISION_BITS")
+    assert run(capsys, "quintic", "--a", "20", "--b", "32")[0] == 0
+    assert bits == [320, 256]
+    assert len(builds) == 1
+
+
 def test_negative_precision_classify_exits_one(capsys):
     code, out, err = run(capsys, "classify", "--d", "1", "--e", "2", "--precision-bits=-64")
     assert code == 1 and out == ""

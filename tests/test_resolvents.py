@@ -104,6 +104,17 @@ def test_discriminant_sign_relation_constant():
     assert seen == {F(-1)}
 
 
+def test_disc_table_is_minus_the_resultant_discriminant():
+    # Both sides are polynomials in d and e. The discriminant of a sextic is
+    # isobaric of weight 30 with the x^2, x and 1 coefficients of weights 4,
+    # 5 and 6, so each monomial d^i e^j has 5i + 6j <= 30: i <= 6 and j <= 5,
+    # as in _DISC_TABLE. A polynomial of bidegree (6, 5) vanishing on a
+    # 7 x 6 grid is zero, so equality here is the identity, not a sample.
+    for d, e in itertools.product(range(7), range(6)):
+        s = ReducedSextic(d, e)
+        assert discriminant_reduced(s) == -discriminant_exact(s.to_poly()), (d, e)
+
+
 def test_resolvent_numeric_refuses_repeated_roots():
     # the CLI's numeric method is resolvents_exact, one kind at a time
     with pytest.raises(DegenerateSextic):
