@@ -20,8 +20,8 @@ scan_point, the step of `sextic search`, first reduces the two reduced-form
 resolvents mod the small primes of ROOT_SIEVE_PRIMES. A point at which each
 has no root mod some prime has no rational resolvent root, so it is no hit
 and skips classify; on small integer grids that is about three points in
-four. Its zero-discriminant test uses the integer numerator of the
-closed-form discriminant table, not a resultant; the tests prove the two
+four. Its zero-discriminant test evaluates the closed-form discriminant
+table (discriminant_reduced), not a resultant; the tests prove the two
 discriminants equal up to sign as polynomials in d and e.
 """
 
@@ -54,9 +54,9 @@ from .resolvents import (
     G_VERIFIED_TABLE,
     ReducedSextic,
     ResolventKind,
-    _DISC_TABLE,
     _table_integers,
     discriminant_exact,
+    discriminant_reduced,
     f_verified,
     g_verified,
     resolvents_exact,
@@ -300,16 +300,16 @@ def scan_point(point):
     without classify: it is not a hit, reducible or not, and classify raises
     a SexticError only for a zero discriminant. Every other point goes
     through classify, so hits, errors and their order are those of classify
-    alone. The zero test reads the integer numerator of the closed-form
-    discriminant table, minus the resultant discriminant as a polynomial in
-    d and e (test_disc_table_is_minus_the_resultant_discriminant).
+    alone. The zero test is discriminant_reduced, the closed-form table,
+    which is minus the resultant discriminant as a polynomial in d and e
+    (test_disc_table_is_minus_the_resultant_discriminant).
     """
     d, e = map(Fraction, point)
-    (disc,), _ = _table_integers({0: _DISC_TABLE}, d, e, 0)
-    if disc and _resolvents_rootless(d, e):
+    s = ReducedSextic(d, e)
+    if discriminant_reduced(s) and _resolvents_rootless(d, e):
         return d, e, None, None
     try:
-        report = classify(ReducedSextic(d, e).to_poly())
+        report = classify(s.to_poly())
     except SexticError as exc:
         return d, e, None, f"{type(exc).__name__}: {exc}"
     if report.irreducible and report.solvable is Solvable.YES:

@@ -311,9 +311,10 @@ def _precision_default() -> str:
 
 
 def build_parser() -> _Parser:
-    """The sextic parser; its subcommand parsers are in its `commands` list."""
+    """The sextic parser; `precision_bits` is its --precision-bits action,
+    which every subcommand shares."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    precision_bits = common.add_argument(
         "--precision-bits",
         type=_precision_bits,
         default=_precision_default(),
@@ -375,7 +376,7 @@ def build_parser() -> _Parser:
         "use --params=-1,1/2,1 for a leading minus",
     )
     p.set_defaults(func=_cmd_quintic, parser=p)
-    parser.commands = list(subs.choices.values())
+    parser.precision_bits = precision_bits
     return parser
 
 
@@ -387,8 +388,7 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     parser = _PARSER
-    for command in parser.commands:
-        command.set_defaults(precision_bits=_precision_default())
+    parser.precision_bits.default = _precision_default()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
