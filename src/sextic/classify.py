@@ -17,11 +17,12 @@ their resolvents off the audited closed-form tables; every other sextic
 builds them by p-adic lifting of its roots (resolvents.resolvents_exact).
 
 scan_point, the step of `sextic search`, first reduces the two reduced-form
-resolvents mod the small primes of ROOT_SIEVE_PRIMES. A point at which each
-has no root mod some prime has no rational resolvent root, so it is no hit
-and skips classify; on small integer grids that is about three points in
-four. Its zero-discriminant test evaluates the closed-form discriminant
-table (discriminant_reduced), not a resultant; the tests prove the two
+resolvents mod the odd primes below 100 (ROOT_SIEVE_PRIMES). A point at
+which each has no root mod some prime has no rational resolvent root, so it
+is no hit and skips classify; that is 398 of the 505 points of d = -50..50,
+e = -2..2, and each point left has a resolvent with the root 0. Its
+zero-discriminant test evaluates the closed-form discriminant table
+(discriminant_reduced), not a resultant; the tests prove the two
 discriminants equal up to sign as polynomials in d and e.
 """
 
@@ -39,7 +40,6 @@ from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
     RatPoly,
     _exact_quotient,
-    _horner,
     _odd_primes,
     _rational_roots,
     _squarefree_prime,
@@ -50,8 +50,8 @@ from .exact import (
     squarefree,
 )
 from .resolvents import (
-    F_VERIFIED_TABLE,
-    G_VERIFIED_TABLE,
+    _F_VERIFIED,
+    _G_VERIFIED,
     ReducedSextic,
     ResolventKind,
     _table_integers,
@@ -70,9 +70,11 @@ from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requ
 DEGREE_SIEVE_PRIMES = 3
 
 # Odd primes at which scan_point looks for roots of the two reduced-sextic
-# resolvents before it calls classify. On the grid d = -50..50, e = -2..2,
-# 388 of the 505 points have no root in either resolvent mod some of them.
-ROOT_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# resolvents before it calls classify: the 24 below 100, each about 16
+# big-integer products (modp.has_root). On the grid d = -50..50, e = -2..2,
+# 398 of the 505 points have no root in either resolvent mod one of them;
+# each of the other 107 has a resolvent with a zero constant term.
+ROOT_SIEVE_PRIMES = tuple(itertools.takewhile(lambda r: r < 100, _odd_primes()))
 
 
 class GroupBound(Enum):
@@ -261,27 +263,24 @@ def vanishing_constant_family(d) -> ReducedSextic:
     return ReducedSextic(d, (32 * d**4 + 3) / (144 * d**2))
 
 
-def _has_root_mod(nums: list, r: int) -> bool:
-    """Whether the integer polynomial nums (low to high) has a root mod r."""
-    reduced = [c % r for c in nums]
-    return any(not _horner(reduced, y, r) for y in range(r))
-
-
 def _resolvents_rootless(d: Fraction, e: Fraction) -> bool:
     """True when the verified degree-15 and degree-10 resolvents of
     x^6 + x^2 + d*x + e provably have no rational root.
 
     Each resolvent is nums / den with integers nums (monic: the leading one
-    is den), from resolvents._table_integers. At a prime r not dividing den
-    its coefficients are r-integral, so a rational root y is r-integral too
-    (the rational root theorem over Z localized at r) and reduces to a root
-    of nums mod r in 0..r-1. A resolvent with no such root at some prime of
-    ROOT_SIEVE_PRIMES therefore has no rational root.
+    is den), from resolvents._table_integers. A zero constant numerator is
+    the rational root 0, so no prime can settle the point (d = 0, e = 0 and
+    the vanishing-constant family). At a prime r not dividing den the
+    coefficients are r-integral, so a rational root y is r-integral too (the
+    rational root theorem over Z localized at r) and reduces to a root of
+    nums mod r in 0..r-1. A resolvent with no such root (modp.has_root) at
+    some prime of ROOT_SIEVE_PRIMES therefore has no rational root.
     """
-    tables = [_table_integers(F_VERIFIED_TABLE, d, e, 15),
-              _table_integers(G_VERIFIED_TABLE, d, e, 10)]
+    tables = [_table_integers(_F_VERIFIED, d, e), _table_integers(_G_VERIFIED, d, e)]
+    if not all(nums[0] for nums, _ in tables):
+        return False
     for r in ROOT_SIEVE_PRIMES:
-        tables = [(nums, den) for nums, den in tables if not den % r or _has_root_mod(nums, r)]
+        tables = [(nums, den) for nums, den in tables if not den % r or modp.has_root(nums, r)]
         if not tables:
             return True
     return False

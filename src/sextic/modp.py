@@ -24,12 +24,19 @@ w-bit slot, so a product is one integer multiplication. Slots n..2n-2 fold
 back through the packed rows x^n..x^(2n-2) mod f, and every slot is
 reduced mod m at once by exact division by multiplication (Granlund and
 Montgomery, PLDI 1994): q = (v * c >> u) masked to the slots, then v - q*m.
-w is wide enough that no slot carries into the next.
+For slot values up to top, u is the bit length of top plus that of m and
+c = ceil(2^u / m); w is the bit length of top * c, so no slot carries into
+the next (_slot_reduction). has_root evaluates a polynomial of degree n at
+every residue y = 0..m-1 at once: with V_k holding y^k mod m in slot y
+(built once per (m, n)), sum (a_k mod m) V_k holds a(y), at most
+top = (m-1) max_y sum_k (y^k mod m), in slot y. One reduction leaves
+a(y) mod m, and adding 2^(w-1) - 1 to each slot sets its top bit unless 0.
 Nothing here uses floating point or randomness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -106,6 +113,39 @@ def xgcd(a: list, b: list, p: int) -> tuple[list, list, list]:
     return mul(r0, inv, p), mul(s0, inv, p), mul(t0, inv, p)
 
 
+def _slot_reduction(top: int, m: int, slots: int):
+    """(w, residues): a slot width w and the function that takes an integer
+    of `slots` w-bit slots, each at most top, to the one whose slots hold
+    their residues mod m (see the module docstring)."""
+    u = top.bit_length() + m.bit_length()
+    c = -(-(1 << u) // m)
+    w = (top * c).bit_length()  # v // m == v * c >> u for 0 <= v <= top
+    quotient_bits = ((1 << w - u) - 1) * (((1 << slots * w) - 1) // ((1 << w) - 1))
+    return w, lambda v: v - ((v * c >> u) & quotient_bits) * m
+
+
+@functools.cache
+def _residue_powers(m: int, degree: int) -> tuple:
+    """(rows, residues, high, lows) for has_root: rows[k] has y^k mod m in
+    slot y for y = 0..m-1; high holds the top bit of each slot, and lows the
+    bits below it."""
+    powers = [[pow(y, k, m) for y in range(m)] for k in range(degree + 1)]
+    top = (m - 1) * max(map(sum, zip(*powers)))
+    w, residues = _slot_reduction(top, m, m)
+    rows = [sum(p << y * w for y, p in enumerate(row)) for row in powers]
+    high = (((1 << m * w) - 1) // ((1 << w) - 1)) << w - 1
+    return rows, residues, high, high - (high >> w - 1)
+
+
+def has_root(a: list, m: int) -> bool:
+    """Whether the integer polynomial a (any ints, at least one) has a root
+    mod m, from one packed evaluation at every residue (see the module
+    docstring)."""
+    rows, residues, high, lows = _residue_powers(m, len(a) - 1)
+    v = residues(sum(c % m * row for c, row in zip(a, rows)))
+    return (v + lows) & high != high
+
+
 def powmod(a: list, e: int, f: list, m: int) -> list:
     """a^e mod (f, m) by left-to-right square and multiply on packed
     residues (see the module docstring); every slot is reduced mod m after
@@ -113,18 +153,10 @@ def powmod(a: list, e: int, f: list, m: int) -> list:
     n = len(f) - 1
     if not n:
         return []
-    # a slot value v is at most n(m-1)^2 < 2^t, after a product and after a
-    # fold, so v // m == v * c >> u, and a slot of w bits holds v * c
-    t = (n * (m - 1) ** 2).bit_length()
-    u = t + m.bit_length()
-    c = -(-(1 << u) // m)
-    w = t + c.bit_length()
+    # a slot value is at most n(m-1)^2, after a product and after a fold
+    w, residues = _slot_reduction(n * (m - 1) ** 2, m, 2 * n - 1)
     slot = (1 << w) - 1
-    quotient_bits = ((1 << w - u) - 1) * (((1 << (2 * n - 1) * w) - 1) // slot)
     low = (1 << n * w) - 1
-
-    def residues(v):
-        return v - ((v * c >> u) & quotient_bits) * m
 
     inv, row, base = pow(f[-1], -1, m), 0, 0
     for k in reversed(f[:n]):

@@ -163,58 +163,70 @@ _DISC_TABLE = {
 }
 
 
-def _table_integers(table: dict, d: Fraction, e: Fraction, degree: int) -> tuple[list, int]:
+def _compile(table: dict, degree: int) -> tuple:
+    """(m, n, rows) for _table_integers, once per table: its largest d- and
+    e-exponents, and the cells (c, i, j) of each power 0..degree."""
+    m = max(i for terms in table.values() for i, _ in terms)
+    n = max(j for terms in table.values() for _, j in terms)
+    rows = [[(c, i, j) for (i, j), c in table.get(power, {}).items()] for power in range(degree + 1)]
+    return m, n, rows
+
+
+def _table_integers(compiled: tuple, d: Fraction, e: Fraction) -> tuple[list, int]:
     """Integers (nums, den) such that nums[power] / den is the sum of
-    c * d^i * e^j over the cells (i, j): c of table[power], integer c.
+    c * d^i * e^j over the cells (c, i, j) of a _compile'd table's row power.
 
     With d = a/b, e = u/v in lowest terms and m, n the table's largest d- and
     e-exponents, den = b^m v^n and each numerator is the integer sum of
     c * a^i b^(m-i) * u^j v^(n-j). Nothing here takes a gcd.
     """
-    m = max(i for terms in table.values() for i, _ in terms)
-    n = max(j for terms in table.values() for _, j in terms)
+    m, n, rows = compiled
     a, b, u, v = d.numerator, d.denominator, e.numerator, e.denominator
     dp = [a**i * b ** (m - i) for i in range(m + 1)]
     ep = [u**j * v ** (n - j) for j in range(n + 1)]
-    nums = [0] * (degree + 1)
-    for power, terms in table.items():
-        nums[power] = sum(c * dp[i] * ep[j] for (i, j), c in terms.items())
-    return nums, b**m * v**n
+    return [sum(c * dp[i] * ep[j] for c, i, j in row) for row in rows], b**m * v**n
 
 
-def _eval_table(table: dict, d: Fraction, e: Fraction, degree: int) -> RatPoly:
+def _eval_table(compiled: tuple, d: Fraction, e: Fraction) -> RatPoly:
     """The polynomial whose x^power coefficient is the sum of c * d^i * e^j
-    over the cells (i, j): c of table[power], integer c; the integers of
+    over the cells of a _compile'd table's row power; the integers of
     _table_integers over their common denominator, so only the final
     Fraction of each coefficient takes a gcd.
     """
-    nums, den = _table_integers(table, d, e, degree)
+    nums, den = _table_integers(compiled, d, e)
     return RatPoly([Fraction(c, den) for c in nums])
+
+
+_F_REFERENCE = _compile(F_REFERENCE_TABLE, 15)
+_G_REFERENCE = _compile(G_REFERENCE_TABLE, 10)
+_F_VERIFIED = _compile(F_VERIFIED_TABLE, 15)
+_G_VERIFIED = _compile(G_VERIFIED_TABLE, 10)
+_DISC = _compile({0: _DISC_TABLE}, 0)
 
 
 def f_reduced(s: ReducedSextic) -> RatPoly:
     """Reference degree-15 matching resolvent, exactly as transcribed."""
-    return _eval_table(F_REFERENCE_TABLE, s.d, s.e, 15)
+    return _eval_table(_F_REFERENCE, s.d, s.e)
 
 
 def g_reduced(s: ReducedSextic) -> RatPoly:
     """Reference degree-10 partition resolvent, exactly as transcribed."""
-    return _eval_table(G_REFERENCE_TABLE, s.d, s.e, 10)
+    return _eval_table(_G_REFERENCE, s.d, s.e)
 
 
 def f_verified(s: ReducedSextic) -> RatPoly:
     """Degree-15 matching resolvent from the audited coefficient table."""
-    return _eval_table(F_VERIFIED_TABLE, s.d, s.e, 15)
+    return _eval_table(_F_VERIFIED, s.d, s.e)
 
 
 def g_verified(s: ReducedSextic) -> RatPoly:
     """Degree-10 partition resolvent from the audited coefficient table."""
-    return _eval_table(G_VERIFIED_TABLE, s.d, s.e, 10)
+    return _eval_table(_G_VERIFIED, s.d, s.e)
 
 
 def discriminant_reduced(s: ReducedSextic) -> Fraction:
     """Reference discriminant formula for x^6 + x^2 + d*x + e."""
-    return _eval_table({0: _DISC_TABLE}, s.d, s.e, 0)[0]
+    return _eval_table(_DISC, s.d, s.e)[0]
 
 
 def discriminant_exact(p: RatPoly) -> Fraction:
@@ -562,7 +574,7 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
         used.add((d, e))
         holdout_points.append((d, e))
         (exact,) = resolvents_exact(ReducedSextic(d, e).to_poly(), (kind,))
-        if _eval_table(fitted, Fraction(d), Fraction(e), deg) != exact:
+        if _eval_table(_compile(fitted, deg), Fraction(d), Fraction(e)) != exact:
             raise FitInconsistent(f"holdout mismatch at (d, e) = ({d}, {e})")
 
     reference = F_REFERENCE_TABLE if kind is ResolventKind.MATCHING else G_REFERENCE_TABLE

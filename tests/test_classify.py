@@ -274,22 +274,41 @@ def test_root_sieve_rules_out_only_resolvents_without_rational_roots():
 
 def test_root_sieve_reduces_only_where_the_resolvent_stays_monic(monkeypatch):
     # a rational root reduces to a root mod r only when r divides no
-    # denominator, i.e. not the leading numerator of the monic resolvent
+    # denominator, i.e. not the leading numerator of the monic resolvent.
+    # The last three points carry the denominators 43, 47 * 53 and 97 and
+    # stay in the sieve past them; (216/97, 5) keeps a resolvent through 89.
     module = importlib.import_module("sextic.classify")
     seen = []
-    original = module._has_root_mod
+    original = modp.has_root
 
     def spy(nums, r):
         seen.append((nums[-1], r))
         return original(nums, r)
 
-    monkeypatch.setattr(module, "_has_root_mod", spy)
-    for d, e in [(F(1, 3), 1), (F(2, 5), F(1, 7)), (F(-7, 15), F(3, 11)), (F(1, 2), F(5, 36))]:
+    monkeypatch.setattr(modp, "has_root", spy)
+    for d, e in [(F(1, 3), 1), (F(2, 5), F(1, 7)), (F(-7, 15), F(3, 11)), (F(1, 2), F(5, 36)),
+                 (F(4, 43), 1), (F(13, 47 * 53), 1), (F(216, 97), 5)]:
         module._resolvents_rootless(F(d), F(e))
     assert seen and all(lead % r for lead, r in seen)
+    assert {53, 71, 89} <= {r for _, r in seen}
+
+
+def test_root_sieve_evaluates_no_prime_when_a_constant_term_is_zero(monkeypatch):
+    # a zero constant numerator is the rational root 0: the e = 0 row, the
+    # d = 0 column, the vanishing-constant family and (2, 1), where the
+    # degree-10 constant vanishes
+    module = importlib.import_module("sextic.classify")
+    seen = []
+    monkeypatch.setattr(modp, "has_root", lambda nums, r: seen.append(r) or True)
+    for d, e in [(5, 0), (F(-1, 3), 0), (0, 1), (0, F(-7, 2)), (F(1, 2), F(5, 36)), (2, 1), (-2, 1)]:
+        assert not module._resolvents_rootless(F(d), F(e)), (d, e)
+    assert not seen
 
 
 def test_root_sieve_settles_most_of_the_benchmark_grid(monkeypatch):
+    # every point of d = -50..50, e = -2..2 that still reaches classify has
+    # a resolvent with a zero constant term (the e = 0 row, (0, +-1),
+    # (0, +-2) and (+-2, 1)) or is a hit
     module = importlib.import_module("sextic.classify")
     calls = []
     original = module.classify
@@ -299,10 +318,13 @@ def test_root_sieve_settles_most_of_the_benchmark_grid(monkeypatch):
         return original(p)
 
     monkeypatch.setattr(module, "classify", counting)
-    grid = list(itertools.product(range(-50, 51), range(-2, 3)))
-    for point in grid:
-        scan_point(point)
-    assert len(calls) <= 0.3 * len(grid)
+    for d, e in itertools.product(range(-50, 51), range(-2, 3)):
+        before = len(calls)
+        hit = scan_point((d, e))[2] is not None
+        if len(calls) > before and not hit:
+            s = ReducedSextic(F(d), F(e))
+            assert not f_verified(s).coeffs[0] or not g_verified(s).coeffs[0], (d, e)
+    assert len(calls) == 107
 
 
 @pytest.mark.parametrize(

@@ -248,8 +248,11 @@ def test_search_reduced_grid(capsys):
         # small primes: 1701 integer points, and 323 halves by thirds
         ("search_d-40_40_e-10_10", ["--d-range=-40:40", "--e-range=-10:10"]),
         ("search_d-4_4_halves_e-3_3_thirds", ["--d-range=-4:4:1/2", "--e-range=-3:3:1/3"]),
+        # the benchmark grid, captured before the sieve went from the primes
+        # 3..41 to all odd primes below 100 and gained its zero-constant exit
+        ("search_d-50_50_e-2_2", ["--d-range=-50:50", "--e-range=-2:2"]),
     ],
-    ids=["1", "2", "d-40_40_e-10_10", "d-4_4_halves_e-3_3_thirds"],
+    ids=["1", "2", "d-40_40_e-10_10", "d-4_4_halves_e-3_3_thirds", "d-50_50_e-2_2"],
 )
 def test_search_grid_matches_golden_output(capsys, stem, argv):
     golden = Path(__file__).parent / "golden" / stem

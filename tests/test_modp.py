@@ -7,6 +7,7 @@ import random
 import pytest
 
 from sextic import modp
+from sextic.classify import ROOT_SIEVE_PRIMES
 
 
 def _monic_polys(p, degree):
@@ -109,6 +110,43 @@ def test_packed_powmod_matches_list_arithmetic():
              [rng.randrange(-3 * m, 3 * m) for _ in range(rng.randint(1, 2 * n + 2))]][case % 4]
         for base, e in itertools.product((a, [m - 1] * n), (0, 1, 2, m, m * m, rng.getrandbits(48))):
             assert modp.powmod(base, e, f, m) == _powmod_by_lists(base, e, f, m), (base, e, f, m)
+
+
+def _has_root_by_horner(a, m):
+    for y in range(m):
+        value = 0
+        for c in reversed(a):
+            value = (value * y + c) % m
+        if not value:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("r", ROOT_SIEVE_PRIMES)
+def test_has_root_matches_horner_at_every_residue(r):
+    # degrees 10 and 15, as in the resolvent sieve: roots planted at 0 and at
+    # r - 1, rootless polynomials, all coefficients 0 mod r, and every
+    # coefficient r - 1 but the constant, which plants a root at y, so that
+    # slot y is near the largest value the slot width allows. Then each case
+    # again with negative 100-digit coefficients in the same residue classes.
+    rng = random.Random(r)
+    big = 10**99
+    for degree in (10, 15):
+        cases, rootless = [[0] * (degree + 1)], 0
+        while rootless < 5:
+            a = [rng.randrange(r) for _ in range(degree + 1)]
+            rootless += not _has_root_by_horner(a, r)
+            for y in (0, r - 1):
+                value = sum(c * y**k for k, c in enumerate(a))
+                cases.append([(a[0] - value) % r] + a[1:])
+            cases.append(a)
+        cases += [[c - r * rng.randrange(big, 10 * big) for c in a] for a in cases]
+        for y in range(r):
+            a = [r - 1] * (degree + 1)
+            a[0] = (a[0] - sum(c * y**k for k, c in enumerate(a))) % r
+            cases.append(a)
+        for a in cases:
+            assert modp.has_root(a, r) == _has_root_by_horner(a, r), (a, r)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 13])
