@@ -39,10 +39,10 @@ from . import modp
 from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
     RatPoly,
+    _derivative_resultant,
     _exact_quotient,
     _odd_primes,
     _rational_roots,
-    _squarefree_prime,
     is_rational_square,
     monic_model,
     rational_roots,
@@ -64,10 +64,14 @@ from .resolvents import (
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
 
 # Odd primes, squarefree for the input, whose factor degrees is_irreducible
-# intersects before it lifts. On the reduced benchmark corpora of seeds 1-3
-# (786 inputs) the lift is still needed for 117 inputs after 2 primes, 41
-# after 3 and 13 after 4; beyond 3 the time saved is lost in the noise.
-DEGREE_SIEVE_PRIMES = 3
+# intersects before it lifts. Over the squarefree inputs of the benchmark
+# corpora of seeds 1-3, 779 reduced and 293 general, the lift is still
+# needed for 117 and 55 inputs after 2 primes, 41 and 34 after 3, 13 and 16
+# after 4, 13 and 9 after 5. A prime costs a root count and at most one
+# power, so the mean is_irreducible time (in-process, 2-CPU container,
+# median of 5) goes 0.134/0.109 ms at 2 primes, 0.079/0.092 at 3,
+# 0.067/0.081 at 4, 0.067/0.078 at 5.
+DEGREE_SIEVE_PRIMES = 4
 
 # Odd primes at which scan_point looks for roots of the two reduced-sextic
 # resolvents before it calls classify: the 24 below 100, each about 16
@@ -108,24 +112,45 @@ class ClassificationReport:
     notes: tuple
 
 
+def _integer_model(p: RatPoly) -> tuple[list, int]:
+    """(q, disc q): the monic integer model q = a^(n-1) A(y/a) of p = c A
+    (exact.monic_model; A primitive of degree n with leading coefficient a)
+    and its discriminant, read off the cached Res(p, p').
+
+    Res(p, p') = c^(2n-1) Res(A, A'), disc A = (-1)^(n(n-1)/2) Res(A, A') / a,
+    and the roots of q are a times those of A, so
+    disc q = a^((n-1)(n-2)) disc A.
+    """
+    n = p.degree
+    c, A = p.primitive()
+    a = A[-1]
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    disc = sign * a ** ((n - 1) * (n - 2) - 1) * _derivative_resultant(p) / c ** (2 * n - 1)
+    return monic_model(A), int(disc)
+
+
 def is_irreducible(p: RatPoly) -> bool:
     """Exact irreducibility over the rationals for degree <= 6.
 
     Degree-1 factors come from the exact rational roots. For the rest, the
-    monic integer model q (exact.monic_model) is split into distinct-degree
-    parts mod each of the first DEGREE_SIEVE_PRIMES odd primes at which it
-    is squarefree. A degree-k factor of q over the integers is a product of
-    modular factors at every such prime, so k must be a subset sum of the
-    factor degrees at each of them; when no k in 2..n//2 is, q is
-    irreducible (Musser's degree analysis, J. ACM 25, 1978).
+    monic integer model q (exact.monic_model) is squarefree mod the odd
+    primes that do not divide disc q (_integer_model). At the first
+    DEGREE_SIEVE_PRIMES of them, modp.factor_degrees reads the factor
+    degrees of q off its roots mod the prime and the quadratic character of
+    disc q (Stickelberger's theorem in Swan's form, Pacific J. Math. 12,
+    1962). A degree-k factor of q over the integers is a product of modular
+    factors at every such prime, so k must be a subset sum of the factor
+    degrees at each of them; when no k in 2..n//2 is, q is irreducible
+    (Musser's degree analysis, J. ACM 25, 1978).
 
     Otherwise the prime with the fewest modular factors finishes the proof
-    (Zassenhaus, J. Number Theory 1, 1969): its distinct-degree parts are
-    split into irreducibles (Cantor-Zassenhaus), and every product of them
-    whose degree k survived the sieve is Hensel-lifted above twice the
-    Mignotte bound C(k, k//2)*|q|_2 on the coefficients of a degree-k
-    factor of q, reduced symmetrically and trial-divided in integer
-    arithmetic. Finding no factor proves irreducibility.
+    (Zassenhaus, J. Number Theory 1, 1969): q is factored mod that prime
+    (modp.factor, distinct-degree then Cantor-Zassenhaus splitting), and
+    every product of the factors whose degree k survived the sieve is
+    Hensel-lifted above twice the Mignotte bound C(k, k//2)*|q|_2 on the
+    coefficients of a degree-k factor of q, reduced symmetrically and
+    trial-divided in integer arithmetic. Finding no factor proves
+    irreducibility.
     """
     n = p.degree
     if n < 1:
@@ -142,24 +167,21 @@ def is_irreducible(p: RatPoly) -> bool:
         return False
     if n <= 3:
         return True
-    q = monic_model(p.primitive()[1])
+    q, disc = _integer_model(p)
     possible = set(range(2, n // 2 + 1))
-    primes, sieved = _odd_primes(), []
-    for _ in range(DEGREE_SIEVE_PRIMES):
-        prime = _squarefree_prime(q, primes)
+    sieved = []
+    for prime in itertools.islice((r for r in _odd_primes() if disc % r), DEGREE_SIEVE_PRIMES):
         q_mod = modp.reduce(q, prime)
-        parts = modp.distinct_degree(q_mod, prime)
-        sums, count = {0}, 0
-        for g, d in parts:
-            for _ in range((len(g) - 1) // d):
-                sums |= {s + d for s in sums}
-                count += 1
+        degrees = modp.factor_degrees(q_mod, prime, disc)[1]
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
         possible &= sums
         if not possible:
             return True
-        sieved.append((count, prime, q_mod, parts))
-    _, prime, q_mod, parts = min(sieved, key=lambda entry: entry[0])
-    factors = [h for g, d in parts for h in modp.equal_degree(g, d, prime)]
+        sieved.append((len(degrees), prime, q_mod))
+    _, prime, q_mod = min(sieved, key=lambda entry: entry[0])
+    factors = modp.factor(q_mod, prime)
     norm2 = sum(c * c for c in q)
     for r in range(1, len(factors)):
         for subset in itertools.combinations(factors, r):

@@ -10,13 +10,16 @@ factoring need a prime modulus, and factoring a squarefree input.
 
 Factoring over F_p (odd p) is distinct-degree splitting followed by
 Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981). factor
-runs both and is what the lifting-prime sieve of resolvents_exact calls;
-classify.is_irreducible, which already holds the distinct-degree parts
-for its degree analysis, splits them with equal_degree. The
-two-factor lift is the quadratic Hensel step (von zur Gathen & Gerhard,
-Modern Computer Algebra, Alg. 15.10). A simple root lifts by quadratic
-Newton steps, in Z/p^k or in (Z/p^k)[sqrt n]. Square roots are
-Tonelli-Shanks.
+runs both, for classify.is_irreducible at its Zassenhaus prime. The
+factor degrees of a squarefree f of degree <= 6 need neither:
+factor_degrees reads them off the roots of f mod p and the quadratic
+character of its discriminant (Stickelberger, in Swan's form), with at most
+one power x^(p^2) mod f. It serves the degree analysis of is_irreducible
+and the lifting-prime sieve of resolvents_exact, which splits only the
+product of quadratic factors with equal_degree. The two-factor lift is
+the quadratic Hensel step (von zur Gathen & Gerhard, Modern Computer
+Algebra, Alg. 15.10). A simple root lifts by quadratic Newton steps, in
+Z/p^k or in (Z/p^k)[sqrt n]. Square roots are Tonelli-Shanks.
 
 Powers mod (f, m) (powmod) run on packed residues. With n = deg f, a
 polynomial of degree below 2n - 1 is one int with one coefficient in each
@@ -26,11 +29,12 @@ reduced mod m at once by exact division by multiplication (Granlund and
 Montgomery, PLDI 1994): q = (v * c >> u) masked to the slots, then v - q*m.
 For slot values up to top, u is the bit length of top plus that of m and
 c = ceil(2^u / m); w is the bit length of top * c, so no slot carries into
-the next (_slot_reduction). has_root evaluates a polynomial of degree n at
-every residue y = 0..m-1 at once: with V_k holding y^k mod m in slot y
-(built once per (m, n)), sum (a_k mod m) V_k holds a(y), at most
-top = (m-1) max_y sum_k (y^k mod m), in slot y. One reduction leaves
-a(y) mod m, and adding 2^(w-1) - 1 to each slot sets its top bit unless 0.
+the next (_slot_reduction). roots and has_root evaluate a polynomial of
+degree n at every residue y = 0..m-1 at once (_zero_slots): with V_k
+holding y^k mod m in slot y (built once per (m, n)), sum (a_k mod m) V_k
+holds a(y), at most top = (m-1) max_y sum_k (y^k mod m), in slot y. One
+reduction leaves a(y) mod m, and adding 2^(w-1) - 1 to each slot sets its
+top bit unless 0; the slots whose top bit stays clear are the roots.
 Nothing here uses floating point or randomness.
 """
 
@@ -126,24 +130,42 @@ def _slot_reduction(top: int, m: int, slots: int):
 
 @functools.cache
 def _residue_powers(m: int, degree: int) -> tuple:
-    """(rows, residues, high, lows) for has_root: rows[k] has y^k mod m in
-    slot y for y = 0..m-1; high holds the top bit of each slot, and lows the
-    bits below it."""
+    """(rows, residues, high, lows, w) for _zero_slots: rows[k] has y^k mod
+    m in slot y for y = 0..m-1; high holds the top bit of each w-bit slot,
+    and lows the bits below it."""
     powers = [[pow(y, k, m) for y in range(m)] for k in range(degree + 1)]
     top = (m - 1) * max(map(sum, zip(*powers)))
     w, residues = _slot_reduction(top, m, m)
     rows = [sum(p << y * w for y, p in enumerate(row)) for row in powers]
     high = (((1 << m * w) - 1) // ((1 << w) - 1)) << w - 1
-    return rows, residues, high, high - (high >> w - 1)
+    return rows, residues, high, high - (high >> w - 1), w
+
+
+def _zero_slots(a: list, m: int) -> tuple[int, int]:
+    """(z, w): z has the top bit of w-bit slot y set exactly when the
+    integer polynomial a (any ints, at least one) vanishes at y mod m, from
+    one packed evaluation at every residue (see the module docstring)."""
+    rows, residues, high, lows, w = _residue_powers(m, len(a) - 1)
+    v = residues(sum(c % m * row for c, row in zip(a, rows)))
+    return (v + lows) & high ^ high, w
 
 
 def has_root(a: list, m: int) -> bool:
     """Whether the integer polynomial a (any ints, at least one) has a root
-    mod m, from one packed evaluation at every residue (see the module
-    docstring)."""
-    rows, residues, high, lows = _residue_powers(m, len(a) - 1)
-    v = residues(sum(c % m * row for c, row in zip(a, rows)))
-    return (v + lows) & high != high
+    mod m."""
+    return bool(_zero_slots(a, m)[0])
+
+
+def roots(a: list, m: int) -> list:
+    """The roots y = 0..m-1 of the integer polynomial a (any ints, at least
+    one) mod m, in increasing order."""
+    z, w = _zero_slots(a, m)
+    out = []
+    while z:
+        bit = z & -z
+        out.append(bit.bit_length() // w - 1)
+        z ^= bit
+    return out
 
 
 def powmod(a: list, e: int, f: list, m: int) -> list:
@@ -233,6 +255,40 @@ def equal_degree(g: list, d: int, p: int) -> list:
 def factor(f: list, p: int) -> list:
     """Monic irreducible factors of monic squarefree f mod odd prime p, sorted."""
     return sorted(h for part, d in distinct_degree(f, p) for h in equal_degree(part, d, p))
+
+
+def factor_degrees(f: list, p: int, disc: int) -> tuple[list, tuple]:
+    """(roots(f, p), the sorted degrees of the irreducible factors of f mod
+    p) for monic f of degree n <= 6 and odd prime p not dividing disc, the
+    discriminant of f.
+
+    The c roots are the linear factors. Stickelberger's theorem in Swan's
+    form (Pacific J. Math. 12, 1962) gives the number k of factors by
+    (-1)^(n-k) = (disc/p), which leaves one pattern for the parts of degree
+    >= 2 when n - c <= 5: (2, 2) or (4), (5) or (2, 3). When n - c = 6 one
+    power h = x^(p^2) mod (f, p) decides: h = x for (2, 2, 2); otherwise
+    (disc/p) = -1 for (6), and gcd(f, h - x) of degree 2 for (2, 4), of
+    degree 0 for (3, 3).
+    """
+    found = roots(f, p)
+    rest = len(f) - 1 - len(found)
+    square = pow(disc, (p - 1) // 2, p) == 1
+    if rest < 4:
+        parts = (rest,) if rest else ()
+    elif rest == 4:
+        parts = (2, 2) if square else (4,)
+    elif rest == 5:
+        parts = (5,) if square else (2, 3)
+    else:
+        x = [0, 1]
+        h = powmod(x, p * p, f, p)
+        if h == x:
+            parts = (2, 2, 2)
+        elif not square:
+            parts = (6,)
+        else:
+            parts = (2, 4) if len(gcd(f, sub(h, x, p), p)) == 3 else (3, 3)
+    return found, (1,) * len(found) + parts
 
 
 def nonresidue(p: int) -> int:

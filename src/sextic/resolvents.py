@@ -254,9 +254,12 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     x^(r^2) == x mod (q, r): q mod r is then squarefree with factors of
     degree <= 2, so its six roots lie in F_r(sqrt n), n the least
     non-residue. The sieve (_split_small) skips the r dividing
-    disc q = m^30 Res(p, p') and rejects r unless x^(r^2) == x mod (q, r),
-    one packed modp.powmod per prime. At the prime it accepts, modp.factor
-    splits q mod r into its linear and quadratic factors. Each root is
+    Res(q, q') = m^30 Res(p, p') and reads the factor degrees mod r off the
+    roots mod r, from one packed evaluation, and the quadratic character of
+    the discriminant -Res(q, q') (modp.factor_degrees); only a sextic with
+    no root mod r costs one power x^(r^2) mod (q, r). At the prime it
+    accepts, the roots are the linear factors, and equal_degree splits the
+    quotient by them when it holds more than one quadratic. Each root is
     Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit
     product expands from those roots (resolvent_from_roots) to the integer
     resolvent R_q mod r^N, whose sqrt n part must vanish.
@@ -332,14 +335,25 @@ class _Lifted:
         return out
 
 
-def _split_small(f: list, r: int):
-    """The sorted monic irreducible factors of the monic sextic f, squarefree
-    mod r, when none has degree above 2 (x^(r^2) == x mod (f, r)); else None.
-    The sieve of resolvents_exact."""
-    x = [0, 1]
-    if modp.powmod(x, r * r, f, r) != x:
+def _split_small(f: list, r: int, disc: int):
+    """The sorted monic irreducible factors of the monic sextic f mod r, r
+    not dividing disc = Res(f, f'), when none has degree above 2; else None.
+    The sieve of resolvents_exact.
+
+    modp.factor_degrees reads the degrees off the roots mod r and the
+    quadratic character of the discriminant -disc (a sextic's discriminant
+    is -Res(f, f')). The roots give the linear factors; the quotient h of f
+    by them is a product of quadratics, split by equal_degree when it has
+    more than one.
+    """
+    roots, degrees = modp.factor_degrees(f, r, -disc)
+    if degrees[-1] > 2:
         return None
-    return modp.factor(f, r)
+    linear = [[-y % r, 1] for y in roots]
+    h = f
+    for g in linear:
+        h = modp.div_rem(h, g, r)[0]
+    return sorted(linear + (modp.equal_degree(h, 2, r) if len(h) > 1 else []))
 
 
 def _lifted_roots(q: list, kinds: tuple, disc=None) -> list:
@@ -348,11 +362,11 @@ def _lifted_roots(q: list, kinds: tuple, disc=None) -> list:
     coefficient bound of resolvents_exact for the given kinds. disc is
     Res(q, q'), computed when not given; DegenerateSextic when it is 0."""
     if disc is None:
-        disc = resultant(RatPoly(q), RatPoly(q).derivative())
+        disc = int(resultant(RatPoly(q), RatPoly(q).derivative()))
     if not disc:
         raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
     for prime in _odd_primes():
-        factors = _split_small(modp.reduce(q, prime), prime) if disc % prime else None
+        factors = _split_small(modp.reduce(q, prime), prime, disc) if disc % prime else None
         if factors:
             break
     R = _root_bound(q)

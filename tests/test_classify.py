@@ -391,6 +391,27 @@ def test_factor_degrees_mod_three_primes_prove_irreducibility_without_lifting(mo
     assert is_irreducible(RatPoly(coeffs))
 
 
+def test_is_irreducible_derives_the_discriminant_of_its_monic_model():
+    # non-monic rational p of degree 4 to 6, leading coefficients of both
+    # signs: the discriminant read off Res(p, p'), the content and the
+    # leading coefficient is that of the model q, by its own resultant
+    from sextic.classify import _integer_model
+
+    rng = random.Random(23)
+    checked = 0
+    while checked < 120:
+        n = rng.choice([4, 5, 6])
+        lead = F(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(1, 7))
+        p = RatPoly([F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)] + [lead])
+        if not exact.squarefree(p):
+            continue
+        q, disc = _integer_model(p)
+        assert q == monic_model(p.primitive()[1])
+        sign = (-1) ** (n * (n - 1) // 2)
+        assert disc == sign * exact.resultant(RatPoly(q), RatPoly(q).derivative()), p
+        checked += 1
+
+
 def _rootless_factor(rng, degree, leads):
     while True:
         factor = RatPoly([rng.randint(-7, 7) for _ in range(degree)] + [rng.choice(leads)])

@@ -562,3 +562,25 @@ def test_numeric_resolvent_matches_golden_output(capsys, coeffs, kind):
     code, out, err = run(capsys, "resolvent", "--method", "numeric", "--kind", kind, f"--coeffs={coeffs}")
     assert (code, err) == (0, "")
     assert out == golden.read_text()
+
+
+# one block of the benchmark's `general` corpus (seed 1), c6 first: 13 monic
+# integer, 2 with thirds, 4 with halves and thirds, 1 non-monic; none has the
+# reduced shape, so each builds its resolvents by p-adic lifting. stdout was
+# captured before the lifting-prime sieve read factor degrees off root counts.
+CLASSIFY_GENERAL = [
+    "1,0,1,4,1,0,2", "1,1/3,-1,3,-3/2,-1,-1/2", "1,-3,5,3,-3,-3,-2", "1,2,-1,1,-3,-2,-1/3",
+    "1,-3,-1,-1,-4,1,-2", "1,-1,-3,-2,-3,-3,5", "1,-4,1,-2,1,-3,-1", "3,-4,4,-5,4,0,-3",
+    "1,5,-5,3,-4,4,-4", "1,-4,4,-1,5,2,5", "1,2,4,-4,-3,0,-5", "1,-5,4,-2,2,-2,-4",
+    "1,2/3,3/2,1/3,-3,3/2,1/3", "1,-5,-1,-1,-4,-3,-5", "1,2,3/2,-2/3,1,-2/3,1", "1,-3,-1,-1,-3,0,-5",
+    "1,1,2/3,1/3,2,-2/3,3", "1,-1,5,0,4,5,-2", "1,-1/2,-3,3/2,1/2,1/2,2/3", "1,0,-1,-1,-3,2,-2",
+]
+
+
+def test_classify_general_block_matches_golden_output(capsys):
+    out = ""
+    for coeffs in CLASSIFY_GENERAL:
+        code, line, err = run(capsys, "classify", f"--coeffs={coeffs}")
+        assert (code, err) == (0, "")
+        out += line
+    assert out == (Path(__file__).parent / "golden" / "classify_general.out").read_text()

@@ -8,6 +8,7 @@ import pytest
 
 from sextic import modp
 from sextic.classify import ROOT_SIEVE_PRIMES
+from sextic.exact import _odd_primes
 
 
 def _monic_polys(p, degree):
@@ -112,14 +113,15 @@ def test_packed_powmod_matches_list_arithmetic():
             assert modp.powmod(base, e, f, m) == _powmod_by_lists(base, e, f, m), (base, e, f, m)
 
 
-def _has_root_by_horner(a, m):
+def _roots_by_horner(a, m):
+    out = []
     for y in range(m):
         value = 0
         for c in reversed(a):
             value = (value * y + c) % m
         if not value:
-            return True
-    return False
+            out.append(y)
+    return out
 
 
 @pytest.mark.parametrize("r", ROOT_SIEVE_PRIMES)
@@ -135,7 +137,7 @@ def test_has_root_matches_horner_at_every_residue(r):
         cases, rootless = [[0] * (degree + 1)], 0
         while rootless < 5:
             a = [rng.randrange(r) for _ in range(degree + 1)]
-            rootless += not _has_root_by_horner(a, r)
+            rootless += not _roots_by_horner(a, r)
             for y in (0, r - 1):
                 value = sum(c * y**k for k, c in enumerate(a))
                 cases.append([(a[0] - value) % r] + a[1:])
@@ -146,7 +148,36 @@ def test_has_root_matches_horner_at_every_residue(r):
             a[0] = (a[0] - sum(c * y**k for k, c in enumerate(a))) % r
             cases.append(a)
         for a in cases:
-            assert modp.has_root(a, r) == _has_root_by_horner(a, r), (a, r)
+            assert modp.has_root(a, r) == bool(_roots_by_horner(a, r)), (a, r)
+
+
+@pytest.mark.parametrize("r", list(itertools.takewhile(lambda r: r < 400, _odd_primes())))
+def test_roots_match_horner_at_every_residue(r):
+    # degrees 1 to 15: roots planted at 0 and at r - 1 in a seeded
+    # polynomial, the polynomial itself, a rootless one (degree >= 2), all
+    # coefficients 0 mod r, and every coefficient r - 1 but the constant,
+    # which plants a root at a seeded y. Then each case again with negative
+    # 100-digit coefficients in the same residue classes.
+    rng = random.Random(r)
+    big = 10**99
+    cases = []
+    for degree in range(1, 16):
+        a = [rng.randrange(r) for _ in range(degree + 1)]
+        for y in (0, r - 1):
+            value = sum(c * y**k for k, c in enumerate(a))
+            cases.append([(a[0] - value) % r] + a[1:])
+        cases += [a, [0] * (degree + 1)]
+        while degree > 1 and _roots_by_horner(a, r):
+            a = [rng.randrange(r) for _ in range(degree)] + [1]
+        cases.append(a)
+        y, a = rng.randrange(r), [r - 1] * (degree + 1)
+        a[0] = (a[0] - sum(c * y**k for k, c in enumerate(a))) % r
+        cases.append(a)
+    cases += [[c - r * rng.randrange(big, 10 * big) for c in a] for a in cases]
+    for a in cases:
+        roots = modp.roots(a, r)
+        assert roots == _roots_by_horner(a, r), (a, r)
+        assert modp.has_root(a, r) == bool(roots), (a, r)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 13])

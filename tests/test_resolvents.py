@@ -415,11 +415,42 @@ def test_lifting_sieve_matches_factoring_mod_every_small_prime():
             f = modp.reduce(q, r)
             factors = modp.factor(f, r)
             expected = factors if all(len(g) <= 3 for g in factors) else None
-            assert _split_small(f, r) == expected, (q, r)
+            assert _split_small(f, r, int(disc)) == expected, (q, r)
             if r <= 13:
                 assert _small_factors_by_enumeration(f, r) == expected, (q, r)
             outcomes[expected is None] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+def test_factor_degrees_match_the_degrees_of_factoring_mod_every_small_prime():
+    # seeded squarefree monic quartics, quintics and sextics, and the
+    # _seeded_models sextics (a third of them models of rational sextics),
+    # at every odd prime below 200 that does not divide the discriminant
+    from sextic import modp
+    from sextic.exact import _odd_primes
+
+    rng = random.Random(2323)
+    models = _seeded_models(60)
+    while len(models) < 150:
+        q = [rng.randint(-30, 30) for _ in range(rng.choice([4, 5, 6]))] + [1]
+        if resultant(RatPoly(q), RatPoly(q).derivative()):
+            models.append(q)
+    decided_by_sign = Counter()
+    for q in models:
+        n = len(q) - 1
+        disc = int((-1) ** (n * (n - 1) // 2) * resultant(RatPoly(q), RatPoly(q).derivative()))
+        for r in itertools.takewhile(lambda r: r < 200, _odd_primes()):
+            if disc % r == 0:
+                continue
+            f = modp.reduce(q, r)
+            factors = modp.factor(f, r)
+            roots, degrees = modp.factor_degrees(f, r, disc)
+            assert degrees == tuple(sorted(len(g) - 1 for g in factors)), (q, r)
+            assert roots == sorted(-g[0] % r for g in factors if len(g) == 2), (q, r)
+            if n - len(roots) >= 4:  # the sign of (disc/r) picks the pattern
+                decided_by_sign[pow(disc, (r - 1) // 2, r) == 1, r % 4] += 1
+    # (-disc/r) = -(disc/r) when r = 3 mod 4, so a flipped sign fails here
+    assert len(decided_by_sign) == 4 and min(decided_by_sign.values()) >= 100, decided_by_sign
 
 
 def test_monic_integer_rescale_takes_large_smooth_denominators():
