@@ -14,9 +14,13 @@ runs both, for classify.is_irreducible at its Zassenhaus prime. The
 factor degrees of a squarefree f of degree <= 6 need neither:
 factor_degrees reads them off the roots of f mod p and the quadratic
 character of its discriminant (Stickelberger, in Swan's form), with at most
-one power x^(p^2) mod f. It serves the degree analysis of is_irreducible
-and the lifting-prime sieve of resolvents_exact, which splits only the
-product of quadratic factors with equal_degree. The two-factor lift is
+one power x^(p^2) mod f, for the degree analysis of is_irreducible.
+small_factor_roots asks only whether every degree is <= 2, for the
+lifting-prime sieve of resolvents_exact: the root count and the character
+reject most primes, and the power is taken only for an f with no root and
+a non-square discriminant. The sieve splits only the product of quadratic
+factors, with equal_degree, which refuses an input that is not a product
+of distinct factors of the given degree. The two-factor lift is
 the quadratic Hensel step (von zur Gathen & Gerhard, Modern Computer
 Algebra, Alg. 15.10). A simple root lifts by quadratic Newton steps, in
 Z/p^k or in (Z/p^k)[sqrt n]. Square roots are Tonelli-Shanks.
@@ -237,6 +241,10 @@ def equal_degree(g: list, d: int, p: int) -> list:
     deg g - 1, read off the base-p digits of p, p + 1, ... For two distinct
     factors some such a is a square mod one and a non-square mod the other,
     so gcd(g, a^((p^d - 1)/2) - 1) splits g before the enumeration ends.
+    The first test power, h = x^((p^d - 1)/2) mod g, also checks the input:
+    g must divide x h^2 - x = x^(p^d) - x and have degree a multiple of d,
+    else ValueError, where the enumeration would never end. A g of degree d
+    is returned as it is.
     """
     n = len(g) - 1
     if n == d:
@@ -247,7 +255,10 @@ def equal_degree(g: list, d: int, p: int) -> list:
         while t:
             t, digit = divmod(t, p)
             a.append(digit)
-        h = gcd(g, sub(powmod(a, e, g, p), [1], p), p)
+        h = powmod(a, e, g, p)
+        if a == [0, 1] and (n % d or div_rem(mul([0, 1], sub(mul(h, h, p), [1], p), p), g, p)[1]):
+            raise ValueError(f"not a product of distinct irreducible factors of degree {d} mod {p}")
+        h = gcd(g, sub(h, [1], p), p)
         if 0 < len(h) - 1 < n:
             return equal_degree(h, d, p) + equal_degree(div_rem(g, h, p)[0], d, p)
 
@@ -289,6 +300,24 @@ def factor_degrees(f: list, p: int, disc: int) -> tuple[list, tuple]:
         else:
             parts = (2, 4) if len(gcd(f, sub(h, x, p), p)) == 3 else (3, 3)
     return found, (1,) * len(found) + parts
+
+
+def small_factor_roots(f: list, p: int, disc: int):
+    """roots(f, p) when no irreducible factor of f mod p has degree above
+    2, else None; f, p and disc as in factor_degrees.
+
+    With c roots, the other factors are all quadratics only if n - c is
+    even and (disc/p) = (-1)^((n - c)/2) (Stickelberger). One power
+    x^(p^2) mod (f, p) then separates (2, 2, 2), where it is x, from (6),
+    and is taken only there: n - c = 6 and disc a non-square mod p.
+    """
+    found = roots(f, p)
+    rest = len(f) - 1 - len(found)
+    if rest % 2 or pow(disc, (p - 1) // 2, p) != (1 if rest % 4 == 0 else p - 1):
+        return None
+    if rest == 6 and powmod([0, 1], p * p, f, p) != [0, 1]:
+        return None
+    return found
 
 
 def nonresidue(p: int) -> int:

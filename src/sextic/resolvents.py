@@ -8,8 +8,9 @@ Three construction routes, reconciled against each other:
   kept exactly as transcribed, typos included, so they can be audited;
 * exact resolvents of arbitrary squarefree sextics by p-adic lifting of
   the roots (resolvents_exact), with no floating point: the lifted roots go
-  through the generic from-roots construction (resolvent_from_roots), which
-  evaluates the full invariant orbit, expands the product and rounds the
+  through the from-roots construction (resolvent_from_roots), which pairs
+  the orbit values by the conjugation of the lifting field, evaluates one
+  value per pair, expands the product of the pairs as a norm and rounds the
   coefficients to integers;
 * an interpolation reconstruction (reconstruct_reduced) that re-derives
   the closed-form tables from exact samples and diffs them term by term
@@ -34,11 +35,11 @@ from functools import lru_cache
 from math import comb, isqrt, lcm, prod
 
 from . import modp
-from .errors import DegenerateSextic, FitInconsistent
+from .errors import DegenerateSextic, FitInconsistent, NotNearInteger
 from .exact import RatPoly, _derivative_resultant, _odd_primes, _root_bound
 from .exact import resultant, squarefree, trial_split
 from .exact import factorize  # noqa: F401  not called; perfbench/spans.py requires the binding
-from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, eval_monomial_sum, orbit
+from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, Perm, act, eval_monomial_sum, orbit
 from .roots import expand_from_roots, round_to_int_poly
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
 
@@ -254,15 +255,19 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     x^(r^2) == x mod (q, r): q mod r is then squarefree with factors of
     degree <= 2, so its six roots lie in F_r(sqrt n), n the least
     non-residue. The sieve (_split_small) skips the r dividing
-    Res(q, q') = m^30 Res(p, p') and reads the factor degrees mod r off the
-    roots mod r, from one packed evaluation, and the quadratic character of
-    the discriminant -Res(q, q') (modp.factor_degrees); only a sextic with
-    no root mod r costs one power x^(r^2) mod (q, r). At the prime it
-    accepts, the roots are the linear factors, and equal_degree splits the
-    quotient by them when it holds more than one quadratic. Each root is
-    Newton-lifted in (Z/r^N)[sqrt n] (_lifted_roots), and the orbit
-    product expands from those roots (resolvent_from_roots) to the integer
-    resolvent R_q mod r^N, whose sqrt n part must vanish.
+    Res(q, q') = m^30 Res(p, p') and rejects r from the number c of roots
+    mod r, from one packed evaluation, and the quadratic character of the
+    discriminant -Res(q, q') (modp.small_factor_roots): every factor has
+    degree <= 2 only if c is even and the character is (-1)^((6 - c)/2).
+    Only a sextic with no root mod r and a non-square discriminant costs one
+    power x^(r^2) mod (q, r). At the prime it accepts, the roots are the
+    linear factors, and equal_degree splits the quotient by them when it
+    holds more than one quadratic. Each root is Newton-lifted in
+    (Z/r^N)[sqrt n] (_lifted_roots). The conjugation sqrt n -> -sqrt n,
+    the Frobenius at r, fixes the roots of the linear factors and swaps the
+    two roots of each quadratic one, so it pairs the orbit values too:
+    resolvent_from_roots evaluates one value per pair and builds the
+    integer resolvent R_q mod r^N as a norm.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
     measure M(q) <= |q|_2 (Landau's inequality), and one root at most
@@ -340,14 +345,15 @@ def _split_small(f: list, r: int, disc: int):
     not dividing disc = Res(f, f'), when none has degree above 2; else None.
     The sieve of resolvents_exact.
 
-    modp.factor_degrees reads the degrees off the roots mod r and the
-    quadratic character of the discriminant -disc (a sextic's discriminant
-    is -Res(f, f')). The roots give the linear factors; the quotient h of f
-    by them is a product of quadratics, split by equal_degree when it has
-    more than one.
+    modp.small_factor_roots rejects r from the number of roots mod r and
+    the quadratic character of the discriminant -disc (a sextic's
+    discriminant is -Res(f, f')), and takes a power x^(r^2) only for a
+    sextic with no root mod r and a non-square discriminant. The roots give
+    the linear factors; the quotient h of f by them is a product of
+    quadratics, split by equal_degree when it has more than one.
     """
-    roots, degrees = modp.factor_degrees(f, r, -disc)
-    if degrees[-1] > 2:
+    roots = modp.small_factor_roots(f, r, -disc)
+    if roots is None:
         return None
     linear = [[-y % r, 1] for y in roots]
     h = f
@@ -426,13 +432,63 @@ def monic_integer_rescale(p: RatPoly) -> tuple[RatPoly, int]:
     return q, m
 
 
+@lru_cache(maxsize=None)
+def _conjugate_orbit(kind: ResolventKind, sigma: tuple) -> tuple:
+    """(fixed, paired): the positions in orbit(kind.invariant) of the
+    images that the involution sigma of the roots (a Perm's image tuple)
+    fixes, and of the first image of each pair of images it swaps."""
+    images = [m for m, _ in orbit(kind.invariant)]
+    where = {m: i for i, m in enumerate(images)}
+    s = Perm(sigma)
+    fixed, paired = [], []
+    for i, m in enumerate(images):
+        j = where[act(s, m)]
+        if j == i:
+            fixed.append(i)
+        elif i < j:
+            paired.append(i)
+    return tuple(fixed), tuple(paired)
+
+
 def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
-    """Expand the invariant-orbit product over the six lifted roots (_Lifted
-    values) and read off its integer coefficients (round_to_int_poly). One
-    monomial memo serves the whole orbit (eval_monomial_sum)."""
+    """The integer resolvent of the given kind from the six lifted roots of
+    a sextic (_Lifted values mod M in (Z/M)[sqrt n]), one orbit value per
+    conjugate pair.
+
+    The conjugation sqrt n -> -sqrt n permutes the roots by an involution
+    sigma (root j is the conjugate of root i when a_j = a_i and
+    b_j = -b_i), and so the orbit values (_conjugate_orbit). With
+    prod (z - v) = A + B sqrt n over one value v of each swapped pair
+    (expand_from_roots), the resolvent is A^2 - n B^2 times z - a for each
+    value a of a fixed image; its symmetric residues mod M are the integer
+    coefficients (round_to_int_poly). One monomial memo serves the whole
+    orbit (eval_monomial_sum). Raises NotNearInteger when a root has no
+    conjugate among the roots or a fixed value keeps a sqrt n part.
+    """
+    n, modulus = roots[0].n, roots[0].modulus
+    where = {(v.a, v.b): i for i, v in enumerate(roots)}
+    sigma = tuple(where.get((v.a, -v.b % modulus), -1) for v in roots)
+    if -1 in sigma:
+        raise NotNearInteger("a lifted root has no conjugate among the roots")
+    fixed, paired = _conjugate_orbit(kind, sigma)
+    images = orbit(kind.invariant)
     memo: dict = {}
-    values = [eval_monomial_sum(m, roots, memo) for m, _ in orbit(kind.invariant)]
-    return round_to_int_poly(expand_from_roots(values))
+    coeffs = [1]
+    if paired:
+        half = expand_from_roots([eval_monomial_sum(images[i][0], roots, memo) for i in paired])
+        coeffs = [0] * (2 * len(half) - 1)
+        for i, c in enumerate(half):
+            for j, d in enumerate(half):
+                coeffs[i + j] += c.a * d.a - n * c.b * d.b
+    for i in fixed:
+        v = eval_monomial_sum(images[i][0], roots, memo)
+        if v.b:
+            raise NotNearInteger("a value fixed by the conjugation keeps a sqrt n part")
+        coeffs.append(coeffs[-1])
+        for k in range(len(coeffs) - 2, 0, -1):
+            coeffs[k] = (coeffs[k - 1] - v.a * coeffs[k]) % modulus
+        coeffs[0] = -v.a * coeffs[0] % modulus
+    return round_to_int_poly([_Lifted(c % modulus, 0, n, modulus) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,10 @@ def expand_from_roots(values):
 def round_to_int_poly(coeffs) -> RatPoly:
     """The integer polynomial of lifted coefficients: each a + b sqrt(n)
     mod M (resolvents._Lifted) must have b = 0 and stands for the symmetric
-    residue of a. Raises NotNearInteger when a sqrt n part survives."""
+    residue of a. resolvent_from_roots passes the coefficients of its norm,
+    which lie in Z/M; an expansion over a whole set of conjugate roots, as
+    expand_from_roots gives it, has b = 0 as well. Raises NotNearInteger
+    when a sqrt n part survives."""
     if any(c.b for c in coeffs):
         raise NotNearInteger("a lifted coefficient keeps a nonzero sqrt n part")
     return RatPoly([modp.symmetric(c.a, c.modulus) for c in coeffs])

@@ -549,14 +549,23 @@ def test_audit_matching_cli_reports_the_four_defects(capsys):
     assert len(doc["holdout_points"]) == 20
 
 
+# one sextic per pattern of factor degrees at its lifting prime: six linear
+# factors, four, two, and none (three quadratics)
+RESOLVENT_PATTERNS = ["1,-1,-1,3,2,3,-1", "1,-4,-1,4,-4,1,-3", "1,-3,-1,-3,2,2,-3", "1,4,-3,-4,2,-2,1"]
+
+
 @pytest.mark.parametrize("kind", ["j", "k"])
 @pytest.mark.parametrize(
-    "coeffs", ["1,2,3,4,5,6,7", "36,0,0,0,36,18,5", "1,0,3/7,0,0,1,-2/9", "2,0,-3,1/5,0,0,7"]
+    "coeffs",
+    ["1,2,3,4,5,6,7", "36,0,0,0,36,18,5", "1,0,3/7,0,0,1,-2/9", "2,0,-3,1/5,0,0,7"]
+    + RESOLVENT_PATTERNS,
 )
 def test_numeric_resolvent_matches_golden_output(capsys, coeffs, kind):
     # stdout captured before the p-adic engine shared its orbit products and
     # reused x^r in the lifting-prime sieve; three inputs have a non-integer
-    # monic form, so the lift runs on a rescaled model (m > 1)
+    # monic form, so the lift runs on a rescaled model (m > 1). The
+    # RESOLVENT_PATTERNS goldens were captured before the resolvents were
+    # built from one value per conjugate pair.
     name = f"resolvent_{kind}_" + coeffs.replace(",", "_").replace("/", "over")
     golden = Path(__file__).parent / "golden" / f"{name}.out"
     code, out, err = run(capsys, "resolvent", "--method", "numeric", "--kind", kind, f"--coeffs={coeffs}")

@@ -57,6 +57,27 @@ def test_factor_degree_patterns_of_squarefree_sextics_mod_7():
         assert sum(len(g) - 1 for g in factors) == 6
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        [2, 1, 0, 0, 1],  # x^4 + x + 2, irreducible mod 3
+        [1, 0, 2, 0, 1],  # (x^2 + 1)^2, not squarefree
+        [0, 1],  # x: degree 1, not a multiple of 2
+    ],
+)
+def test_equal_degree_refuses_what_is_not_a_product_of_distinct_quadratics(g, monkeypatch):
+    # x^9 - x mod 3 is the product of all the monic irreducibles of degree 1
+    # and 2, so the first test power x^4 mod g tells; no enumeration follows
+    powers = []
+    powmod = modp.powmod
+    monkeypatch.setattr(modp, "powmod", lambda *args: powers.append(args) or powmod(*args))
+    assert modp.equal_degree(modp.mul([1, 0, 1], [2, 1, 1], 3), 2, 3) == [[1, 0, 1], [2, 1, 1]]
+    powers.clear()
+    with pytest.raises(ValueError):
+        modp.equal_degree(g, 2, 3)
+    assert len(powers) <= 1
+
+
 def test_xgcd_and_division_identities():
     rng = random.Random(9)
     p = 13

@@ -481,6 +481,85 @@ def test_lifted_values_round_to_their_symmetric_residue():
         round_to_int_poly(expand_from_roots([r]))
 
 
+# one sextic (c6 first) for each pattern of factor degrees at its lifting
+# prime (43, 41, 43 and 79 respectively), by its number of linear factors
+LIFTING_PATTERNS = {
+    "1,-1,-1,3,2,3,-1": 6,
+    "1,-4,-1,4,-4,1,-3": 4,
+    "1,-3,-1,-3,2,2,-3": 2,
+    "1,4,-3,-4,2,-2,1": 0,
+}
+
+
+def _pattern_roots(coeffs: str) -> tuple:
+    """(p, the lifted roots of its monic integer model) for c6-first coeffs."""
+    p = RatPoly([F(c) for c in coeffs.split(",")][::-1])
+    q, _ = monic_integer_rescale(p.monic())
+    return p, _lifted_roots([int(c) for c in q.coeffs], BOTH)
+
+
+@pytest.mark.parametrize("coeffs", sorted(LIFTING_PATTERNS))
+def test_conjugate_pairs_give_the_resolvents_on_every_lifting_pattern(coeffs):
+    # a root lifted from a linear factor is its own conjugate (b = 0); one
+    # from a quadratic factor is not, so the count fixes the pattern
+    p, roots = _pattern_roots(coeffs)
+    assert sum(1 for v in roots if not v.b) == LIFTING_PATTERNS[coeffs]
+    exact = resolvents_exact(p, BOTH)
+    assert exact == tuple(resolvent_by_complex_roots(p, kind) for kind in BOTH)
+
+
+@pytest.mark.parametrize("kind", BOTH)
+def test_resolvent_from_roots_refuses_a_root_without_its_conjugate(kind):
+    from sextic.errors import NotNearInteger
+    from sextic.resolvents import _Lifted
+
+    p, roots = _pattern_roots("1,-3,-1,-3,2,2,-3")
+    assert resolvent_from_roots(roots, kind) == resolvents_exact(p, (kind,))[0]
+    quadratic = next(i for i, v in enumerate(roots) if v.b)
+    linear = next(i for i, v in enumerate(roots) if not v.b)
+    for i in (quadratic, linear):
+        v = roots[i]
+        changed = list(roots)
+        changed[i] = _Lifted(v.a + 1, v.b or 1, v.n, v.modulus)
+        with pytest.raises(NotNearInteger):
+            resolvent_from_roots(changed, kind)
+
+
+def test_lifting_sieve_takes_a_power_only_at_primes_without_roots_and_with_a_non_square_discriminant(
+    monkeypatch,
+):
+    from sextic import modp
+    from sextic.exact import _odd_primes
+
+    calls = []
+    powmod = modp.powmod
+
+    def counted(a, e, f, m):
+        calls.append((e, m))
+        return powmod(a, e, f, m)
+
+    monkeypatch.setattr(modp, "powmod", counted)
+    sieved = Counter()
+    for q in _seeded_models(90):
+        disc = int(resultant(RatPoly(q), RatPoly(q).derivative()))
+        calls.clear()
+        modulus = _lifted_roots(q, BOTH, disc)[0].modulus
+        powers = [m for e, m in calls if e == m * m]
+        prime = next(r for r in _odd_primes() if modulus % r == 0)
+        # the other powers are equal_degree's, at the lifting prime
+        assert all(m == prime for e, m in calls if e != m * m), q
+        # a sextic's discriminant is -Res(q, q')
+        expected = [
+            r for r in itertools.takewhile(lambda r: r <= prime, _odd_primes())
+            if disc % r and not modp.roots(q, r) and pow(-disc, (r - 1) // 2, r) == r - 1
+        ]
+        assert powers == expected, q
+        sieved["power"] += len(powers)
+        sieved["no power"] += sum(1 for r in itertools.takewhile(lambda r: r <= prime, _odd_primes())
+                                  if disc % r) - len(powers)
+    assert sieved["no power"] > 3 * sieved["power"] > 0, sieved
+
+
 @pytest.mark.slow
 def test_resolvents_exact_matches_the_ff_oracle():
     import os
