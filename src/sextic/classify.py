@@ -11,10 +11,10 @@ group inside the order-12 dihedral intersection.
 Every step is exact and no verdict involves floating point.
 Irreducibility is decided by degree analysis: the factor degrees mod a few
 primes usually leave no room for a factor over the rationals. Only when
-they do is the input factored mod the best of those primes and Hensel
-lifted (is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) read
-their resolvents off the audited closed-form tables; every other sextic
-builds them by p-adic lifting of its roots (resolvents.resolvents_exact).
+they do are the roots lifted p-adically and the lifted factors recombined
+(is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) read their
+resolvents off the audited closed-form tables; every other sextic builds
+them from the same p-adic lift of its roots (resolvents.resolvents_exact).
 
 scan_point, the step of `sextic search`, first reduces the two reduced-form
 resolvents mod the odd primes below 100 (ROOT_SIEVE_PRIMES). A point at
@@ -68,9 +68,9 @@ from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requ
 # corpora of seeds 1-3, 779 reduced and 293 general, the lift is still
 # needed for 117 and 55 inputs after 2 primes, 41 and 34 after 3, 13 and 16
 # after 4, 13 and 9 after 5. A prime costs a root count and at most one
-# power, so the mean is_irreducible time (in-process, 2-CPU container,
-# median of 5) goes 0.134/0.109 ms at 2 primes, 0.079/0.092 at 3,
-# 0.067/0.081 at 4, 0.067/0.078 at 5.
+# power, so the mean is_irreducible time (in-process, 2-CPU Xeon container,
+# median of 5) goes 0.119/0.146 ms at 2 primes, 0.107/0.131 at 3,
+# 0.100/0.118 at 4, 0.100/0.114 at 5: a fifth prime gains on general only.
 DEGREE_SIEVE_PRIMES = 4
 
 # Odd primes at which scan_point looks for roots of the two reduced-sextic
@@ -143,12 +143,19 @@ def is_irreducible(p: RatPoly) -> bool:
     degrees at each of them; when no k in 2..n//2 is, q is irreducible
     (Musser's degree analysis, J. ACM 25, 1978).
 
-    Otherwise the prime with the fewest modular factors finishes the proof
-    (Zassenhaus, J. Number Theory 1, 1969): q is factored mod that prime
-    (modp.factor, distinct-degree then Cantor-Zassenhaus splitting), and
-    every product of the factors whose degree k survived the sieve is
-    Hensel-lifted above twice the Mignotte bound C(k, k//2)*|q|_2 on the
-    coefficients of a degree-k factor of q, reduced symmetrically and
+    Otherwise the p-adic lift of resolvents_exact finishes the proof
+    (Zassenhaus's recombination, J. Number Theory 1, 1969):
+    modp.lift_small_factors lifts the roots of q at the first prime r not
+    dividing disc q at which every factor of q mod r has degree <= 2, to a
+    power r^N above twice the Mignotte bound C(k, k//2)*|q|_2 on the
+    coefficients of a factor of q of degree k, the largest degree left.
+    They give the factors x - a and x^2 - 2a x + (a^2 - z b^2) of q mod r^N,
+    for the linear roots a and the roots a + b sqrt z of the quadratic
+    factors, z the least non-residue mod r. q is squarefree mod r, so its
+    r-adic roots are distinct, and the roots of an integer factor of q are
+    closed under sqrt z -> -sqrt z: every integer factor is the product of
+    some of these. Each product of a degree that survived the sieve (a
+    split into halves from one side only) is reduced symmetrically and
     trial-divided in integer arithmetic. Finding no factor proves
     irreducibility.
     """
@@ -169,36 +176,27 @@ def is_irreducible(p: RatPoly) -> bool:
         return True
     q, disc = _integer_model(p)
     possible = set(range(2, n // 2 + 1))
-    sieved = []
     for prime in itertools.islice((r for r in _odd_primes() if disc % r), DEGREE_SIEVE_PRIMES):
-        q_mod = modp.reduce(q, prime)
-        degrees = modp.factor_degrees(q_mod, prime, disc)[1]
         sums = {0}
-        for d in degrees:
+        for d in modp.factor_degrees(modp.reduce(q, prime), prime, disc)[1]:
             sums |= {s + d for s in sums}
         possible &= sums
         if not possible:
             return True
-        sieved.append((len(degrees), prime, q_mod))
-    _, prime, q_mod = min(sieved, key=lambda entry: entry[0])
-    factors = modp.factor(q_mod, prime)
-    norm2 = sum(c * c for c in q)
-    for r in range(1, len(factors)):
-        for subset in itertools.combinations(factors, r):
+    k = max(possible)
+    bound = 2 * math.comb(k, k // 2) * (math.isqrt(sum(c * c for c in q)) + 1)
+    modulus, z, linear, quadratic = modp.lift_small_factors(q, disc, bound, _odd_primes())
+    factors = [[-a, 1] for a in linear] + [[a * a - z * b * b, -2 * a, 1] for a, b in quadratic]
+    for size in range(1, len(factors)):
+        for subset in itertools.combinations(factors, size):
             k = sum(len(f) - 1 for f in subset)
-            if k not in possible:
-                continue
-            lifts = 1  # until prime^lifts > 2 * C(k, k//2) * |q|_2
-            while prime ** (2 * lifts) <= 4 * math.comb(k, k // 2) ** 2 * norm2:
-                lifts += 1
+            if k not in possible or (2 * k == n and subset[0] is not factors[0]):
+                continue  # a split into halves is tried once, from the side of factors[0]
             g = [1]
             for f in subset:
-                g = modp.mul(g, f, prime)
-            lifted, _ = modp.hensel_lift(q, g, modp.div_rem(q_mod, g, prime)[0], prime, lifts)
-            modulus = prime**lifts
-            cand = [modp.symmetric(c, modulus) for c in lifted]
+                g = modp.mul(g, f, modulus)
             try:
-                _exact_quotient(q, cand)
+                _exact_quotient(q, [modp.symmetric(c, modulus) for c in g])
             except ArithmeticError:
                 continue
             return False

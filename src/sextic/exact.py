@@ -326,11 +326,11 @@ def divisors(n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs: list, y: int, m: int = 0) -> int:
-    """Integer polynomial value at y, reduced mod m unless m is 0."""
+def _horner(coeffs: list, y: int) -> int:
+    """Integer polynomial value at y."""
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * y + c) % m if m else acc * y + c
+        acc = acc * y + c
     return acc
 
 
@@ -389,8 +389,9 @@ def rational_roots(p: RatPoly) -> set:
     squarefree, and all roots of F mod it simple. When none certifies, A is
     replaced by its squarefree part (subresultant PRS) and the first odd prime
     at which that part's model is squarefree is used. Each root of F mod the
-    prime is Newton-lifted above twice Fujiwara's root bound, reduced
-    symmetrically (modp.newton_lift, modp.symmetric), checked exactly.
+    prime (modp.roots, one packed evaluation at every residue) is
+    Newton-lifted above twice Fujiwara's root bound, reduced symmetrically
+    (modp.newton_lift, modp.symmetric), checked exactly.
     """
     return _rational_roots(p)[0]
 
@@ -418,7 +419,7 @@ def _rational_roots(p: RatPoly) -> tuple[set, bool]:
     lead, bound, target = A[-1], 2 * _root_bound(F), prime
     while target <= bound:
         target *= prime
-    for y in (y for y in range(prime) if not _horner(F, y, prime)):
+    for y in modp.roots(F, prime):
         y = modp.symmetric(modp.newton_lift(F, (y, 0), 0, prime, target)[0], target)
         if not _horner(F, y):
             roots.add(Fraction(y, lead))

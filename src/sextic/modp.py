@@ -1,29 +1,29 @@
-"""Dense polynomials over F_p and Z/p^k: arithmetic, factoring, Hensel
-lifting, Newton lifting of roots; square roots in F_p; symmetric residues.
+"""Dense polynomials over F_p and Z/p^k: arithmetic, root finding, the
+factor degrees and the lifting prime of a polynomial of degree <= 6, Newton
+lifting of roots; square roots in F_p; symmetric residues.
 
 A polynomial is a list of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is []). Every function takes the modulus m (or the
 prime p) explicitly and returns residues in 0..m-1, except symmetric, which
 maps one into (-m/2, m/2] to read off the integer it stands for. Division
-needs a divisor whose leading coefficient is a unit mod m; gcd, xgcd and
+needs a divisor whose leading coefficient is a unit mod m; gcd and
 factoring need a prime modulus, and factoring a squarefree input.
 
-Factoring over F_p (odd p) is distinct-degree splitting followed by
-Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981). factor
-runs both, for classify.is_irreducible at its Zassenhaus prime. The
-factor degrees of a squarefree f of degree <= 6 need neither:
-factor_degrees reads them off the roots of f mod p and the quadratic
-character of its discriminant (Stickelberger, in Swan's form), with at most
-one power x^(p^2) mod f, for the degree analysis of is_irreducible.
-small_factor_roots asks only whether every degree is <= 2, for the
-lifting-prime sieve of resolvents_exact: the root count and the character
-reject most primes, and the power is taken only for an f with no root and
-a non-square discriminant. The sieve splits only the product of quadratic
-factors, with equal_degree, which refuses an input that is not a product
-of distinct factors of the given degree. The two-factor lift is
-the quadratic Hensel step (von zur Gathen & Gerhard, Modern Computer
-Algebra, Alg. 15.10). A simple root lifts by quadratic Newton steps, in
-Z/p^k or in (Z/p^k)[sqrt n]. Square roots are Tonelli-Shanks.
+The factor degrees of a squarefree f of degree <= 6 mod an odd prime p
+need no factoring: factor_degrees reads them off the roots of f mod p and
+the quadratic character of its discriminant (Stickelberger, in Swan's
+form), with at most one power x^(p^2) mod f, for the degree analysis of
+classify.is_irreducible. small_factor_roots asks only whether every degree
+is <= 2: the root count and the character reject most primes, and the
+power is taken only for an f with no root and a non-square discriminant.
+lift_small_factors, the one p-adic lift of the decision pipeline (for
+is_irreducible and resolvents_exact), walks the primes with it, splits the
+product of the quadratic factors with equal_degree, which refuses an input
+that is not a product of distinct factors of the given degree, and lifts
+one root of each factor by quadratic Newton steps, in Z/p^k or in
+(Z/p^k)[sqrt n]. Square roots are Tonelli-Shanks. factor, distinct-degree
+then Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981), has
+no caller in the library: it is the reference factorer of the tests.
 
 Powers mod (f, m) (powmod) run on packed residues. With n = deg f, a
 polynomial of degree below 2n - 1 is one int with one coefficient in each
@@ -107,18 +107,6 @@ def gcd(a: list, b: list, p: int) -> list:
     while b:
         a, b = b, div_rem(a, b, p)[1]
     return monic(a, p) if a else []
-
-
-def xgcd(a: list, b: list, p: int) -> tuple[list, list, list]:
-    """(g, s, t) with s*a + t*b == g, the monic gcd, mod p."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = div_rem(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    inv = [pow(r0[-1], -1, p)]
-    return mul(r0, inv, p), mul(s0, inv, p), mul(t0, inv, p)
 
 
 def _slot_reduction(top: int, m: int, slots: int):
@@ -219,7 +207,7 @@ def is_squarefree(f: list, p: int) -> bool:
 
 def distinct_degree(f: list, p: int) -> list:
     """(g, d) pairs, g the product of the degree-d irreducible factors of
-    monic squarefree f mod p."""
+    monic squarefree f mod p. For factor, the tests' reference."""
     out, h, d = [], [0, 1], 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
@@ -264,7 +252,8 @@ def equal_degree(g: list, d: int, p: int) -> list:
 
 
 def factor(f: list, p: int) -> list:
-    """Monic irreducible factors of monic squarefree f mod odd prime p, sorted."""
+    """Monic irreducible factors of monic squarefree f mod odd prime p,
+    sorted: the reference factorer of the tests, not called by the library."""
     return sorted(h for part, d in distinct_degree(f, p) for h in equal_degree(part, d, p))
 
 
@@ -345,28 +334,6 @@ def sqrt(a: int, p: int) -> int:
     return r
 
 
-def hensel_lift(f: list, g: list, h: list, p: int, k: int) -> tuple[list, list]:
-    """(G, H) with f == G*H mod p^k and G == g, H == h mod p.
-
-    f is a monic integer polynomial, and g, h are monic and coprime mod p
-    with f == g*h mod p. The lift is unique, so G is the reduction mod p^k
-    of any monic integer factor of f that reduces to g mod p.
-    """
-    _, s, t = xgcd(g, h, p)
-    m, target = p, p**k
-    while m < target:
-        m = min(m * m, target)
-        e = sub(f, mul(g, h, m), m)
-        q, r = div_rem(mul(s, e, m), h, m)
-        g = add(g, add(mul(t, e, m), mul(q, g, m), m), m)
-        h = add(h, r, m)
-        b = sub(add(mul(s, g, m), mul(t, h, m), m), [1], m)
-        c, d = div_rem(mul(s, b, m), h, m)
-        s = sub(s, d, m)
-        t = sub(t, add(mul(t, b, m), mul(c, g, m), m), m)
-    return g, h
-
-
 def newton_lift(q: list, root: tuple, n: int, p: int, target: int) -> tuple:
     """The root a + b sqrt n of the integer polynomial q mod target, a power
     of p, that reduces to the given simple root (a, b) mod p, by quadratic
@@ -384,3 +351,42 @@ def newton_lift(q: list, root: tuple, n: int, p: int, target: int) -> tuple:
         a = (a - (fa * da - n * fb * db) * inv) % m
         b = (b - (fb * da - fa * db) * inv) % m
     return a, b
+
+
+def lift_small_factors(q: list, disc: int, bound: int, primes) -> tuple:
+    """(M, n, linear, quadratic): the roots of the monic integer polynomial
+    q of degree <= 6 with discriminant disc != 0, lifted to M, the least
+    power of r above bound, at the first prime r of primes (odd, increasing)
+    that does not divide disc and at which no irreducible factor of q mod r
+    has degree above 2 (small_factor_roots).
+
+    linear holds one root in Z/M for each linear factor mod r, and
+    quadratic one root a + b sqrt n in (Z/M)[sqrt n], as (a, b), for each
+    quadratic factor, n the least non-residue mod r; its conjugate
+    a - b sqrt n is the other root, so x^2 - 2a x + (a^2 - n b^2) is the
+    factor of q mod M. The roots mod r are simple because r does not divide
+    disc, so each lifts by newton_lift; the quotient of q mod r by its
+    linear factors is split by equal_degree. ValueError when primes runs
+    out first, which an endless run of the odd primes never does.
+    """
+    for r in primes:
+        if disc % r:
+            f = reduce(q, r)
+            found = small_factor_roots(f, r, disc)
+            if found is not None:
+                break
+    else:
+        raise ValueError("no prime of primes has factors of degree <= 2 only")
+    for y in found:
+        f = div_rem(f, [-y % r, 1], r)[0]
+    modulus = r
+    while modulus <= bound:
+        modulus *= r
+    n, half = nonresidue(r), pow(2, -1, r)
+    linear = [newton_lift(q, (y, 0), n, r, modulus)[0] for y in found]
+    quadratic = []
+    for c, b, _ in equal_degree(f, 2, r) if len(f) > 1 else ():
+        # x^2 + b x + c has the roots (-b +- s sqrt n) / 2, s^2 n = b^2 - 4c
+        s = sqrt((b * b - 4 * c) * pow(n, -1, r), r)
+        quadratic.append(newton_lift(q, (-b * half % r, s * half % r), n, r, modulus))
+    return modulus, n, linear, quadratic

@@ -37,7 +37,8 @@ from math import comb, isqrt, lcm, prod
 from . import modp
 from .errors import DegenerateSextic, FitInconsistent, NotNearInteger
 from .exact import RatPoly, _derivative_resultant, _odd_primes, _root_bound
-from .exact import resultant, squarefree, trial_split
+from .exact import squarefree, trial_split
+from .exact import resultant  # noqa: F401  not called; perfbench/spans.py requires the binding
 from .exact import factorize  # noqa: F401  not called; perfbench/spans.py requires the binding
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, Perm, act, eval_monomial_sum, orbit
 from .roots import expand_from_roots, round_to_int_poly
@@ -254,20 +255,21 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     with the roots y = m * x. The lifting prime is the first odd prime r with
     x^(r^2) == x mod (q, r): q mod r is then squarefree with factors of
     degree <= 2, so its six roots lie in F_r(sqrt n), n the least
-    non-residue. The sieve (_split_small) skips the r dividing
-    Res(q, q') = m^30 Res(p, p') and rejects r from the number c of roots
-    mod r, from one packed evaluation, and the quadratic character of the
-    discriminant -Res(q, q') (modp.small_factor_roots): every factor has
-    degree <= 2 only if c is even and the character is (-1)^((6 - c)/2).
-    Only a sextic with no root mod r and a non-square discriminant costs one
-    power x^(r^2) mod (q, r). At the prime it accepts, the roots are the
-    linear factors, and equal_degree splits the quotient by them when it
-    holds more than one quadratic. Each root is Newton-lifted in
-    (Z/r^N)[sqrt n] (_lifted_roots). The conjugation sqrt n -> -sqrt n,
-    the Frobenius at r, fixes the roots of the linear factors and swaps the
-    two roots of each quadratic one, so it pairs the orbit values too:
-    resolvent_from_roots evaluates one value per pair and builds the
-    integer resolvent R_q mod r^N as a norm.
+    non-residue. modp.lift_small_factors, the lift is_irreducible shares,
+    skips the r dividing the discriminant -Res(q, q') = -m^30 Res(p, p')
+    and rejects r from the number c of roots mod r, from one packed
+    evaluation, and the quadratic character of the discriminant
+    (modp.small_factor_roots): every factor has degree <= 2 only if c is
+    even and the character is (-1)^((6 - c)/2). Only a sextic with no root
+    mod r and a non-square discriminant costs one power x^(r^2) mod (q, r).
+    At the prime it accepts, the roots are the linear factors, and
+    equal_degree splits the quotient by them when it holds more than one
+    quadratic. One root of each factor is Newton-lifted in (Z/r^N)[sqrt n],
+    and _lifted_roots adds the conjugate of each quadratic root. The
+    conjugation sqrt n -> -sqrt n, the Frobenius at r, fixes the roots of
+    the linear factors and swaps the two roots of each quadratic one, so it
+    pairs the orbit values too: resolvent_from_roots evaluates one value per
+    pair and builds the integer resolvent R_q mod r^N as a norm.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
     measure M(q) <= |q|_2 (Landau's inequality), and one root at most
@@ -287,7 +289,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
         raise ValueError("resolvent construction expects a degree-6 polynomial")
     p = p.monic()
     q, m = monic_integer_rescale(p)
-    disc = int(m**30 * _derivative_resultant(p))  # Res(q, q'), the roots scaled by m
+    disc = -int(m**30 * _derivative_resultant(p))  # -Res(q, q'), the roots scaled by m
     roots = _lifted_roots([int(c) for c in q.coeffs], kinds, disc)
     out = []
     for kind in kinds:
@@ -340,41 +342,15 @@ class _Lifted:
         return out
 
 
-def _split_small(f: list, r: int, disc: int):
-    """The sorted monic irreducible factors of the monic sextic f mod r, r
-    not dividing disc = Res(f, f'), when none has degree above 2; else None.
-    The sieve of resolvents_exact.
-
-    modp.small_factor_roots rejects r from the number of roots mod r and
-    the quadratic character of the discriminant -disc (a sextic's
-    discriminant is -Res(f, f')), and takes a power x^(r^2) only for a
-    sextic with no root mod r and a non-square discriminant. The roots give
-    the linear factors; the quotient h of f by them is a product of
-    quadratics, split by equal_degree when it has more than one.
-    """
-    roots = modp.small_factor_roots(f, r, -disc)
-    if roots is None:
-        return None
-    linear = [[-y % r, 1] for y in roots]
-    h = f
-    for g in linear:
-        h = modp.div_rem(h, g, r)[0]
-    return sorted(linear + (modp.equal_degree(h, 2, r) if len(h) > 1 else []))
-
-
-def _lifted_roots(q: list, kinds: tuple, disc=None) -> list:
+def _lifted_roots(q: list, kinds: tuple, disc: int) -> list:
     """The six roots of the monic integer sextic q (coefficients low to
-    high) as _Lifted values, modulo a power of r above twice the resolvent
-    coefficient bound of resolvents_exact for the given kinds. disc is
-    Res(q, q'), computed when not given; DegenerateSextic when it is 0."""
-    if disc is None:
-        disc = int(resultant(RatPoly(q), RatPoly(q).derivative()))
+    high) with discriminant disc = -Res(q, q'), as _Lifted values modulo a
+    power of the lifting prime above twice the resolvent coefficient bound
+    of resolvents_exact for the given kinds (modp.lift_small_factors): a
+    root of a linear factor, and the two conjugate roots of a quadratic one.
+    DegenerateSextic when disc is 0."""
     if not disc:
         raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
-    for prime in _odd_primes():
-        factors = _split_small(modp.reduce(q, prime), prime, disc) if disc % prime else None
-        if factors:
-            break
     R = _root_bound(q)
     M = isqrt(sum(c * c for c in q)) + 1
     value_bound = {
@@ -383,22 +359,10 @@ def _lifted_roots(q: list, kinds: tuple, disc=None) -> list:
     }
     bound = max(comb(kind.degree, k) * value_bound[kind] ** k
                 for kind in kinds for k in range(kind.degree + 1))
-    modulus = prime
-    while modulus <= 2 * bound:
-        modulus *= prime
-
-    n = modp.nonresidue(prime)
-    half = pow(2, -1, prime)
-    roots = []
-    for f in factors:
-        if len(f) == 2:
-            roots.append(modp.newton_lift(q, (-f[0] % prime, 0), n, prime, modulus))
-        else:  # x^2 + b x + c: roots (-b +- s sqrt n) / 2 with s^2 n = b^2 - 4c
-            c, b = f[0], f[1]
-            s = modp.sqrt((b * b - 4 * c) * pow(n, -1, prime), prime)
-            a, t = modp.newton_lift(q, (-b * half % prime, s * half % prime), n, prime, modulus)
-            roots += [(a, t), (a, -t % modulus)]  # the conjugate lifts the conjugate
-    return [_Lifted(a, b, n, modulus) for a, b in roots]
+    modulus, n, linear, quadratic = modp.lift_small_factors(q, disc, 2 * bound, _odd_primes())
+    return [_Lifted(a, 0, n, modulus) for a in linear] + [
+        _Lifted(a, t, n, modulus) for a, b in quadratic for t in (b, -b % modulus)
+    ]
 
 
 # ---------------------------------------------------------------------------

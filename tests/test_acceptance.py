@@ -44,7 +44,6 @@ from sextic.resolvents import (
     discriminant_exact,
     discriminant_reduced,
     g_reduced,
-    monic_integer_rescale,
     reconstruct_reduced,
     resolvent_from_roots,
     resolvents_exact,
@@ -230,11 +229,11 @@ def test_criterion_10a_resolvent_root_order_invariance():
     while sextics < 10:
         coeffs = [rng.randint(-8, 8) for _ in range(6)] + [1]
         p = RatPoly(coeffs)
-        if discriminant_exact(p) == 0:
+        disc = discriminant_exact(p)  # p is its own monic integer model
+        if disc == 0:
             continue
         sextics += 1
-        q, _ = monic_integer_rescale(p)
-        roots = _lifted_roots([int(c) for c in q.coeffs], (ResolventKind.PARTITION,))
+        roots = _lifted_roots(coeffs, (ResolventKind.PARTITION,), int(disc))
         baseline = resolvent_from_roots(roots, ResolventKind.PARTITION)
         for _ in range(20):
             shuffled = list(roots)

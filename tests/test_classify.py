@@ -385,9 +385,9 @@ def test_is_irreducible_agrees_with_sympy_factor_list():
 ])
 def test_factor_degrees_mod_three_primes_prove_irreducibility_without_lifting(monkeypatch, coeffs):
     def refuse(*args, **kwargs):
-        raise AssertionError("hensel_lift called")
+        raise AssertionError("lift_small_factors called")
 
-    monkeypatch.setattr(modp, "hensel_lift", refuse)
+    monkeypatch.setattr(modp, "lift_small_factors", refuse)
     assert is_irreducible(RatPoly(coeffs))
 
 
@@ -436,22 +436,38 @@ def test_zassenhaus_fallback_agrees_with_sympy_when_factor_degrees_fit(monkeypat
         cases += [RatPoly([a, 0, 0, 0, 0, 0, 1]), RatPoly([b, 0, 0, a, 0, 0, 1]),
                   RatPoly([c, 0, b, 0, a, 0, 1])]
     cases += [RatPoly([1, 1, 1, 1, 1, 1, 1]), RatPoly([1, 0, 0, 1, 0, 0, 1])]  # Phi_7, Phi_9
+    # quartics and a quintic, which split mod every prime into factors
+    # whose degrees fit: x^4 + 1, (x^2 + 1)(x^2 + 2), (x^2 - 2)(x^3 + x + 1)
+    small = [RatPoly([1, 0, 0, 0, 1]), RatPoly([2, 0, 3, 0, 1]), RatPoly([-2, -2, 1, -1, 0, 1])]
     lifted = []
-    real = modp.hensel_lift
+    real = modp.lift_small_factors
 
     def spy(*args):
         lifted.append(True)
         return real(*args)
 
-    monkeypatch.setattr(modp, "hensel_lift", spy)
+    monkeypatch.setattr(modp, "lift_small_factors", spy)
     reached = Counter()
-    for p in cases:
+    for i, p in enumerate(cases + small):
         lifted.clear()
         expected = _sympy_irreducible(p)
         assert is_irreducible(p) == expected, p
+        assert lifted or i < len(cases), p
         if lifted:
             reached[expected] += 1
     assert reached[False] >= 1 and reached[True] >= 1, reached
+
+
+def test_lifted_factors_recover_an_integer_factor_without_a_rational_root(monkeypatch):
+    # (x^2 + 3x - 7)(x^3 - 5x + 11): no rational root, and a quadratic
+    # factor at every prime, so only the lift finds the split
+    lifted = []
+    real = modp.lift_small_factors
+    monkeypatch.setattr(modp, "lift_small_factors", lambda *args: lifted.append(args) or real(*args))
+    p = RatPoly([-7, 3, 1]) * RatPoly([11, -5, 0, 1])
+    assert p == RatPoly([-77, 68, -4, -12, 3, 1]) and not rational_roots(p)
+    assert not is_irreducible(p)
+    assert len(lifted) == 1
 
 
 def test_exact_path_calls_no_mpmath(monkeypatch):

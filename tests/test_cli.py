@@ -593,3 +593,34 @@ def test_classify_general_block_matches_golden_output(capsys):
         assert (code, err) == (0, "")
         out += line
     assert out == (Path(__file__).parent / "golden" / "classify_general.out").read_text()
+
+
+# sextics (c6 first) whose factor degrees at the sieve primes leave room for
+# a factor, so that is_irreducible recombines the lifted factors: inputs of
+# the benchmark's reduced and general corpora (seeds 0-3), x^6 + x^2 - 9
+# among them
+CLASSIFY_FALLBACK = [
+    "1,0,0,0,1,0,2", "1,0,0,0,1,-5/2,3", "1,0,0,0,1,0,-9", "1,0,0,0,1,20,-6",
+    "1,-1,-5,-5,-5,-1,-2", "1,2,3,4,1,0,-2", "1,-1,-3,-2,-3,-3,5", "1,-4,1,0,-2,4,-2",
+    "1,5,4,0,-3,1,-3", "1,1,3,0,4,0,-3", "1,-2,4,0,-3,-1,5", "1,2/3,-1/2,2/3,0,1,1",
+    "1,1,-3,-3,0,4,3", "3,3,5,-3,-2,0,-1", "1,-5,4,2,4,4,1",
+]
+
+
+def test_classify_fallback_block_matches_golden_output(capsys, monkeypatch):
+    from sextic import modp
+    from sextic.classify import is_irreducible
+
+    lifted = []
+    real = modp.lift_small_factors
+    monkeypatch.setattr(modp, "lift_small_factors", lambda *args: lifted.append(args) or real(*args))
+    for coeffs in CLASSIFY_FALLBACK:
+        lifted.clear()
+        is_irreducible(RatPoly([F(c) for c in coeffs.split(",")][::-1]).monic())
+        assert len(lifted) == 1, coeffs
+    out = ""
+    for coeffs in CLASSIFY_FALLBACK:
+        code, line, err = run(capsys, "classify", f"--coeffs={coeffs}")
+        assert (code, err) == (0, "")
+        out += line
+    assert out == (Path(__file__).parent / "golden" / "classify_fallback.out").read_text()

@@ -149,10 +149,18 @@ def test_resolvent_numeric_agrees_with_tables_on_random_points():
         assert resolvent_by_complex_roots(s.to_poly(), ResolventKind.PARTITION) == g_verified(s)
 
 
+def _discriminant(q: list) -> int:
+    """The discriminant (-1)^(n(n-1)/2) Res(q, q') of the monic integer
+    polynomial q of degree n (coefficients low to high)."""
+    n = len(q) - 1
+    return (-1) ** (n * (n - 1) // 2) * int(resultant(RatPoly(q), RatPoly(q).derivative()))
+
+
 def test_root_order_invariance():
     rng = random.Random(55)
     q, _ = monic_integer_rescale(ReducedSextic(3, 2).to_poly())
-    roots = _lifted_roots([int(c) for c in q.coeffs], (ResolventKind.MATCHING,))
+    q = [int(c) for c in q.coeffs]
+    roots = _lifted_roots(q, (ResolventKind.MATCHING,), _discriminant(q))
     baseline = resolvent_from_roots(roots, ResolventKind.MATCHING)
     assert baseline == f_verified(ReducedSextic(3, 2))
     for _ in range(10):
@@ -339,13 +347,15 @@ def test_resolvents_exact_refuses_repeated_roots_and_other_degrees():
 
 def test_lifted_roots_refuses_a_repeated_root():
     # x^2 divides x^6 + x^2 mod every prime, so no lifting prime exists
+    q = [0, 0, 1, 0, 0, 0, 1]
+    assert _discriminant(q) == 0
     with pytest.raises(DegenerateSextic):
-        _lifted_roots([0, 0, 1, 0, 0, 0, 1], BOTH)
+        _lifted_roots(q, BOTH, _discriminant(q))
 
 
 def _lifting_prime_by_definition(q: list) -> int:
     """The first odd prime r with x^(r^2) == x mod (q, r), tested directly:
-    the reference the sieve of _lifted_roots must match."""
+    the reference the sieve of modp.lift_small_factors must match."""
     from sextic import modp
     from sextic.exact import _odd_primes
 
@@ -372,17 +382,30 @@ def _seeded_models(count: int) -> list:
             t = [rng.randint(-9, 9) for _ in range(4)] + [1]
             st = RatPoly(s) * RatPoly(s) * RatPoly(t)
             q = [int(c) + r * rng.randint(-3, 3) for c in st.coeffs[:6]] + [1]
-        if resultant(RatPoly(q), RatPoly(q).derivative()):
+        if _discriminant(q):
+            out.append(q)
+    return out
+
+
+def _seeded_small_models(count: int) -> list:
+    """Squarefree monic integer quartics and quintics."""
+    rng = random.Random(1515)
+    out = []
+    while len(out) < count:
+        q = [rng.randint(-30, 30) for _ in range(4 + len(out) % 2)] + [1]
+        if _discriminant(q):
             out.append(q)
     return out
 
 
 def test_lifting_sieve_picks_the_first_prime_with_small_factors():
-    for q in _seeded_models(330):
-        modulus, prime = _lifted_roots(q, BOTH)[0].modulus, _lifting_prime_by_definition(q)
-        while modulus % prime == 0:
-            modulus //= prime
-        assert modulus == 1, q
+    # the least power of r above 1 is r itself, so the modulus is the prime
+    from sextic import modp
+    from sextic.exact import _odd_primes
+
+    for q in _seeded_models(330) + _seeded_small_models(100):
+        modulus = modp.lift_small_factors(q, _discriminant(q), 1, _odd_primes())[0]
+        assert modulus == _lifting_prime_by_definition(q), q
 
 
 def _small_factors_by_enumeration(f: list, r: int):
@@ -402,20 +425,30 @@ def _small_factors_by_enumeration(f: list, r: int):
 
 
 def test_lifting_sieve_matches_factoring_mod_every_small_prime():
+    # lift_small_factors offered the one prime r, with bound 1 so that the
+    # lift stops at r: the factors it gives, or ValueError when some factor
+    # mod r has degree above 2
     from sextic import modp
     from sextic.exact import _odd_primes
-    from sextic.resolvents import _split_small
 
     outcomes = Counter()
-    for q in _seeded_models(60):
-        disc = resultant(RatPoly(q), RatPoly(q).derivative())
+    for q in _seeded_models(60) + _seeded_small_models(20):
+        disc = _discriminant(q)
         for r in itertools.takewhile(lambda r: r < 200, _odd_primes()):
             if disc % r == 0:
                 continue
             f = modp.reduce(q, r)
             factors = modp.factor(f, r)
             expected = factors if all(len(g) <= 3 for g in factors) else None
-            assert _split_small(f, r, int(disc)) == expected, (q, r)
+            try:
+                modulus, n, linear, quadratic = modp.lift_small_factors(q, disc, 1, [r])
+            except ValueError:
+                found = None
+            else:
+                assert modulus == r
+                found = sorted([[-a % r, 1] for a in linear]
+                               + [[(a * a - n * b * b) % r, -2 * a % r, 1] for a, b in quadratic])
+            assert found == expected, (q, r)
             if r <= 13:
                 assert _small_factors_by_enumeration(f, r) == expected, (q, r)
             outcomes[expected is None] += 1
@@ -433,12 +466,12 @@ def test_factor_degrees_match_the_degrees_of_factoring_mod_every_small_prime():
     models = _seeded_models(60)
     while len(models) < 150:
         q = [rng.randint(-30, 30) for _ in range(rng.choice([4, 5, 6]))] + [1]
-        if resultant(RatPoly(q), RatPoly(q).derivative()):
+        if _discriminant(q):
             models.append(q)
     decided_by_sign = Counter()
     for q in models:
         n = len(q) - 1
-        disc = int((-1) ** (n * (n - 1) // 2) * resultant(RatPoly(q), RatPoly(q).derivative()))
+        disc = _discriminant(q)
         for r in itertools.takewhile(lambda r: r < 200, _odd_primes()):
             if disc % r == 0:
                 continue
@@ -495,7 +528,8 @@ def _pattern_roots(coeffs: str) -> tuple:
     """(p, the lifted roots of its monic integer model) for c6-first coeffs."""
     p = RatPoly([F(c) for c in coeffs.split(",")][::-1])
     q, _ = monic_integer_rescale(p.monic())
-    return p, _lifted_roots([int(c) for c in q.coeffs], BOTH)
+    q = [int(c) for c in q.coeffs]
+    return p, _lifted_roots(q, BOTH, _discriminant(q))
 
 
 @pytest.mark.parametrize("coeffs", sorted(LIFTING_PATTERNS))
@@ -541,17 +575,15 @@ def test_lifting_sieve_takes_a_power_only_at_primes_without_roots_and_with_a_non
     monkeypatch.setattr(modp, "powmod", counted)
     sieved = Counter()
     for q in _seeded_models(90):
-        disc = int(resultant(RatPoly(q), RatPoly(q).derivative()))
+        disc = _discriminant(q)
         calls.clear()
-        modulus = _lifted_roots(q, BOTH, disc)[0].modulus
+        prime = modp.lift_small_factors(q, disc, 1, _odd_primes())[0]
         powers = [m for e, m in calls if e == m * m]
-        prime = next(r for r in _odd_primes() if modulus % r == 0)
         # the other powers are equal_degree's, at the lifting prime
         assert all(m == prime for e, m in calls if e != m * m), q
-        # a sextic's discriminant is -Res(q, q')
         expected = [
             r for r in itertools.takewhile(lambda r: r <= prime, _odd_primes())
-            if disc % r and not modp.roots(q, r) and pow(-disc, (r - 1) // 2, r) == r - 1
+            if disc % r and not modp.roots(q, r) and pow(disc, (r - 1) // 2, r) == r - 1
         ]
         assert powers == expected, q
         sieved["power"] += len(powers)
