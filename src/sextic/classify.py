@@ -64,13 +64,13 @@ from .resolvents import (
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
 
 # Odd primes, squarefree for the input, whose factor degrees is_irreducible
-# intersects before it lifts. Over the squarefree inputs of the benchmark
-# corpora of seeds 1-3, 779 reduced and 293 general, the lift is still
-# needed for 117 and 55 inputs after 2 primes, 41 and 34 after 3, 13 and 16
-# after 4, 13 and 9 after 5. A prime costs a root count and at most one
-# power, so the mean is_irreducible time (in-process, 2-CPU Xeon container,
-# median of 5) goes 0.119/0.146 ms at 2 primes, 0.107/0.131 at 3,
-# 0.100/0.118 at 4, 0.100/0.114 at 5: a fifth prime gains on general only.
+# reads before it may stop to lift at one whose degrees are all <= 2. Over
+# the squarefree inputs of the benchmark corpora of seeds 1-3, 779 reduced
+# and 293 general, the lift is still needed for 34 and 17 inputs at 2
+# primes, 12 and 10 at 3, 12 and 6 at 4, 12 and 4 at 5. A prime costs a root
+# count and at most one power, so the mean is_irreducible time (in-process,
+# 2-CPU Xeon container, median of 5) goes 0.106/0.116 ms at 2 primes,
+# 0.101/0.115 at 3, 0.102/0.113 at 4, 0.103/0.114 at 5: within 2% from 3 on.
 DEGREE_SIEVE_PRIMES = 4
 
 # Odd primes at which scan_point looks for roots of the two reduced-sextic
@@ -134,21 +134,22 @@ def is_irreducible(p: RatPoly) -> bool:
 
     Degree-1 factors come from the exact rational roots. For the rest, the
     monic integer model q (exact.monic_model) is squarefree mod the odd
-    primes that do not divide disc q (_integer_model). At the first
-    DEGREE_SIEVE_PRIMES of them, modp.factor_degrees reads the factor
-    degrees of q off its roots mod the prime and the quadratic character of
-    disc q (Stickelberger's theorem in Swan's form, Pacific J. Math. 12,
-    1962). A degree-k factor of q over the integers is a product of modular
-    factors at every such prime, so k must be a subset sum of the factor
-    degrees at each of them; when no k in 2..n//2 is, q is irreducible
-    (Musser's degree analysis, J. ACM 25, 1978).
+    primes that do not divide disc q (_integer_model), and is_irreducible
+    walks them once. At each, modp.factor_degrees reads the factor degrees
+    of q off its roots mod the prime and the quadratic character of disc q
+    (Stickelberger's theorem in Swan's form, Pacific J. Math. 12, 1962). A
+    degree-k factor of q over the integers is a product of modular factors
+    at every such prime, so k must be a subset sum of the factor degrees at
+    each of them; when no k in 2..n//2 is, q is irreducible (Musser's
+    degree analysis, J. ACM 25, 1978).
 
-    Otherwise the p-adic lift of resolvents_exact finishes the proof
+    The walk reads at least DEGREE_SIEVE_PRIMES primes and stops at the
+    first prime r from then on at which every factor of q mod r has degree
+    <= 2. There the p-adic lift of resolvents_exact finishes the proof
     (Zassenhaus's recombination, J. Number Theory 1, 1969):
-    modp.lift_small_factors lifts the roots of q at the first prime r not
-    dividing disc q at which every factor of q mod r has degree <= 2, to a
-    power r^N above twice the Mignotte bound C(k, k//2)*|q|_2 on the
-    coefficients of a factor of q of degree k, the largest degree left.
+    modp.lift_small_factors lifts the roots of q mod r the walk already
+    has to a power r^N above twice the Mignotte bound C(k, k//2)*|q|_2 on
+    the coefficients of a factor of q of degree k, the largest degree left.
     They give the factors x - a and x^2 - 2a x + (a^2 - z b^2) of q mod r^N,
     for the linear roots a and the roots a + b sqrt z of the quadratic
     factors, z the least non-residue mod r. q is squarefree mod r, so its
@@ -176,16 +177,19 @@ def is_irreducible(p: RatPoly) -> bool:
         return True
     q, disc = _integer_model(p)
     possible = set(range(2, n // 2 + 1))
-    for prime in itertools.islice((r for r in _odd_primes() if disc % r), DEGREE_SIEVE_PRIMES):
+    for count, r in enumerate((r for r in _odd_primes() if disc % r), 1):
+        found, degrees = modp.factor_degrees(modp.reduce(q, r), r, disc)
         sums = {0}
-        for d in modp.factor_degrees(modp.reduce(q, prime), prime, disc)[1]:
+        for d in degrees:
             sums |= {s + d for s in sums}
         possible &= sums
         if not possible:
             return True
+        if count >= DEGREE_SIEVE_PRIMES and degrees[-1] <= 2:
+            break
     k = max(possible)
     bound = 2 * math.comb(k, k // 2) * (math.isqrt(sum(c * c for c in q)) + 1)
-    modulus, z, linear, quadratic = modp.lift_small_factors(q, disc, bound, _odd_primes())
+    modulus, z, linear, quadratic = modp.lift_small_factors(q, r, found, bound)
     factors = [[-a, 1] for a in linear] + [[a * a - z * b * b, -2 * a, 1] for a, b in quadratic]
     for size in range(1, len(factors)):
         for subset in itertools.combinations(factors, size):

@@ -1,6 +1,6 @@
 """Dense polynomials over F_p and Z/p^k: arithmetic, root finding, the
-factor degrees and the lifting prime of a polynomial of degree <= 6, Newton
-lifting of roots; square roots in F_p; symmetric residues.
+factor degrees of a polynomial of degree <= 6, Newton lifting of roots;
+symmetric residues.
 
 A polynomial is a list of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is []). Every function takes the modulus m (or the
@@ -17,13 +17,14 @@ classify.is_irreducible. small_factor_roots asks only whether every degree
 is <= 2: the root count and the character reject most primes, and the
 power is taken only for an f with no root and a non-square discriminant.
 lift_small_factors, the one p-adic lift of the decision pipeline (for
-is_irreducible and resolvents_exact), walks the primes with it, splits the
-product of the quadratic factors with equal_degree, which refuses an input
-that is not a product of distinct factors of the given degree, and lifts
-one root of each factor by quadratic Newton steps, in Z/p^k or in
-(Z/p^k)[sqrt n]. Square roots are Tonelli-Shanks. factor, distinct-degree
-then Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981), has
-no caller in the library: it is the reference factorer of the tests.
+is_irreducible and resolvents_exact), lifts at a prime its caller found so,
+from the roots found there: it splits the product of the quadratic factors
+with equal_degree, which refuses an input that is not a product of
+distinct factors of the given degree, reads a square root off roots, and
+lifts one root of each factor by quadratic Newton steps, in Z/p^k or in
+(Z/p^k)[sqrt n]. factor, distinct-degree then Cantor-Zassenhaus
+equal-degree splitting (Math. Comp. 36, 1981), has no caller in the
+library: it is the reference factorer of the tests.
 
 Powers mod (f, m) (powmod) run on packed residues. With n = deg f, a
 polynomial of degree below 2n - 1 is one int with one coefficient in each
@@ -314,26 +315,6 @@ def nonresidue(p: int) -> int:
     return next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) == p - 1)
 
 
-def sqrt(a: int, p: int) -> int:
-    """A square root of the quadratic residue a mod odd prime p (Tonelli-Shanks)."""
-    a %= p
-    if not a:
-        return 0
-    q, s = p - 1, 0
-    while not q % 2:
-        q //= 2
-        s += 1
-    c, t, r = pow(nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def newton_lift(q: list, root: tuple, n: int, p: int, target: int) -> tuple:
     """The root a + b sqrt n of the integer polynomial q mod target, a power
     of p, that reduces to the given simple root (a, b) mod p, by quadratic
@@ -353,30 +334,22 @@ def newton_lift(q: list, root: tuple, n: int, p: int, target: int) -> tuple:
     return a, b
 
 
-def lift_small_factors(q: list, disc: int, bound: int, primes) -> tuple:
+def lift_small_factors(q: list, r: int, found: list, bound: int) -> tuple:
     """(M, n, linear, quadratic): the roots of the monic integer polynomial
-    q of degree <= 6 with discriminant disc != 0, lifted to M, the least
-    power of r above bound, at the first prime r of primes (odd, increasing)
-    that does not divide disc and at which no irreducible factor of q mod r
-    has degree above 2 (small_factor_roots).
+    q of degree <= 6 lifted to M, the least power of r above bound, from
+    found = roots(q, r), at an odd prime r not dividing disc q at which no
+    irreducible factor of q mod r has degree above 2.
 
     linear holds one root in Z/M for each linear factor mod r, and
     quadratic one root a + b sqrt n in (Z/M)[sqrt n], as (a, b), for each
     quadratic factor, n the least non-residue mod r; its conjugate
     a - b sqrt n is the other root, so x^2 - 2a x + (a^2 - n b^2) is the
     factor of q mod M. The roots mod r are simple because r does not divide
-    disc, so each lifts by newton_lift; the quotient of q mod r by its
-    linear factors is split by equal_degree. ValueError when primes runs
-    out first, which an endless run of the odd primes never does.
+    disc q, so each lifts by newton_lift; the quotient of q mod r by its
+    linear factors is split by equal_degree, which raises ValueError when
+    it is not a product of quadratics.
     """
-    for r in primes:
-        if disc % r:
-            f = reduce(q, r)
-            found = small_factor_roots(f, r, disc)
-            if found is not None:
-                break
-    else:
-        raise ValueError("no prime of primes has factors of degree <= 2 only")
+    f = reduce(q, r)
     for y in found:
         f = div_rem(f, [-y % r, 1], r)[0]
     modulus = r
@@ -386,7 +359,8 @@ def lift_small_factors(q: list, disc: int, bound: int, primes) -> tuple:
     linear = [newton_lift(q, (y, 0), n, r, modulus)[0] for y in found]
     quadratic = []
     for c, b, _ in equal_degree(f, 2, r) if len(f) > 1 else ():
-        # x^2 + b x + c has the roots (-b +- s sqrt n) / 2, s^2 n = b^2 - 4c
-        s = sqrt((b * b - 4 * c) * pow(n, -1, r), r)
+        # x^2 + b x + c has the roots (-b +- s sqrt n) / 2, s a root of
+        # y^2 - (b^2 - 4c) / n
+        s = roots([-(b * b - 4 * c) * pow(n, -1, r), 0, 1], r)[0]
         quadratic.append(newton_lift(q, (-b * half % r, s * half % r), n, r, modulus))
     return modulus, n, linear, quadratic

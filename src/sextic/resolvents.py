@@ -255,17 +255,17 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     with the roots y = m * x. The lifting prime is the first odd prime r with
     x^(r^2) == x mod (q, r): q mod r is then squarefree with factors of
     degree <= 2, so its six roots lie in F_r(sqrt n), n the least
-    non-residue. modp.lift_small_factors, the lift is_irreducible shares,
-    skips the r dividing the discriminant -Res(q, q') = -m^30 Res(p, p')
-    and rejects r from the number c of roots mod r, from one packed
-    evaluation, and the quadratic character of the discriminant
-    (modp.small_factor_roots): every factor has degree <= 2 only if c is
-    even and the character is (-1)^((6 - c)/2). Only a sextic with no root
-    mod r and a non-square discriminant costs one power x^(r^2) mod (q, r).
-    At the prime it accepts, the roots are the linear factors, and
-    equal_degree splits the quotient by them when it holds more than one
-    quadratic. One root of each factor is Newton-lifted in (Z/r^N)[sqrt n],
-    and _lifted_roots adds the conjugate of each quadratic root. The
+    non-residue. _lifted_roots walks the odd primes, skips the r dividing
+    the discriminant -Res(q, q') = -m^30 Res(p, p') and rejects r from the
+    number c of roots mod r, from one packed evaluation, and the quadratic
+    character of the discriminant (modp.small_factor_roots): every factor
+    has degree <= 2 only if c is even and the character is (-1)^((6 - c)/2).
+    Only a sextic with no root mod r and a non-square discriminant costs
+    one power x^(r^2) mod (q, r). At the prime it accepts, the roots are
+    the linear factors, and modp.lift_small_factors, the lift
+    is_irreducible shares, splits the quotient by them with equal_degree.
+    One root of each factor is Newton-lifted in (Z/r^N)[sqrt n], and
+    _lifted_roots adds the conjugate of each quadratic root. The
     conjugation sqrt n -> -sqrt n, the Frobenius at r, fixes the roots of
     the linear factors and swaps the two roots of each quadratic one, so it
     pairs the orbit values too: resolvent_from_roots evaluates one value per
@@ -346,8 +346,8 @@ def _lifted_roots(q: list, kinds: tuple, disc: int) -> list:
     """The six roots of the monic integer sextic q (coefficients low to
     high) with discriminant disc = -Res(q, q'), as _Lifted values modulo a
     power of the lifting prime above twice the resolvent coefficient bound
-    of resolvents_exact for the given kinds (modp.lift_small_factors): a
-    root of a linear factor, and the two conjugate roots of a quadratic one.
+    of resolvents_exact for the given kinds, at its lifting prime: a root
+    of a linear factor, and the two conjugate roots of a quadratic one.
     DegenerateSextic when disc is 0."""
     if not disc:
         raise DegenerateSextic("repeated roots; resolvent criteria need distinct roots")
@@ -359,7 +359,12 @@ def _lifted_roots(q: list, kinds: tuple, disc: int) -> list:
     }
     bound = max(comb(kind.degree, k) * value_bound[kind] ** k
                 for kind in kinds for k in range(kind.degree + 1))
-    modulus, n, linear, quadratic = modp.lift_small_factors(q, disc, 2 * bound, _odd_primes())
+    for r in _odd_primes():
+        if disc % r:
+            found = modp.small_factor_roots(modp.reduce(q, r), r, disc)
+            if found is not None:
+                break
+    modulus, n, linear, quadratic = modp.lift_small_factors(q, r, found, 2 * bound)
     return [_Lifted(a, 0, n, modulus) for a in linear] + [
         _Lifted(a, t, n, modulus) for a, b in quadratic for t in (b, -b % modulus)
     ]

@@ -382,6 +382,16 @@ def test_is_irreducible_agrees_with_sympy_factor_list():
 @pytest.mark.parametrize("coeffs", [
     [2, 3, 1, 0, 0, 0, 1],  # degrees (2, 4) mod 3, then (6) mod 5
     [5, 3, 1, 0, 0, 0, 1],  # (2, 4) mod 3, (1, 1, 2, 2) mod 5, (3, 3) mod 7
+    # the walk goes on past the fourth prime until the degrees at one prime
+    # are all <= 2, and proves these on the way: x^6 + x^2 - 30x + 7, then
+    # six benchmark inputs whose degrees at the first four primes fit a factor
+    [7, -30, 1, 0, 0, 0, 1],
+    [3, F(-5, 2), 1, 0, 0, 0, 1],
+    [5, -3, -3, -2, -3, -1, 1],
+    [-3, 1, -3, 0, 4, 5, 1],
+    [-3, 0, 4, 0, 3, 1, 1],
+    [1, 1, 0, F(2, 3), F(-1, 2), F(2, 3), 1],
+    [-1, 0, -2, -3, 5, 3, 3],
 ])
 def test_factor_degrees_mod_three_primes_prove_irreducibility_without_lifting(monkeypatch, coeffs):
     def refuse(*args, **kwargs):
@@ -439,11 +449,13 @@ def test_zassenhaus_fallback_agrees_with_sympy_when_factor_degrees_fit(monkeypat
     # quartics and a quintic, which split mod every prime into factors
     # whose degrees fit: x^4 + 1, (x^2 + 1)(x^2 + 2), (x^2 - 2)(x^3 + x + 1)
     small = [RatPoly([1, 0, 0, 0, 1]), RatPoly([2, 0, 3, 0, 1]), RatPoly([-2, -2, 1, -1, 0, 1])]
+    from sextic.classify import DEGREE_SIEVE_PRIMES, _integer_model
+
     lifted = []
     real = modp.lift_small_factors
 
     def spy(*args):
-        lifted.append(True)
+        lifted.append(args)
         return real(*args)
 
     monkeypatch.setattr(modp, "lift_small_factors", spy)
@@ -455,6 +467,13 @@ def test_zassenhaus_fallback_agrees_with_sympy_when_factor_degrees_fit(monkeypat
         assert lifted or i < len(cases), p
         if lifted:
             reached[expected] += 1
+            # the lifting prime is the first, from the fourth prime not
+            # dividing disc q on, at which every factor has degree <= 2
+            q, disc = _integer_model(p)
+            primes = (r for r in exact._odd_primes() if disc % r)
+            prime = next(r for r in itertools.islice(primes, DEGREE_SIEVE_PRIMES - 1, None)
+                         if all(len(g) <= 3 for g in modp.factor(modp.reduce(q, r), r)))
+            assert [args[:3] for args in lifted] == [(q, prime, modp.roots(q, prime))], p
     assert reached[False] >= 1 and reached[True] >= 1, reached
 
 

@@ -595,15 +595,15 @@ def test_classify_general_block_matches_golden_output(capsys):
     assert out == (Path(__file__).parent / "golden" / "classify_general.out").read_text()
 
 
-# sextics (c6 first) whose factor degrees at the sieve primes leave room for
-# a factor, so that is_irreducible recombines the lifted factors: inputs of
-# the benchmark's reduced and general corpora (seeds 0-3), x^6 + x^2 - 9
-# among them
+# sextics (c6 first) whose factor degrees leave room for a factor at every
+# prime of the walk, so that is_irreducible recombines the lifted factors:
+# inputs of the benchmark's reduced and general corpora (seeds 0-7),
+# x^6 + x^2 - 9 among them
 CLASSIFY_FALLBACK = [
-    "1,0,0,0,1,0,2", "1,0,0,0,1,-5/2,3", "1,0,0,0,1,0,-9", "1,0,0,0,1,20,-6",
-    "1,-1,-5,-5,-5,-1,-2", "1,2,3,4,1,0,-2", "1,-1,-3,-2,-3,-3,5", "1,-4,1,0,-2,4,-2",
-    "1,5,4,0,-3,1,-3", "1,1,3,0,4,0,-3", "1,-2,4,0,-3,-1,5", "1,2/3,-1/2,2/3,0,1,1",
-    "1,1,-3,-3,0,4,3", "3,3,5,-3,-2,0,-1", "1,-5,4,2,4,4,1",
+    "1,0,0,0,1,0,2", "1,0,0,0,1,0,-9", "1,0,0,0,1,20,-6", "1,-1,-5,-5,-5,-1,-2",
+    "1,2,3,4,1,0,-2", "1,-4,1,0,-2,4,-2", "1,-2,4,0,-3,-1,5", "1,1,-3,-3,0,4,3",
+    "1,-5,4,2,4,4,1", "1,1,2,4,0,3,2", "1,-3,-4,-2,1,-1,5", "1,5,5,1,1,1,4",
+    "1,0,2,-1/2,2/3,2,3", "1,1/2,0,2,-1,-1,1/3", "1,0,0,0,1,5/3,8/3",
 ]
 
 

@@ -355,7 +355,7 @@ def test_lifted_roots_refuses_a_repeated_root():
 
 def _lifting_prime_by_definition(q: list) -> int:
     """The first odd prime r with x^(r^2) == x mod (q, r), tested directly:
-    the reference the sieve of modp.lift_small_factors must match."""
+    the reference the sieve of _lifted_roots must match."""
     from sextic import modp
     from sextic.exact import _odd_primes
 
@@ -398,14 +398,29 @@ def _seeded_small_models(count: int) -> list:
     return out
 
 
-def test_lifting_sieve_picks_the_first_prime_with_small_factors():
-    # the least power of r above 1 is r itself, so the modulus is the prime
+def _lifting_prime(monkeypatch, q: list) -> int:
+    """The prime _lifted_roots hands to modp.lift_small_factors for q, which
+    must come with the roots of q mod that prime."""
     from sextic import modp
-    from sextic.exact import _odd_primes
 
+    primes = []
+    real = modp.lift_small_factors
+
+    def spy(q, r, found, bound):
+        assert found == modp.roots(q, r), (q, r)
+        primes.append(r)
+        return real(q, r, found, bound)
+
+    monkeypatch.setattr(modp, "lift_small_factors", spy)
+    _lifted_roots(q, BOTH, _discriminant(q))
+    monkeypatch.setattr(modp, "lift_small_factors", real)
+    assert len(primes) == 1, q
+    return primes[0]
+
+
+def test_lifting_sieve_picks_the_first_prime_with_small_factors(monkeypatch):
     for q in _seeded_models(330) + _seeded_small_models(100):
-        modulus = modp.lift_small_factors(q, _discriminant(q), 1, _odd_primes())[0]
-        assert modulus == _lifting_prime_by_definition(q), q
+        assert _lifting_prime(monkeypatch, q) == _lifting_prime_by_definition(q), q
 
 
 def _small_factors_by_enumeration(f: list, r: int):
@@ -425,9 +440,9 @@ def _small_factors_by_enumeration(f: list, r: int):
 
 
 def test_lifting_sieve_matches_factoring_mod_every_small_prime():
-    # lift_small_factors offered the one prime r, with bound 1 so that the
-    # lift stops at r: the factors it gives, or ValueError when some factor
-    # mod r has degree above 2
+    # small_factor_roots at every prime r: None when some factor mod r has
+    # degree above 2, else the roots that lift_small_factors, with bound 1
+    # so that the lift stops at r, completes to the factors
     from sextic import modp
     from sextic.exact import _odd_primes
 
@@ -440,11 +455,9 @@ def test_lifting_sieve_matches_factoring_mod_every_small_prime():
             f = modp.reduce(q, r)
             factors = modp.factor(f, r)
             expected = factors if all(len(g) <= 3 for g in factors) else None
-            try:
-                modulus, n, linear, quadratic = modp.lift_small_factors(q, disc, 1, [r])
-            except ValueError:
-                found = None
-            else:
+            found = modp.small_factor_roots(f, r, disc)
+            if found is not None:
+                modulus, n, linear, quadratic = modp.lift_small_factors(q, r, found, 1)
                 assert modulus == r
                 found = sorted([[-a % r, 1] for a in linear]
                                + [[(a * a - n * b * b) % r, -2 * a % r, 1] for a, b in quadratic])
@@ -577,7 +590,7 @@ def test_lifting_sieve_takes_a_power_only_at_primes_without_roots_and_with_a_non
     for q in _seeded_models(90):
         disc = _discriminant(q)
         calls.clear()
-        prime = modp.lift_small_factors(q, disc, 1, _odd_primes())[0]
+        prime = _lifting_prime(monkeypatch, q)
         powers = [m for e, m in calls if e == m * m]
         # the other powers are equal_degree's, at the lifting prime
         assert all(m == prime for e, m in calls if e != m * m), q
