@@ -389,13 +389,14 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     parser = _PARSER
     parser.precision_bits.default = _precision_default()
+    # exact values may run past the int-to-str digit limit: lift it for this call only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args, args.parser)
-    except SystemExit as exc:  # parser.error inside a subcommand
+    except SystemExit as exc:  # a usage error, or parser.error inside a subcommand
         return int(exc.code or 0)
     except NumericFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,10 @@ class RepeatedRootSuspected(NumericFailure):
 
 
 class NotNearInteger(NumericFailure):
-    """A coefficient expected to be an integer is not one: a lifted
-    coefficient keeps a sqrt n part (roots.round_to_int_poly), or a complex
-    one misses every integer by more than the tolerance (the tests' oracle)."""
+    """Values expected to give integers do not: a lifted root has no
+    conjugate among the roots (resolvents.resolvent_from_roots), or a complex
+    coefficient misses every integer by more than the tolerance (the tests'
+    oracle)."""
 
 
 class DegenerateSextic(NumericFailure):

@@ -10,8 +10,8 @@ Three construction routes, reconciled against each other:
   the roots (resolvents_exact), with no floating point: the lifted roots go
   through the from-roots construction (resolvent_from_roots), which pairs
   the orbit values by the conjugation of the lifting field, evaluates one
-  value per pair, expands the product of the pairs as a norm and rounds the
-  coefficients to integers;
+  value per pair, multiplies one integer factor mod r^N per value or pair
+  and rounds the coefficients to integers;
 * an interpolation reconstruction (reconstruct_reduced) that re-derives
   the closed-form tables from exact samples and diffs them term by term
   against the transcription.
@@ -269,7 +269,8 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     conjugation sqrt n -> -sqrt n, the Frobenius at r, fixes the roots of
     the linear factors and swaps the two roots of each quadratic one, so it
     pairs the orbit values too: resolvent_from_roots evaluates one value per
-    pair and builds the integer resolvent R_q mod r^N as a norm.
+    pair and builds the integer resolvent R_q mod r^N as a product of
+    integer linear and quadratic factors.
 
     Bound: a product of distinct roots of q has modulus at most the Mahler
     measure M(q) <= |q|_2 (Landau's inequality), and one root at most
@@ -311,8 +312,7 @@ resolvent_numeric_in_frame = resolvents_exact
 class _Lifted:
     """a + b sqrt(n) in (Z/M)[sqrt n], M = r^N: a root lifted r-adically, or
     a value computed from such roots, with the ring arithmetic that
-    eval_monomial_sum and expand_from_roots use; round_to_int_poly reads the
-    integer a coefficient stands for."""
+    eval_monomial_sum uses."""
 
     __slots__ = ("a", "b", "n", "modulus")
 
@@ -324,12 +324,6 @@ class _Lifted:
 
     def __add__(self, other: "_Lifted") -> "_Lifted":
         return self._make(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "_Lifted") -> "_Lifted":
-        return self._make(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "_Lifted":
-        return self._make(-self.a, -self.b)
 
     def __mul__(self, other: "_Lifted") -> "_Lifted":
         return self._make(self.a * other.a + self.n * self.b * other.b,
@@ -426,13 +420,14 @@ def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
 
     The conjugation sqrt n -> -sqrt n permutes the roots by an involution
     sigma (root j is the conjugate of root i when a_j = a_i and
-    b_j = -b_i), and so the orbit values (_conjugate_orbit). With
-    prod (z - v) = A + B sqrt n over one value v of each swapped pair
-    (expand_from_roots), the resolvent is A^2 - n B^2 times z - a for each
-    value a of a fixed image; its symmetric residues mod M are the integer
-    coefficients (round_to_int_poly). One monomial memo serves the whole
-    orbit (eval_monomial_sum). Raises NotNearInteger when a root has no
-    conjugate among the roots or a fixed value keeps a sqrt n part.
+    b_j = -b_i), and so the orbit values (_conjugate_orbit). Each value
+    gives one integer factor mod M: z - a for a value a of a fixed image,
+    and z^2 - 2a z + (a^2 - n b^2) for the value a + b sqrt n of one image
+    of each swapped pair. The resolvent is their product, that of the
+    linear factors from expand_from_roots; its symmetric residues mod M are
+    the integer coefficients (round_to_int_poly). One monomial memo serves
+    the whole orbit (eval_monomial_sum). Raises NotNearInteger when a root
+    has no conjugate among the roots.
     """
     n, modulus = roots[0].n, roots[0].modulus
     where = {(v.a, v.b): i for i, v in enumerate(roots)}
@@ -442,22 +437,12 @@ def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
     fixed, paired = _conjugate_orbit(kind, sigma)
     images = orbit(kind.invariant)
     memo: dict = {}
-    coeffs = [1]
-    if paired:
-        half = expand_from_roots([eval_monomial_sum(images[i][0], roots, memo) for i in paired])
-        coeffs = [0] * (2 * len(half) - 1)
-        for i, c in enumerate(half):
-            for j, d in enumerate(half):
-                coeffs[i + j] += c.a * d.a - n * c.b * d.b
-    for i in fixed:
+    coeffs = expand_from_roots([eval_monomial_sum(images[i][0], roots, memo).a for i in fixed])
+    for i in paired:
         v = eval_monomial_sum(images[i][0], roots, memo)
-        if v.b:
-            raise NotNearInteger("a value fixed by the conjugation keeps a sqrt n part")
-        coeffs.append(coeffs[-1])
-        for k in range(len(coeffs) - 2, 0, -1):
-            coeffs[k] = (coeffs[k - 1] - v.a * coeffs[k]) % modulus
-        coeffs[0] = -v.a * coeffs[0] % modulus
-    return round_to_int_poly([_Lifted(c % modulus, 0, n, modulus) for c in coeffs])
+        quadratic = [(v.a * v.a - n * v.b * v.b) % modulus, -2 * v.a % modulus, 1]
+        coeffs = modp.mul(coeffs, quadratic, modulus)
+    return round_to_int_poly(coeffs, modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Polynomials from their roots, and complex root finding.
 
 expand_from_roots and round_to_int_poly are the exact half: they expand a
-monic polynomial from its roots in any ring and read off the integer
-coefficients of one whose roots are p-adic lifts (resolvents._Lifted), with
-no floating point. find_roots is the complex half, built on mpmath and used
-only by the tests' complex-root oracle (tests/oracles.py).
+monic polynomial from its roots in any ring and read integers off their
+residues mod r^N (resolvents.resolvent_from_roots), with no floating point.
+find_roots is the complex half, built on mpmath and used only by the tests'
+complex-root oracle (tests/oracles.py).
 
 find_roots is mpmath's polyroots (Durand-Kerner simultaneous iteration)
 run on p rescaled by a power of two so that its largest root lies near the
@@ -25,7 +25,7 @@ import mpmath as mp
 from mpmath.libmp import NoConvergence
 
 from . import modp
-from .errors import NonConvergence, NotNearInteger, RepeatedRootSuspected
+from .errors import NonConvergence, RepeatedRootSuspected
 from .exact import RatPoly
 
 PRECISION_START = 256
@@ -130,7 +130,7 @@ def find_roots(p: RatPoly, precision_bits: int = PRECISION_START) -> ComplexRoot
 def expand_from_roots(values):
     """Coefficients (low to high) of the monic polynomial with the given
     roots, in the roots' own ring: any values with +, -, unary -, * and
-    ** 0, such as the p-adic lifts of resolvents._Lifted. Multiplying by
+    ** 0, such as integers or mpmath numbers. Multiplying by
     (z - v) updates the coefficients in place, c_i <- c_(i-1) - v c_i, one
     multiplication each. Plain ring arithmetic; a caller with mpmath values
     sets the working precision."""
@@ -143,13 +143,8 @@ def expand_from_roots(values):
     return coeffs
 
 
-def round_to_int_poly(coeffs) -> RatPoly:
-    """The integer polynomial of lifted coefficients: each a + b sqrt(n)
-    mod M (resolvents._Lifted) must have b = 0 and stands for the symmetric
-    residue of a. resolvent_from_roots passes the coefficients of its norm,
-    which lie in Z/M; an expansion over a whole set of conjugate roots, as
-    expand_from_roots gives it, has b = 0 as well. Raises NotNearInteger
-    when a sqrt n part survives."""
-    if any(c.b for c in coeffs):
-        raise NotNearInteger("a lifted coefficient keeps a nonzero sqrt n part")
-    return RatPoly([modp.symmetric(c.a, c.modulus) for c in coeffs])
+def round_to_int_poly(coeffs, modulus: int) -> RatPoly:
+    """The integer polynomial whose coefficients are the symmetric residues
+    mod modulus of the integers coeffs: the integers that r-adic lifts mod
+    modulus stand for once modulus exceeds twice their size."""
+    return RatPoly([modp.symmetric(c % modulus, modulus) for c in coeffs])

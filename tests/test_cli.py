@@ -552,20 +552,25 @@ def test_audit_matching_cli_reports_the_four_defects(capsys):
 # one sextic per pattern of factor degrees at its lifting prime: six linear
 # factors, four, two, and none (three quadratics)
 RESOLVENT_PATTERNS = ["1,-1,-1,3,2,3,-1", "1,-4,-1,4,-4,1,-3", "1,-3,-1,-3,2,2,-3", "1,4,-3,-4,2,-2,1"]
+# x^6 + x/2^30 + 1 and x^6 + x/N + 1, N a 131-bit semiprime: their monic
+# integer models lift to moduli of 806 and 16,207 bits
+HUGE_MODULUS = ["1,0,0,0,0,1/1073741824,1", "1,0,0,0,0,1/30000000000000000017000000000000000002067,1"]
 
 
 @pytest.mark.parametrize("kind", ["j", "k"])
 @pytest.mark.parametrize(
     "coeffs",
     ["1,2,3,4,5,6,7", "36,0,0,0,36,18,5", "1,0,3/7,0,0,1,-2/9", "2,0,-3,1/5,0,0,7"]
-    + RESOLVENT_PATTERNS,
+    + RESOLVENT_PATTERNS
+    + HUGE_MODULUS,
 )
 def test_numeric_resolvent_matches_golden_output(capsys, coeffs, kind):
     # stdout captured before the p-adic engine shared its orbit products and
     # reused x^r in the lifting-prime sieve; three inputs have a non-integer
     # monic form, so the lift runs on a rescaled model (m > 1). The
     # RESOLVENT_PATTERNS goldens were captured before the resolvents were
-    # built from one value per conjugate pair.
+    # built from one value per conjugate pair, the HUGE_MODULUS ones before
+    # they were built as products of integer factors mod r^N.
     name = f"resolvent_{kind}_" + coeffs.replace(",", "_").replace("/", "over")
     golden = Path(__file__).parent / "golden" / f"{name}.out"
     code, out, err = run(capsys, "resolvent", "--method", "numeric", "--kind", kind, f"--coeffs={coeffs}")
@@ -624,3 +629,20 @@ def test_classify_fallback_block_matches_golden_output(capsys, monkeypatch):
         assert (code, err) == (0, "")
         out += line
     assert out == (Path(__file__).parent / "golden" / "classify_fallback.out").read_text()
+
+
+# -10^900 and the discriminant 46656 * 10^4500 of x^6 - 10^900 have more
+# digits than the interpreter's default int-to-str limit
+def test_exact_output_has_no_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "discriminant", f"--coeffs=1,0,0,0,0,0,{-10**900}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact"] == "46656" + "0" * 4500
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_numeric_resolvent_of_a_huge_sextic_has_no_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "resolvent", "--method", "numeric", "--kind", "j", f"--coeffs=1,0,0,0,0,0,{-10**400}")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == before

@@ -514,17 +514,17 @@ def test_monic_integer_rescale_takes_large_cofactors_as_they_are():
 
 
 def test_lifted_values_round_to_their_symmetric_residue():
-    from sextic.errors import NotNearInteger
-    from sextic.resolvents import _Lifted
     from sextic.roots import expand_from_roots, round_to_int_poly
 
     modulus = 7**20
-    # 3 + sqrt 3 and 3 - sqrt 3 (3 is a non-residue mod 7): x^2 - 6x + 6
-    r, s = _Lifted(3, 1, 3, modulus), _Lifted(3, modulus - 1, 3, modulus)
-    assert round_to_int_poly(expand_from_roots([r, s])) == RatPoly([6, -6, 1])
-    # one of the pair alone leaves a sqrt 3 part
-    with pytest.raises(NotNearInteger):
-        round_to_int_poly(expand_from_roots([r]))
+    half = modulus // 2
+    assert round_to_int_poly([-3, half, half + 1, modulus, modulus + 5, -modulus - 1], modulus) == (
+        RatPoly([-3, half, half + 1 - modulus, 0, 5, -1])
+    )
+    # 3 + sqrt 3 and 3 - sqrt 3 (3 is a non-residue mod 7) give the factor
+    # x^2 - 6x + 6 mod M; z - 2 and z + 5 expand to integers of either sign
+    assert round_to_int_poly([6 % modulus, -6 % modulus, 1], modulus) == RatPoly([6, -6, 1])
+    assert round_to_int_poly(expand_from_roots([2, -5]), modulus) == RatPoly([-10, 3, 1])
 
 
 # one sextic (c6 first) for each pattern of factor degrees at its lifting
