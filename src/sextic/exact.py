@@ -382,30 +382,40 @@ CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 def rational_roots(p: RatPoly) -> set:
     """All rational roots of p (multiplicities not reported).
 
+    A root sieve runs first: a nonzero root u/v in lowest terms, v dividing
+    the leading coefficient of A, the primitive part of p/x^k, is a root of
+    A mod every prime not dividing that coefficient. At the first such prime
+    of CERTIFICATE_PRIMES where modp.has_root (one packed evaluation at
+    every residue) finds none, 0 is the only candidate; else _rational_roots
+    lifts.
+    """
+    return _rational_roots(p, sieve=True)[0]
+
+
+def _rational_roots(p: RatPoly, sieve: bool = False) -> tuple[set, Optional[bool]]:
+    """(rational_roots(p), True when p has no repeated complex root); the
+    flag is read off the certificate, or the squarefree part, that the roots
+    need anyway, and is None when rational_roots' sieve answered.
+
     p-adic lifting (Loos 1983). 0 is a root when x divides p; the others are
     y/lead for the integer roots y of the monic model F(y) = lead^(n-1) A(y/lead)
-    (monic_model) of the primitive part A of p/x^k. The lifting prime is the
-    first of CERTIFICATE_PRIMES at which F is squarefree: that certifies A
-    squarefree, and all roots of F mod it simple. When none certifies, A is
-    replaced by its squarefree part (subresultant PRS) and the first odd prime
-    at which that part's model is squarefree is used. Each root of F mod the
-    prime (modp.roots, one packed evaluation at every residue) is
-    Newton-lifted above twice Fujiwara's root bound, reduced symmetrically
-    (modp.newton_lift, modp.symmetric), checked exactly.
+    (monic_model) of A. The lifting prime is the first of CERTIFICATE_PRIMES
+    at which F is squarefree: that certifies A squarefree, and all roots of
+    F mod it simple. When none certifies, A is replaced by its squarefree
+    part (subresultant PRS) and the first odd prime at which that part's
+    model is squarefree is used. Each root of F mod the prime (modp.roots,
+    one packed evaluation at every residue) is Newton-lifted above twice
+    Fujiwara's root bound, reduced symmetrically (modp.newton_lift,
+    modp.symmetric), checked exactly.
     """
-    return _rational_roots(p)[0]
-
-
-def _rational_roots(p: RatPoly) -> tuple[set, bool]:
-    """(rational_roots(p), True when p has no repeated complex root); the
-    flag is read off the certificate, or the squarefree part, that the
-    roots need anyway."""
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
     coeffs = p.primitive()[1]
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {Fraction(0)} if k else set()
     A = coeffs[k:]
+    if sieve and any(A[-1] % r and not modp.has_root(A, r) for r in CERTIFICATE_PRIMES):
+        return roots, None
     if len(A) < 2:
         return roots, k <= 1
     F = monic_model(A)

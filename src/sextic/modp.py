@@ -125,11 +125,12 @@ def _slot_reduction(top: int, m: int, slots: int):
 def _residue_powers(m: int, degree: int) -> tuple:
     """(rows, residues, high, lows, w) for _zero_slots: rows[k] has y^k mod
     m in slot y for y = 0..m-1; high holds the top bit of each w-bit slot,
-    and lows the bits below it."""
+    and lows the bits below it. A row is parsed from its w-bit binary
+    digits, slot m - 1 first, in time linear in its length."""
     powers = [[pow(y, k, m) for y in range(m)] for k in range(degree + 1)]
     top = (m - 1) * max(map(sum, zip(*powers)))
     w, residues = _slot_reduction(top, m, m)
-    rows = [sum(p << y * w for y, p in enumerate(row)) for row in powers]
+    rows = [int("".join(f"{p:0{w}b}" for p in reversed(row)), 2) for row in powers]
     high = (((1 << m * w) - 1) // ((1 << w) - 1)) << w - 1
     return rows, residues, high, high - (high >> w - 1), w
 
@@ -319,16 +320,20 @@ def newton_lift(q: list, root: tuple, n: int, p: int, target: int) -> tuple:
     """The root a + b sqrt n of the integer polynomial q mod target, a power
     of p, that reduces to the given simple root (a, b) mod p, by quadratic
     Newton steps in (Z/p^k)[sqrt n]. A root in Z/target is the case b = 0,
-    for any n."""
+    for any n. A step from m to m^2 needs the inverse of the norm N of
+    q'(root) only mod m; the root, and so N, moved by a multiple of the
+    previous modulus, so inv <- inv (2 - N inv) carries the inverse from
+    step to step, and only the first step inverts, mod p."""
     a, b = root
     m = p
     while m < target:
-        m = min(m * m, target)
+        prev, m = m, min(m * m, target)
         fa, fb, da, db = q[-1], 0, 0, 0  # q and q' by Horner
         for c in reversed(q[:-1]):
             da, db = (da * a + n * db * b + fa) % m, (da * b + db * a + fb) % m
             fa, fb = (fa * a + n * fb * b + c) % m, (fa * b + fb * a) % m
-        inv = pow(da * da - n * db * db, -1, m)  # the norm of q'(root) is a unit
+        norm = da * da - n * db * db  # a unit: the root is simple
+        inv = pow(norm, -1, p) if prev == p else inv * (2 - norm * inv) % prev
         a = (a - (fa * da - n * fb * db) * inv) % m
         b = (b - (fb * da - fa * db) * inv) % m
     return a, b

@@ -16,6 +16,8 @@ empty result proves non-solvability.
 
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,10 +109,34 @@ def params_from_ab(a, b):
     return min(fits, key=lambda p: (p.e.denominator, abs(p.e.numerator), -p.epsilon), default=None)
 
 
+@functools.cache
+def _unit_roots(prec: int) -> tuple:
+    """(omega^t at prec bits, e^(2 pi i t / 5) at prec + 10 bits built as
+    mpmath's root(x, 5, t) builds it) for t = 0..4, omega = e^(2 pi i / 5)."""
+    with mp.workprec(prec + 10):
+        shifted = tuple(mp.expjpi(2 * mp.mpf(t) / 5) for t in range(5))
+    with mp.workprec(prec):
+        omega = mp.expjpi(mp.mpf(2) / 5)
+        return tuple(omega**t for t in range(5)), shifted
+
+
 def _branch(base, target):
-    """The fifth root of base nearest target."""
-    turns = mp.arg(target / mp.root(base, 5)) * 5 / (2 * mp.pi)
-    return mp.root(base, 5, int(mp.nint(turns)) % 5)
+    """The fifth root of base nearest target, bit for bit mp.root(base, 5, k)
+    (mpmath 1.3.0). One principal root at 10 more bits gives the branch k,
+    from the phase of target / principal, and the root: principal times
+    e^(2 pi i k / 5) at those bits, rounded, as mpmath builds it. k = 0, and
+    k = 2 for a negative real base (its real root), are mpmath's own calls."""
+    with mp.extraprec(10):
+        principal = mp.root(base, 5)
+    k = round(cmath.phase(complex(target / principal)) * 5 / (2 * cmath.pi)) % 5
+    if not k:
+        return mp.root(base, 5)
+    if k == 2 and not mp.im(base) and mp.re(base) < 0:
+        return -mp.root(-base, 5)
+    shifted = _unit_roots(mp.mp.prec)[1]
+    with mp.extraprec(10):
+        root = principal * shifted[k]
+    return +root
 
 
 def _near_a_root(x, fx, a, precision: int) -> bool:
@@ -130,30 +156,32 @@ def radical_roots(p: QuinticParams, precision: int = PRECISION_START) -> Quintic
 
     u1 is the principal fifth root; u3, u4 and u2 are the fifth roots nearest
     v1 / (D u1^2), -epsilon / (sqrt(D) u1) and epsilon / (sqrt(D) u3), from
-    exact relations of the tower. Each x_j must lie within
-    2^-(precision/2) (1 + |x_j|) of a root (_near_a_root); the residual
-    max_j |x_j^5 + a x_j + b| is reported alongside.
+    exact relations of the tower, each from one principal root (_branch);
+    omega and its powers are built once per working precision. Each x_j
+    must lie within 2^-(precision/2) (1 + |x_j|) of a root (_near_a_root);
+    the residual max_j |x_j^5 + a x_j + b| is reported alongside.
     """
     check_precision(precision)
     a, b = ab_from_params(p)
     with mp.workprec(precision + 32):
         D = p.c**2 + 1
-        sD = mp.sqrt(to_mpf(D))
+        D_val = to_mpf(D)
+        sD = mp.sqrt(D_val)
         eps = p.epsilon
-        minus = mp.sqrt(mp.mpc(to_mpf(D) - eps * sD))
-        plus = mp.sqrt(mp.mpc(to_mpf(D) + eps * sD))
+        minus = mp.sqrt(mp.mpc(D_val - eps * sD))
+        plus = mp.sqrt(mp.mpc(D_val + eps * sD))
         v1 = sD + minus
         v2 = -sD - plus
         v3 = -sD + plus
         v4 = sD - minus
-        d2 = to_mpf(D) ** 2
+        d2 = D_val**2
         u1 = mp.root(v1**2 * v3 / d2, 5)
-        u3 = _branch(v2**2 * v1 / d2, v1 / (to_mpf(D) * u1**2))
+        u3 = _branch(v2**2 * v1 / d2, v1 / (D_val * u1**2))
         u4 = _branch(v4**2 * v2 / d2, -eps / (sD * u1))
         u2 = _branch(v3**2 * v4 / d2, eps / (sD * u3))
         us = (u1, u2, u3, u4)
-        omega = mp.expjpi(mp.mpf(2) / 5)
-        wtab = [omega**t for t in range(5)]
+        wtab = _unit_roots(mp.mp.prec)[0]
+        omega = wtab[1]
         e_val = to_mpf(p.e)
         a_val, b_val = to_mpf(a), to_mpf(b)
         xs = [

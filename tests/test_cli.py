@@ -306,6 +306,26 @@ def test_readme_command_line_matches_golden_output(capsys, monkeypatch, line):
     assert err == golden.with_suffix(".err").read_text()
 
 
+# stdout and stderr captured before the tower's fifth-root branches came from
+# one principal root each: their residuals and rounding-level imaginary
+# parts pin the tower's bits. epsilon = 1 at (a, b) = (-5, 12) takes the
+# branches k = 0 and mpmath's exact real k = 2; the other runs at 1024 bits
+QUINTIC_GOLDENS = {
+    "quintic_a_-5_b_12": ["quintic", "--a", "-5", "--b", "12"],
+    "quintic_params_-1_0_3over7_bits_1024": ["quintic", "--params=-1,0,3/7", "--precision-bits", "1024"],
+}
+
+
+@pytest.mark.parametrize("stem", list(QUINTIC_GOLDENS))
+def test_quintic_tower_matches_golden_output(capsys, monkeypatch, stem):
+    monkeypatch.delenv("SEXTIC_PRECISION_BITS", raising=False)
+    golden = Path(__file__).parent / "golden" / stem
+    code, out, err = run(capsys, *QUINTIC_GOLDENS[stem])
+    assert code == 0
+    assert out == golden.with_suffix(".out").read_text()
+    assert err == golden.with_suffix(".err").read_text()
+
+
 @pytest.mark.parametrize("stem", ["audit", "audit_text"])
 def test_audit_matches_golden_output(capsys, stem):
     # both kinds, captured before the reconstruction paired each reference

@@ -179,8 +179,47 @@ def test_rational_roots_against_divisor_oracle():
     for d in range(-2, 3):
         for e in range(-2, 3):
             polys += [f_verified(ReducedSextic(d, e)), g_verified(ReducedSextic(d, e))]
+    # for the root sieve: c x^k, and leading coefficients divisible by each
+    # prime it reads, which it must skip (a root s/r is no root mod r)
+    polys += [RatPoly([0] * k + [c]) for k in range(1, 5) for c in (1, -3, F(2, 7))]
+    for r in exact.CERTIFICATE_PRIMES:
+        polys += [RatPoly([-1, r]), RatPoly([0, 0, -5, r])]
+        for _ in range(16):
+            p = RatPoly([rng.randint(-30, 30) for _ in range(rng.randint(0, 4))] + [r * rng.choice([1, -2, 3])])
+            if rng.random() < 0.5:
+                p = p * RatPoly([rng.randint(-9, 9), r])
+            if rng.random() < 0.5:
+                p = p * RatPoly([rng.choice([-4, -1, 2, 7]), 1])
+            polys.append(p * RatPoly([0, 1]) ** rng.choice([0, 0, 1, 2]))
+    denominators = set()
     for p in polys:
-        assert rational_roots(p) == rational_roots_by_divisors(p), p
+        roots = rational_roots(p)
+        assert roots == rational_roots_by_divisors(p), p
+        denominators |= {q.denominator for q in roots}
+    assert set(exact.CERTIFICATE_PRIMES) <= denominators
+
+
+def test_root_sieve_stops_before_the_lift_and_leaves_classify_its_certificate(monkeypatch):
+    from sextic import modp
+
+    lifts, certified = [], []
+    real_lift, real_prime = modp.newton_lift, exact._squarefree_prime
+    monkeypatch.setattr(modp, "newton_lift", lambda *args: lifts.append(args) or real_lift(*args))
+    monkeypatch.setattr(exact, "_squarefree_prime",
+                        lambda F, primes: certified.append(len(F) - 1) or real_prime(F, primes))
+    # (x^2 + 1)(x^2 - 6x - 5) is (x^2 + 1)^2 mod 3: no root mod 3, and the
+    # certificate prime is 5, where x^2 + 1 has two roots to lift
+    p = RatPoly([1, 0, 1]) * RatPoly([-5, -6, 1])
+    assert not modp.has_root(p.primitive()[1], 3)
+    assert rational_roots(p) == set()
+    assert (lifts, certified) == ([], [])
+    assert exact._rational_roots(p) == (set(), True)
+    assert lifts and certified == [4]
+    # classify's two resolvent searches run the certificate, for its flags:
+    # on f of degree 15 and on g of degree 10 over its simple root 0
+    report = classify(RatPoly([1, 2, 1, 0, 0, 0, 1]))
+    assert certified[-2:] == [15, 9]
+    assert not any("repeated roots" in note for note in report.notes)
 
 
 def test_rational_roots_report_repeated_roots_like_the_resultant():

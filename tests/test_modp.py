@@ -205,10 +205,12 @@ def test_sqrt_of_every_residue_and_the_least_nonresidue(p):
     z = modp.nonresidue(p)
     assert pow(z, (p - 1) // 2, p) == p - 1
     assert all(pow(k, (p - 1) // 2, p) == 1 for k in range(1, z))
-    # lift_small_factors reads square roots off the roots of y^2 - a, at
-    # small primes: below 1000 every a has 1 + (a/p) of them (the packed
-    # residue table for 65537 alone takes seconds)
-    for a in range(p if p < 1000 else 0):
+    # lift_small_factors reads square roots off the roots of y^2 - a: every
+    # a has 1 + (a/p) of them. Below 1000 every residue is checked; mod
+    # 65537, where one packed evaluation spans 65,537 slots, 0, 1, z, p - 1
+    # and 250 seeded others
+    sample = random.Random(p).sample(range(2, p - 1), 250) + [0, 1, z, p - 1] if p > 1000 else range(p)
+    for a in sample:
         roots = modp.roots([-a, 0, 1], p)
         assert len(roots) == (2 if pow(a, (p - 1) // 2, p) == 1 else 0 if a else 1), (a, p)
         assert all(r * r % p == a for r in roots)
@@ -229,3 +231,46 @@ def test_newton_lift_in_z_and_in_the_quadratic_extension():
     assert (a - 4) % p == 0 and (b - 1) % p == 0
     # q(a + b sqrt n) = (a^2 + n b^2 - a - 1) + (2ab - b) sqrt n
     assert (a * a + n * b * b - a - 1) % target == 0 and (2 * a * b - b) % target == 0
+
+
+def _lift_inverting_each_step(q, root, n, p, target):
+    """newton_lift with the norm of q'(root) inverted afresh mod m at every
+    step: the reference for the carried inverse."""
+    a, b = root
+    m = p
+    while m < target:
+        m = min(m * m, target)
+        fa, fb, da, db = q[-1], 0, 0, 0
+        for c in reversed(q[:-1]):
+            da, db = (da * a + n * db * b + fa) % m, (da * b + db * a + fb) % m
+            fa, fb = (fa * a + n * fb * b + c) % m, (fa * b + fb * a) % m
+        inv = pow(da * da - n * db * db, -1, m)
+        a = (a - (fa * da - n * fb * db) * inv) % m
+        b = (b - (fb * da - fa * db) * inv) % m
+    return a, b
+
+
+def test_newton_lift_carries_the_inverse_exactly():
+    # seeded integer polynomials with a quadratic factor x^2 - 2s x + s^2 - n t^2,
+    # lifted from its root (s, t) in (Z/p)[sqrt n] and from every simple root in
+    # Z/p, to targets p^k that the squaring hits exactly and that cap it
+    rng = random.Random(17)
+    checked = 0
+    for p in (3, 5, 7, 13, 29):
+        n = modp.nonresidue(p)
+        for _ in range(40):
+            s, t = rng.randrange(p), rng.randrange(1, p)
+            cofactor = [rng.randint(-99, 99) for _ in range(rng.randint(1, 4))] + [1]
+            q = [0] * (len(cofactor) + 2)
+            for i, c in enumerate(cofactor):
+                for j, f in enumerate([s * s - n * t * t, -2 * s, 1]):
+                    q[i + j] += c * f
+            if not modp.is_squarefree(modp.reduce(q, p), p):
+                continue
+            starts = [((s, t), n)] + [((y, 0), 0) for y in modp.roots(q, p)]
+            for root, ext in starts:
+                for k in (1, 2, 3, 4, 7, 8, 16, 33):
+                    lifted = modp.newton_lift(q, root, ext, p, p**k)
+                    assert lifted == _lift_inverting_each_step(q, root, ext, p, p**k), (q, root, p, k)
+                    checked += 1
+    assert checked > 1000

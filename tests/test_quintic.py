@@ -184,6 +184,41 @@ def test_radical_roots_equal_the_branch_search_bit_for_bit():
             assert (tower.u, tower.roots, tower.residual) == found, (params, bits)
 
 
+@pytest.mark.parametrize("prec", [33, 96, 288, 1056])
+def test_branch_equals_mpmath_root_bit_for_bit(prec):
+    # every k, on positive real, negative real (k = 2: mpmath's exact real
+    # root) and non-real bases; the target is the root or a point near it
+    rng = random.Random(prec)
+    with mp.workprec(prec):
+        for _ in range(6):
+            m = mp.mpf(rng.uniform(0.1, 10)) * mp.mpf(2) ** rng.randint(-60, 60)
+            bases = [mp.mpc(m), mp.mpc(-m), mp.mpc(m, m * rng.uniform(-3, 3)), mp.mpc(-m, m * rng.uniform(-3, 3))]
+            for base in bases:
+                for k in range(5):
+                    want = mp.root(base, 5, k)
+                    near = want * mp.mpf(rng.uniform(0.8, 1.2)) * mp.expjpi(mp.mpf(rng.uniform(-0.1, 0.1)))
+                    for target in (want, near):
+                        got = quintic._branch(base, target)
+                        assert type(got) is type(want) and (got.real, got.imag) == (want.real, want.imag)
+                    if k == 2 and base == -m:
+                        assert want.imag == 0
+
+
+def test_omega_and_its_powers_are_built_once_per_precision(monkeypatch):
+    calls = []
+    real = mp.expjpi
+    monkeypatch.setattr(mp, "expjpi", lambda *args: calls.append(args) or real(*args))
+    quintic._unit_roots.cache_clear()
+    params = QuinticParams(-1, F(1, 2), 1)  # x^5 + 20x + 32: branches k = 3 and 4
+    first = radical_roots(params, 200)
+    built = len(calls)
+    assert built
+    assert radical_roots(params, 200) == first
+    assert len(calls) == built
+    radical_roots(params, 201)
+    assert len(calls) == 2 * built
+
+
 def test_radical_roots_take_at_most_seven_fifth_roots(monkeypatch):
     calls = []
     real_root = mp.root
