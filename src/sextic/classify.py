@@ -16,14 +16,9 @@ they do are the roots lifted p-adically and the lifted factors recombined
 resolvents off the audited closed-form tables; every other sextic builds
 them from the same p-adic lift of its roots (resolvents.resolvents_exact).
 
-scan_point, the step of `sextic search`, first reduces the two reduced-form
-resolvents mod the odd primes below 100 (ROOT_SIEVE_PRIMES). A point at
-which each has no root mod some prime has no rational resolvent root, so it
-is no hit and skips classify; that is 398 of the 505 points of d = -50..50,
-e = -2..2, and each point left has a resolvent with the root 0. Its
-zero-discriminant test evaluates the closed-form discriminant table
-(discriminant_reduced), not a resultant; the tests prove the two
-discriminants equal up to sign as polynomials in d and e.
+scan_point, the step of `sextic search`, calls classify only at a point
+where the root sieve (_resolvents_rootless) leaves a resolvent that may have
+a rational root.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ from .exact import (
     _exact_quotient,
     _odd_primes,
     _rational_roots,
+    _rootless,
     is_rational_square,
     monic_model,
     rational_roots,
@@ -289,25 +285,16 @@ def vanishing_constant_family(d) -> ReducedSextic:
 
 def _resolvents_rootless(d: Fraction, e: Fraction) -> bool:
     """True when the verified degree-15 and degree-10 resolvents of
-    x^6 + x^2 + d*x + e provably have no rational root.
+    x^6 + x^2 + d*x + e provably have no rational root: each in turn is
+    exact._rootless over ROOT_SIEVE_PRIMES.
 
-    Each resolvent is nums / den with integers nums (monic: the leading one
-    is den), from resolvents._table_integers. A zero constant numerator is
-    the rational root 0, so no prime can settle the point (d = 0, e = 0 and
-    the vanishing-constant family). At a prime r not dividing den the
-    coefficients are r-integral, so a rational root y is r-integral too (the
-    rational root theorem over Z localized at r) and reduces to a root of
-    nums mod r in 0..r-1. A resolvent with no such root (modp.has_root) at
-    some prime of ROOT_SIEVE_PRIMES therefore has no rational root.
+    A resolvent is nums / den with integers nums (resolvents._table_integers)
+    and has the roots of nums. A zero constant numerator is the rational root
+    0 (d = 0, e = 0 and the vanishing-constant family), which no prime can
+    rule out, so both are checked before any prime is.
     """
-    tables = [_table_integers(_F_VERIFIED, d, e), _table_integers(_G_VERIFIED, d, e)]
-    if not all(nums[0] for nums, _ in tables):
-        return False
-    for r in ROOT_SIEVE_PRIMES:
-        tables = [(nums, den) for nums, den in tables if not den % r or modp.has_root(nums, r)]
-        if not tables:
-            return True
-    return False
+    tables = [_table_integers(table, d, e)[0] for table in (_F_VERIFIED, _G_VERIFIED)]
+    return all(nums[0] for nums in tables) and all(_rootless(n, ROOT_SIEVE_PRIMES) for n in tables)
 
 
 def scan_point(point):
@@ -317,14 +304,14 @@ def scan_point(point):
     point, error "Type: message" only for a SexticError; other exceptions
     propagate.
 
-    A hit needs a rational root of the degree-15 or the degree-10 resolvent.
-    A point with a nonzero discriminant whose two resolvents
-    _resolvents_rootless rules out therefore returns (d, e, None, None)
-    without classify: it is not a hit, reducible or not, and classify raises
-    a SexticError only for a zero discriminant. Every other point goes
-    through classify, so hits, errors and their order are those of classify
-    alone. The zero test is discriminant_reduced, the closed-form table,
-    which is minus the resultant discriminant as a polynomial in d and e
+    A hit needs a rational root of the degree-15 or the degree-10 resolvent,
+    and classify raises a SexticError only for a zero discriminant. A point
+    with a nonzero discriminant whose two resolvents _resolvents_rootless
+    rules out therefore returns (d, e, None, None) without classify, reducible
+    or not; every other point goes through classify, so hits, errors and
+    their order are those of classify alone. The zero test is
+    discriminant_reduced, the closed-form table, minus the resultant
+    discriminant as a polynomial in d and e
     (test_disc_table_is_minus_the_resultant_discriminant).
     """
     d, e = map(Fraction, point)

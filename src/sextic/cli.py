@@ -3,7 +3,7 @@
 Subcommands: classify, resolvent, discriminant, audit, search, quintic.
 Machine-readable JSON by default (rationals always serialized as exact
 "p/q" strings, never floats); --format text for aligned human output.
-Exit codes: 0 success, 1 usage or parse error, 2 numeric failure.
+Exit codes: 0 success, 1 usage or parse error or closed stdout, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -403,6 +403,11 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout; spare the final flush the same error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     finally:
         if limit is not None:

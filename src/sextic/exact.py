@@ -379,15 +379,22 @@ def monic_model(A: list) -> list:
 CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
+def _rootless(A: list, primes: Iterable[int]) -> bool:
+    """True when the integer polynomial A, with a nonzero constant term, has
+    no root mod some prime of primes that does not divide its leading
+    coefficient (modp.has_root, one packed evaluation at every residue, up to
+    the first such prime). Then A has no rational root: a root u/v in lowest
+    terms has v dividing that coefficient, so v is a unit mod the prime and
+    u/v reduces to a root of A there.
+    """
+    return any(A[-1] % r and not modp.has_root(A, r) for r in primes)
+
+
 def rational_roots(p: RatPoly) -> set:
     """All rational roots of p (multiplicities not reported).
 
-    A root sieve runs first: a nonzero root u/v in lowest terms, v dividing
-    the leading coefficient of A, the primitive part of p/x^k, is a root of
-    A mod every prime not dividing that coefficient. At the first such prime
-    of CERTIFICATE_PRIMES where modp.has_root (one packed evaluation at
-    every residue) finds none, 0 is the only candidate; else _rational_roots
-    lifts.
+    When A, the primitive part of p/x^k, is _rootless over CERTIFICATE_PRIMES,
+    0 is the only candidate; else _rational_roots lifts.
     """
     return _rational_roots(p, sieve=True)[0]
 
@@ -414,7 +421,7 @@ def _rational_roots(p: RatPoly, sieve: bool = False) -> tuple[set, Optional[bool
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {Fraction(0)} if k else set()
     A = coeffs[k:]
-    if sieve and any(A[-1] % r and not modp.has_root(A, r) for r in CERTIFICATE_PRIMES):
+    if sieve and _rootless(A, CERTIFICATE_PRIMES):
         return roots, None
     if len(A) < 2:
         return roots, k <= 1

@@ -124,27 +124,16 @@ G_REFERENCE_TABLE = {
 }
 
 # The degree-15 table re-derived by reconstruct_reduced and validated on
-# holdout points (kept frozen here so classification does not pay the
-# reconstruction cost). It differs from the transcription in four places:
-# the x^7 coefficient carries the e^8 factor its neighbours have, the x^9
-# and x^12 coefficients lose one spurious term each, and the constant term
-# is negated (same vanishing locus, so the vanishing-constant family is
-# unaffected). A slow test recomputes this table from scratch.
+# holdout points, frozen here so classification does not pay the
+# reconstruction cost: the transcription with the four rows it corrects.
+# The negated constant term has the same vanishing locus, so the
+# vanishing-constant family is unaffected. A slow test recomputes this
+# table from scratch.
 F_VERIFIED_TABLE = {
-    15: {(0, 0): 1},
-    13: {(0, 2): -6},
+    **F_REFERENCE_TABLE,
     12: {(0, 4): -42},
-    11: {(0, 4): 7},
-    10: {(0, 6): 222, (2, 5): -21},
     9: {(0, 8): 453, (0, 6): 8},
-    8: {(0, 8): -340, (2, 7): 109},
     7: {(0, 10): -1716, (2, 9): 288, (0, 8): -17},
-    6: {(0, 12): -1232, (0, 10): 300, (2, 9): -144},
-    5: {(0, 12): 1534, (2, 11): 538, (4, 10): -353, (0, 10): 2},
-    4: {(0, 14): 2592, (2, 13): -96, (0, 12): -258, (2, 11): 48},
-    3: {(0, 16): -1728, (0, 14): -1012, (2, 13): 284, (4, 12): -94, (0, 12): 9},
-    2: {(0, 16): 432, (2, 15): -2160, (4, 14): 792, (0, 14): 118, (2, 13): 5},
-    1: {(2, 17): 1296, (0, 16): -27, (2, 15): 138, (4, 14): -60, (0, 14): -4},
     0: {(4, 16): -144, (6, 15): 32, (2, 15): 3},
 }
 
@@ -202,7 +191,7 @@ def _eval_table(compiled: tuple, d: Fraction, e: Fraction) -> RatPoly:
 _F_REFERENCE = _compile(F_REFERENCE_TABLE, 15)
 _G_REFERENCE = _compile(G_REFERENCE_TABLE, 10)
 _F_VERIFIED = _compile(F_VERIFIED_TABLE, 15)
-_G_VERIFIED = _compile(G_VERIFIED_TABLE, 10)
+_G_VERIFIED = _G_REFERENCE
 _DISC = _compile({0: _DISC_TABLE}, 0)
 
 

@@ -466,6 +466,21 @@ def test_bad_range_step_exits_before_any_point_is_built():
     assert float(done.stdout) < 1
 
 
+def test_closed_stdout_exits_one_without_a_traceback():
+    # `sextic search --quintic --box 60 | head -n 1`: the reader leaves after
+    # the first hit, and unbuffered, the next hit is a write into the closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONUNBUFFERED="1")
+    child = subprocess.Popen([sys.executable, "-m", "sextic.cli", "search", "--quintic", "--box", "60"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = json.loads(child.stdout.readline())
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (first["a"], first["b"]) == ("-5", "-12")
+    assert (child.wait(timeout=60), err) == (1, b"")
+
+
 def test_precision_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SEXTIC_PRECISION_BITS", "320")
     code, out, _ = run(capsys, "classify", "--d", "1", "--e", "1")
