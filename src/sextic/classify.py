@@ -34,16 +34,15 @@ from . import modp
 from .errors import DegenerateSextic, SexticError, ZeroD
 from .exact import (
     RatPoly,
-    _derivative_resultant,
     _exact_quotient,
     _odd_primes,
     _rational_roots,
     _rootless,
     is_rational_square,
+    model_discriminant,
     monic_model,
     rational_roots,
     resultant,  # noqa: F401  not called; perfbench/spans.py requires the binding
-    squarefree,
 )
 from .resolvents import (
     _F_VERIFIED,
@@ -108,30 +107,14 @@ class ClassificationReport:
     notes: tuple
 
 
-def _integer_model(p: RatPoly) -> tuple[list, int]:
-    """(q, disc q): the monic integer model q = a^(n-1) A(y/a) of p = c A
-    (exact.monic_model; A primitive of degree n with leading coefficient a)
-    and its discriminant, read off the cached Res(p, p').
-
-    Res(p, p') = c^(2n-1) Res(A, A'), disc A = (-1)^(n(n-1)/2) Res(A, A') / a,
-    and the roots of q are a times those of A, so
-    disc q = a^((n-1)(n-2)) disc A.
-    """
-    n = p.degree
-    c, A = p.primitive()
-    a = A[-1]
-    sign = -1 if n * (n - 1) // 2 % 2 else 1
-    disc = sign * a ** ((n - 1) * (n - 2) - 1) * _derivative_resultant(p) / c ** (2 * n - 1)
-    return monic_model(A), int(disc)
-
-
 def is_irreducible(p: RatPoly) -> bool:
     """Exact irreducibility over the rationals for degree <= 6.
 
     Degree-1 factors come from the exact rational roots. For the rest, the
-    monic integer model q (exact.monic_model) is squarefree mod the odd
-    primes that do not divide disc q (_integer_model), and is_irreducible
-    walks them once. At each, modp.factor_degrees reads the factor degrees
+    monic integer model q (exact.monic_model) of p's primitive part A has
+    the roots of p times lc(A), so disc q = model_discriminant(p, lc(A)),
+    and is_irreducible walks once over the odd primes not dividing it, where
+    q is squarefree. At each, modp.factor_degrees reads the factor degrees
     of q off its roots mod the prime and the quadratic character of disc q
     (Stickelberger's theorem in Swan's form, Pacific J. Math. 12, 1962). A
     degree-k factor of q over the integers is a product of modular factors
@@ -165,13 +148,15 @@ def is_irreducible(p: RatPoly) -> bool:
         raise ValueError("irreducibility test is specialized to degree <= 6")
     if not p.coeffs[0]:
         return False  # divisible by x
-    if not squarefree(p):
+    A = p.primitive()[1]
+    disc = int(model_discriminant(p, A[-1]))
+    if not disc:
         return False  # repeated factor
     if rational_roots(p):
         return False
     if n <= 3:
         return True
-    q, disc = _integer_model(p)
+    q = monic_model(A)
     possible = set(range(2, n // 2 + 1))
     for count, r in enumerate((r for r in _odd_primes() if disc % r), 1):
         found, degrees = modp.factor_degrees(modp.reduce(q, r), r, disc)

@@ -240,7 +240,7 @@ def _print_scan(results) -> None:
         if error is not None:
             print(f"d={d} e={e}: {error}", file=sys.stderr)
         elif report is not None:
-            print(json.dumps({"d": str(d), "e": str(e), "report": _report_dict(report)}))
+            print(json.dumps({"d": str(d), "e": str(e), "report": _report_dict(report)}), flush=True)
 
 
 def _cmd_search(args, parser) -> int:
@@ -253,7 +253,7 @@ def _cmd_search(args, parser) -> int:
         if args.box is None:
             parser.error("--quintic needs --box N")
         for a, b, params in search_quintics(args.box):
-            print(json.dumps({"a": str(a), "b": str(b), "params": _params_dict(params)}))
+            print(json.dumps({"a": str(a), "b": str(b), "params": _params_dict(params)}), flush=True)
         return 0
     if args.d_range is None or args.e_range is None:
         parser.error("provide --d-range and --e-range (or --quintic --box N)")

@@ -526,9 +526,17 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
 def _derivative_resultant(p: RatPoly) -> Fraction:
     """Res(p, p'), kept for the last p only: classifying a sextic asks for it
     three times in a row for the same monic polynomial (its discriminant,
-    the repeated-root test of is_irreducible, and the lifting-prime sieve of
-    resolvents_exact)."""
+    and model_discriminant for is_irreducible and for resolvents_exact)."""
     return resultant(p, p.derivative())
+
+
+def model_discriminant(p: RatPoly, scale: int) -> Fraction:
+    """The discriminant of the monic polynomial whose roots are scale times
+    those of p, read off the cached Res(p, p'):
+    (-1)^(n(n-1)/2) scale^(n(n-1)) Res(p, p') / lc(p)^(2n-1)."""
+    n = p.degree
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    return sign * scale ** (n * (n - 1)) * _derivative_resultant(p) / p.leading() ** (2 * n - 1)
 
 
 def squarefree(p: RatPoly) -> bool:

@@ -37,7 +37,7 @@ from math import comb, isqrt, lcm, prod
 from . import modp
 from .errors import DegenerateSextic, FitInconsistent, NotNearInteger
 from .exact import RatPoly, _derivative_resultant, _odd_primes, _root_bound
-from .exact import squarefree, trial_split
+from .exact import model_discriminant, squarefree, trial_split
 from .exact import resultant  # noqa: F401  not called; perfbench/spans.py requires the binding
 from .exact import factorize  # noqa: F401  not called; perfbench/spans.py requires the binding
 from .groups import MATCHING_INVARIANT, PARTITION_INVARIANT, Perm, act, eval_monomial_sum, orbit
@@ -245,7 +245,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     x^(r^2) == x mod (q, r): q mod r is then squarefree with factors of
     degree <= 2, so its six roots lie in F_r(sqrt n), n the least
     non-residue. _lifted_roots walks the odd primes, skips the r dividing
-    the discriminant -Res(q, q') = -m^30 Res(p, p') and rejects r from the
+    disc q = exact.model_discriminant(p, m) and rejects r from the
     number c of roots mod r, from one packed evaluation, and the quadratic
     character of the discriminant (modp.small_factor_roots): every factor
     has degree <= 2 only if c is even and the character is (-1)^((6 - c)/2).
@@ -279,7 +279,7 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
         raise ValueError("resolvent construction expects a degree-6 polynomial")
     p = p.monic()
     q, m = monic_integer_rescale(p)
-    disc = -int(m**30 * _derivative_resultant(p))  # -Res(q, q'), the roots scaled by m
+    disc = int(model_discriminant(p, m))
     roots = _lifted_roots([int(c) for c in q.coeffs], kinds, disc)
     out = []
     for kind in kinds:

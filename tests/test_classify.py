@@ -408,25 +408,50 @@ def test_factor_degrees_mod_three_primes_prove_irreducibility_without_lifting(mo
     assert is_irreducible(RatPoly(coeffs))
 
 
-def test_is_irreducible_derives_the_discriminant_of_its_monic_model():
-    # non-monic rational p of degree 4 to 6, leading coefficients of both
-    # signs: the discriminant read off Res(p, p'), the content and the
-    # leading coefficient is that of the model q, by its own resultant
-    from sextic.classify import _integer_model
+def _model_disc(q):
+    """disc q of a monic integer q by its own resultant."""
+    n = len(q) - 1
+    return (-1) ** (n * (n - 1) // 2) * exact.resultant(RatPoly(q), RatPoly(q).derivative())
 
+
+def test_is_irreducible_derives_the_discriminant_of_its_monic_model(monkeypatch):
+    # exact.model_discriminant(p, scale) read off Res(p, p') is the
+    # discriminant of the monic integer model whose roots are scale times
+    # those of p, by the model's own resultant, for both models:
+    # monic_model with the leading coefficient of the primitive part
+    # (non-monic rational p of degree 2 to 6, leading coefficients of both
+    # signs), and monic_integer_rescale with its least m
+    from sextic.resolvents import monic_integer_rescale
+
+    walked, real = [], modp.factor_degrees
+    monkeypatch.setattr(modp, "factor_degrees", lambda *args: walked.append(args) or real(*args))
     rng = random.Random(23)
-    checked = 0
-    while checked < 120:
-        n = rng.choice([4, 5, 6])
+    checked = walks = 0
+    while checked < 150:
+        n = rng.choice([2, 3, 4, 5, 6])
         lead = F(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(1, 7))
         p = RatPoly([F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)] + [lead])
         if not exact.squarefree(p):
             continue
-        q, disc = _integer_model(p)
-        assert q == monic_model(p.primitive()[1])
-        sign = (-1) ** (n * (n - 1) // 2)
-        assert disc == sign * exact.resultant(RatPoly(q), RatPoly(q).derivative()), p
+        A = p.primitive()[1]
+        q = monic_model(A)
+        assert exact.model_discriminant(p, A[-1]) == _model_disc(q), p
+        # is_irreducible walks the primes with that model and discriminant
+        walked.clear()
+        is_irreducible(p)
+        assert all((f, disc) == (modp.reduce(q, r), _model_disc(q)) for f, r, disc in walked), p
         checked += 1
+        walks += bool(walked)
+    assert walks >= 50, walks
+    monics = [RatPoly([1, F(1, 2**30), 0, 0, 0, 0, 1]), RatPoly([F(-5, 36), F(1, 2), 1, 0, 0, 0, 1])]
+    monics += [RatPoly([F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(6)] + [1])
+               for _ in range(40)]
+    scales = set()
+    for p in monics:
+        q, m = monic_integer_rescale(p)
+        scales.add(m)
+        assert exact.model_discriminant(p, m) == _model_disc([int(c) for c in q.coeffs]), p
+    assert 2**6 in scales and len(scales) > 10  # m^5 = 2^30 for x^6 + x/2^30 + 1
 
 
 def _rootless_factor(rng, degree, leads):
@@ -456,7 +481,7 @@ def test_zassenhaus_fallback_agrees_with_sympy_when_factor_degrees_fit(monkeypat
     # quartics and a quintic, which split mod every prime into factors
     # whose degrees fit: x^4 + 1, (x^2 + 1)(x^2 + 2), (x^2 - 2)(x^3 + x + 1)
     small = [RatPoly([1, 0, 0, 0, 1]), RatPoly([2, 0, 3, 0, 1]), RatPoly([-2, -2, 1, -1, 0, 1])]
-    from sextic.classify import DEGREE_SIEVE_PRIMES, _integer_model
+    from sextic.classify import DEGREE_SIEVE_PRIMES
 
     lifted = []
     real = modp.lift_small_factors
@@ -476,7 +501,8 @@ def test_zassenhaus_fallback_agrees_with_sympy_when_factor_degrees_fit(monkeypat
             reached[expected] += 1
             # the lifting prime is the first, from the fourth prime not
             # dividing disc q on, at which every factor has degree <= 2
-            q, disc = _integer_model(p)
+            A = p.primitive()[1]
+            q, disc = monic_model(A), int(exact.model_discriminant(p, A[-1]))
             primes = (r for r in exact._odd_primes() if disc % r)
             prime = next(r for r in itertools.islice(primes, DEGREE_SIEVE_PRIMES - 1, None)
                          if all(len(g) <= 3 for g in modp.factor(modp.reduce(q, r), r)))

@@ -481,6 +481,37 @@ def test_closed_stdout_exits_one_without_a_traceback():
     assert (child.wait(timeout=60), err) == (1, b"")
 
 
+@pytest.mark.parametrize("argv, scanned, hits", [
+    (["--d-range=-3:3", "--e-range=-3:3"], "cli.scan_point", 6),
+    (["--quintic", "--box", "12"], "quintic.params_from_ab", 2),
+], ids=["grid", "quintic"])
+def test_search_flushes_each_hit_before_the_next_point(monkeypatch, argv, scanned, hits):
+    # into a pipe stdout is block-buffered, so a hit reaches the reader only
+    # once flushed: each must be, before the next point is scanned
+    events = []
+
+    class Stdout:
+        def write(self, text):
+            events.append("write")
+            return len(text)
+
+        def flush(self):
+            events.append("flush")
+
+    module, name = scanned.split(".")
+    module = importlib.import_module(f"sextic.{module}")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: events.append("scan") or real(*args))
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["search", *argv]) == 0
+    # print writes a hit's line and its newline, then flushes
+    assert events.count("write") == 2 * hits and "scan" in events[events.index("write"):]
+    unflushed = False
+    for event in events:
+        assert not (unflushed and event == "scan")
+        unflushed = event == "write" or unflushed and event != "flush"
+
+
 def test_precision_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SEXTIC_PRECISION_BITS", "320")
     code, out, _ = run(capsys, "classify", "--d", "1", "--e", "1")
