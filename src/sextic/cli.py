@@ -224,6 +224,8 @@ def _parse_range(text: str) -> tuple:
     step = _fraction(parts[2]) if len(parts) == 3 else Fraction(1)
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be positive")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"range LO must not exceed HI, got {text!r}")
     return lo, hi, step
 
 

@@ -6,8 +6,8 @@ A polynomial is a list of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is []). Every function takes the modulus m (or the
 prime p) explicitly and returns residues in 0..m-1, except symmetric, which
 maps one into (-m/2, m/2] to read off the integer it stands for. Division
-needs a divisor whose leading coefficient is a unit mod m; gcd and
-factoring need a prime modulus, and factoring a squarefree input.
+needs a divisor whose leading coefficient is a unit mod m; gcd needs a
+prime modulus.
 
 The factor degrees of a squarefree f of degree <= 6 mod an odd prime p
 need no factoring: factor_degrees reads them off the roots of f mod p and
@@ -22,9 +22,7 @@ from the roots found there: it splits the product of the quadratic factors
 with equal_degree, which refuses an input that is not a product of
 distinct factors of the given degree, reads a square root off roots, and
 lifts one root of each factor by quadratic Newton steps, in Z/p^k or in
-(Z/p^k)[sqrt n]. factor, distinct-degree then Cantor-Zassenhaus
-equal-degree splitting (Math. Comp. 36, 1981), has no caller in the
-library: it is the reference factorer of the tests.
+(Z/p^k)[sqrt n].
 
 Powers mod (f, m) (powmod) run on packed residues. With n = deg f, a
 polynomial of degree below 2n - 1 is one int with one coefficient in each
@@ -207,23 +205,6 @@ def is_squarefree(f: list, p: int) -> bool:
     return gcd(f, derivative(f, p), p) == [1]
 
 
-def distinct_degree(f: list, p: int) -> list:
-    """(g, d) pairs, g the product of the degree-d irreducible factors of
-    monic squarefree f mod p. For factor, the tests' reference."""
-    out, h, d = [], [0, 1], 0
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        h = powmod(h, p, f, p)
-        g = gcd(f, sub(h, [0, 1], p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            f = div_rem(f, g, p)[0]
-            h = div_rem(h, f, p)[1]
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
 def equal_degree(g: list, d: int, p: int) -> list:
     """Irreducible factors of monic squarefree g mod odd p, all of degree d.
 
@@ -251,12 +232,6 @@ def equal_degree(g: list, d: int, p: int) -> list:
         h = gcd(g, sub(h, [1], p), p)
         if 0 < len(h) - 1 < n:
             return equal_degree(h, d, p) + equal_degree(div_rem(g, h, p)[0], d, p)
-
-
-def factor(f: list, p: int) -> list:
-    """Monic irreducible factors of monic squarefree f mod odd prime p,
-    sorted: the reference factorer of the tests, not called by the library."""
-    return sorted(h for part, d in distinct_degree(f, p) for h in equal_degree(part, d, p))
 
 
 def factor_degrees(f: list, p: int, disc: int) -> tuple[list, tuple]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from oracles import sylvester_resultant
+from oracles import factor, sylvester_resultant
 from sextic import modp
 from sextic.exact import RatPoly, _is_probable_prime
 
@@ -32,7 +32,7 @@ def _splits_completely(f, q):
 
 def _roots_mod(f, q):
     """All roots in F_q of a monic squarefree fully-split f; deterministic."""
-    return sorted(-g[0] % q for g in modp.factor(modp.reduce(f, q), q))
+    return sorted(-g[0] % q for g in factor(modp.reduce(f, q), q))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from math import gcd, isqrt, lcm
 
 import mpmath as mp
 
+from sextic import modp
 from sextic.errors import NonConvergence, NotNearInteger, RepeatedRootSuspected
 from sextic.exact import RatPoly, divisors, is_rational_square
 from sextic.groups import orbit
@@ -211,3 +212,28 @@ def params_by_search(a, b, height_bound: int = 24):
                     if b == -4 * e**5 * (11 * eps + 2 * c) / denom:
                         return QuinticParams(eps, c, e)
     return None
+
+
+def distinct_degree(f: list, p: int) -> list:
+    """(g, d) pairs, g the product of the degree-d irreducible factors of
+    monic squarefree f mod p (distinct-degree factorization)."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = modp.powmod(h, p, f, p)
+        g = modp.gcd(f, modp.sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = modp.div_rem(f, g, p)[0]
+            h = modp.div_rem(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def factor(f: list, p: int) -> list:
+    """Monic irreducible factors of monic squarefree f mod odd prime p,
+    sorted: distinct-degree then equal-degree splitting (Cantor and
+    Zassenhaus, Math. Comp. 36, 1981), the reference factorer of the tests.
+    It uses modp's arithmetic and its equal-degree splitting."""
+    return sorted(h for part, d in distinct_degree(f, p) for h in modp.equal_degree(part, d, p))

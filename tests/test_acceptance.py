@@ -29,12 +29,7 @@ from sextic.groups import (
     PARTITION_INVARIANT,
     MonomialSum,
     act,
-    alternating_group,
-    generate,
-    intersect,
     orbit,
-    parse_perm,
-    stabilizer,
 )
 from sextic.quintic import params_from_ab, radical_roots, search_quintics
 from sextic.resolvents import (
@@ -50,6 +45,7 @@ from sextic.resolvents import (
 )
 from sextic.roots import expand_from_roots, find_roots
 
+from permgroups import alternating_group, generate, intersect, parse_perm, stabilizer
 from test_groups import PARTITION_CONJUGATES, MATCHING_ENTRY_13_CORRECTED, MATCHING_CONJUGATES
 
 

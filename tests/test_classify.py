@@ -15,10 +15,13 @@ from sextic.classify import (
     is_irreducible,
     scan_point,
 )
-from sextic import exact, groups, modp
+from sextic import exact, modp
 from sextic.errors import DegenerateSextic, SexticError, ZeroD
 from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, rational_roots
 from sextic.resolvents import ReducedSextic, f_verified, g_verified
+
+import permgroups
+from oracles import factor
 
 
 def test_irreducible_scaled_family_sextic():
@@ -103,7 +106,7 @@ def test_minus_x2_example_group_has_order_five_elements():
     assert len(quintic) - 1 == 5
     for k in (1, 2):
         assert frob_fixed_part(quintic, k) == [1]  # no degree-1/2 factors
-    assert modp.factor(fq, q) == sorted([linear, quintic])
+    assert factor(fq, q) == sorted([linear, quintic])
 
 
 def test_classify_x6_x_1_regression():
@@ -505,7 +508,7 @@ def test_zassenhaus_fallback_agrees_with_sympy_when_factor_degrees_fit(monkeypat
             q, disc = monic_model(A), int(exact.model_discriminant(p, A[-1]))
             primes = (r for r in exact._odd_primes() if disc % r)
             prime = next(r for r in itertools.islice(primes, DEGREE_SIEVE_PRIMES - 1, None)
-                         if all(len(g) <= 3 for g in modp.factor(modp.reduce(q, r), r)))
+                         if all(len(g) <= 3 for g in factor(modp.reduce(q, r), r)))
             assert [args[:3] for args in lifted] == [(q, prime, modp.roots(q, prime))], p
     assert reached[False] >= 1 and reached[True] >= 1, reached
 
@@ -609,17 +612,17 @@ def test_classify_semiprime_denominator_needs_no_factoring():
 
 
 def _claimed_group(report):
-    J, K = groups.matching_group(), groups.partition_group()
+    J, K = permgroups.matching_group(), permgroups.partition_group()
     group = {
         GroupBound.SUBGROUP_OF_J: J,
         GroupBound.SUBGROUP_OF_K: K,
-        GroupBound.SUBGROUP_OF_L: groups.matching_group_even(),
-        GroupBound.SUBGROUP_OF_M: groups.partition_group_even(),
-        GroupBound.SUBGROUP_OF_D6: groups.intersect(J, K),
-        GroupBound.NOT_SOLVABLE: groups.symmetric_group(),
+        GroupBound.SUBGROUP_OF_L: permgroups.matching_group_even(),
+        GroupBound.SUBGROUP_OF_M: permgroups.partition_group_even(),
+        GroupBound.SUBGROUP_OF_D6: permgroups.intersect(J, K),
+        GroupBound.NOT_SOLVABLE: permgroups.symmetric_group(),
     }[report.bound]
     if report.sqrt_discriminant is not None:
-        group = groups.intersect(group, groups.alternating_group())
+        group = permgroups.intersect(group, permgroups.alternating_group())
     return group
 
 
@@ -636,7 +639,7 @@ def _frobenius_cycle_types(p, count=20):
     good = (r for r in range(3, 10**4, 2)
             if _is_probable_prime(r) and modp.is_squarefree(modp.reduce(q, r), r))
     for prime in itertools.islice(good, count):
-        yield prime, tuple(sorted(len(f) - 1 for f in modp.factor(modp.reduce(q, prime), prime)))
+        yield prime, tuple(sorted(len(f) - 1 for f in factor(modp.reduce(q, prime), prime)))
 
 
 def test_frobenius_cycle_types_lie_in_the_claimed_group():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -306,6 +307,18 @@ def test_readme_command_line_matches_golden_output(capsys, monkeypatch, line):
     assert err == golden.with_suffix(".err").read_text()
 
 
+def test_readme_library_example_gives_its_commented_values():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    commented = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+    values = {expr.strip(): ast.literal_eval(value.strip()) for expr, value in commented}
+    assert values == {"report.solvable.value": "Yes", "report.bound.value": "SubgroupOfJ"}
+    for expr, value in values.items():
+        assert eval(expr, namespace) == value, expr
+
+
 # stdout and stderr captured before the tower's fifth-root branches came from
 # one principal root each: their residuals and rounding-level imaginary
 # parts pin the tower's bits. epsilon = 1 at (a, b) = (-5, 12) takes the
@@ -390,6 +403,19 @@ def test_search_range_with_zero_denominator_is_a_usage_error(capsys, d_range):
     code, out, err = run(capsys, "search", f"--d-range={d_range}", "--e-range=0:1")
     assert (code, out) == (1, "")
     assert err.endswith("argument --d-range: not a rational number: '1/0'\n")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--d-range", ("--d-range=5:1", "--e-range=0:1")),
+    ("--e-range", ("--d-range=0:1", "--e-range=1:-1:1/2")),
+])
+def test_search_reversed_range_is_a_usage_error(capsys, flag, argv):
+    # used to exit 0 with no output, as an empty scan
+    code, out, err = run(capsys, "search", *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert f"\nsextic search: error: argument {flag}: range LO must not exceed HI" in err
+    assert run(capsys, "search", "--d-range=2:2", "--e-range=1:1")[0] == 0  # a one-value range
 
 
 @pytest.mark.parametrize(

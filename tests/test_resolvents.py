@@ -29,7 +29,7 @@ from sextic.resolvents import (
     resolvents_exact,
 )
 
-from oracles import resolvent_by_complex_roots
+from oracles import factor, resolvent_by_complex_roots
 
 # frozen output of the finite-field CRT oracle (tests/ff_oracle.py), which
 # shares no code with the numeric pipeline
@@ -453,7 +453,7 @@ def test_lifting_sieve_matches_factoring_mod_every_small_prime():
             if disc % r == 0:
                 continue
             f = modp.reduce(q, r)
-            factors = modp.factor(f, r)
+            factors = factor(f, r)
             expected = factors if all(len(g) <= 3 for g in factors) else None
             found = modp.small_factor_roots(f, r, disc)
             if found is not None:
@@ -489,7 +489,7 @@ def test_factor_degrees_match_the_degrees_of_factoring_mod_every_small_prime():
             if disc % r == 0:
                 continue
             f = modp.reduce(q, r)
-            factors = modp.factor(f, r)
+            factors = factor(f, r)
             roots, degrees = modp.factor_degrees(f, r, disc)
             assert degrees == tuple(sorted(len(g) - 1 for g in factors)), (q, r)
             assert roots == sorted(-g[0] % r for g in factors if len(g) == 2), (q, r)
