@@ -13,8 +13,11 @@ Irreducibility is decided by degree analysis: the factor degrees mod a few
 primes usually leave no room for a factor over the rationals. Only when
 they do are the roots lifted p-adically and the lifted factors recombined
 (is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) read their
-resolvents off the audited closed-form tables; every other sextic builds
-them from the same p-adic lift of its roots (resolvents.resolvents_exact).
+resolvents off the audited closed-form tables, and whether each has
+repeated roots off the factored discriminants of those tables
+(resolvents.verified_squarefree); every other sextic builds them from the
+same p-adic lift of its roots (resolvents.resolvents_exact) and reads the
+flags off the squarefree certificate of their rational-root search.
 
 scan_point, the step of `sextic search`, calls classify only at a point
 where the root sieve (_resolvents_rootless) leaves a resolvent that may have
@@ -55,6 +58,7 @@ from .resolvents import (
     f_verified,
     g_verified,
     resolvents_exact,
+    verified_squarefree,
 )
 from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requires the binding
 
@@ -213,13 +217,13 @@ def classify(p: RatPoly) -> ClassificationReport:
     irreducible = is_irreducible(monic)
     reduced = _as_reduced(monic)
     if reduced is not None:
-        f = f_verified(reduced)
-        g = g_verified(reduced)
+        f_roots = rational_roots(f_verified(reduced))
+        g_roots = rational_roots(g_verified(reduced))
+        f_simple, g_simple = verified_squarefree(reduced)
     else:
         notes.append("resolvents built exactly by p-adic lifting of the roots")
         f, g = resolvents_exact(monic, (ResolventKind.MATCHING, ResolventKind.PARTITION))
-    f_roots, f_simple = _rational_roots(f)
-    g_roots, g_simple = _rational_roots(g)
+        (f_roots, f_simple), (g_roots, g_simple) = _rational_roots(f), _rational_roots(g)
     f_roots, g_roots = frozenset(f_roots), frozenset(g_roots)
     sqrt_disc = is_rational_square(disc)
     if not f_simple:

@@ -374,8 +374,11 @@ def monic_model(A: list) -> list:
     return [c * lead ** (n - 1 - i) for i, c in enumerate(A[:-1])] + [1]
 
 
-# Odd primes below 30, tried in order for a squarefree certificate. Every
-# squarefree resolvent of the benchmark corpora is certified by one of them.
+# Odd primes below 30: rational_roots' root sieve reads them, and
+# _rational_roots tries them in order for a squarefree certificate, whose
+# flag classify reads for the resolvents of the p-adic path only (a reduced
+# sextic's come from resolvents.verified_squarefree). Every squarefree
+# resolvent of the benchmark's general corpora is certified by one of them.
 CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -526,7 +529,8 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
 def _derivative_resultant(p: RatPoly) -> Fraction:
     """Res(p, p'), kept for the last p only: classifying a sextic asks for it
     three times in a row for the same monic polynomial (its discriminant,
-    and model_discriminant for is_irreducible and for resolvents_exact)."""
+    and model_discriminant for is_irreducible and for resolvents_exact),
+    a reduced sextic twice (no resolvents_exact)."""
     return resultant(p, p.derivative())
 
 

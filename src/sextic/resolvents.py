@@ -153,6 +153,60 @@ _DISC_TABLE = {
     (2, 0): -256,
 }
 
+# The z-discriminants of the two verified tables factor over Z[d, e] with
+# content 1, where Δ is minus _DISC_TABLE, the discriminant of the sextic:
+#   disc_z f = d^8 e^210 Δ^6 H_F^2,  disc_z g = d^6 Δ^3 H_G^2,
+# H_F of total degree 20 and H_G of total degree 24, both in even powers of d
+# only (test_verified_discriminants_factor_as_stated recomputes both).
+# Both tables are monic in z, so for a sextic with Δ != 0, f is squarefree
+# exactly when d e H_F(d, e) != 0, and g exactly when d H_G(d, e) != 0.
+_H_F_TABLE = {
+    (20, 0): 5032843750000000000,
+    (18, 1): -85936846875000000000,
+    (16, 2): 756679041937500000000, (16, 0): 730714961250000000,
+    (14, 5): 1698687380070000000000, (14, 3): -4033519774838750000000,
+    (14, 1): -6471547790906250000,
+    (12, 6): -11862354887208000000000, (12, 4): 13912671323353875000000,
+    (12, 2): 1660575205496250000, (12, 0): 248616980375990625,
+    (10, 7): 44832452560274160000000, (10, 5): -31611880046182441200000,
+    (10, 3): 209454341504170950000, (10, 1): -879840561840120000,
+    (8, 10): -24484978153102694400000, (8, 8): -89621697827377267200000,
+    (8, 6): 46433427547371162040000, (8, 4): -858464558169391260000, (8, 2): -6883343563586745600,
+    (8, 0): 30182348268624384,
+    (6, 11): 60252325613749831680000, (6, 9): 83656435650046680960000,
+    (6, 7): -38308193320933212508800, (6, 5): 984178087873765774848, (6, 3): 32323480912644360192,
+    (6, 1): -240190290724773888,
+    (4, 12): -47628116288751436185600, (4, 10): -25172805427397654658048,
+    (4, 8): 12190353569074368297216, (4, 6): -18376197970837819392, (4, 4): -43220644056113061888,
+    (4, 2): 393247372042764288, (4, 0): 3678762147840000,
+    (2, 15): 15174503046991641378816, (2, 13): 15174168214476385492992,
+    (2, 11): -5377478291293157406720, (2, 9): 957624846023713480704,
+    (2, 7): -322369971420796747776, (2, 5): 16773070101472346112, (2, 3): -102180447774572544,
+    (2, 1): -9055414517760000,
+    (0, 14): -316135480145659195392, (0, 12): -305883373167241297920,
+    (0, 10): 140847105493291696128, (0, 8): -16167092447339347968, (0, 6): 2063667313511497728,
+    (0, 4): -92759531615944704, (0, 2): 5572562780160000,
+}
+
+_H_G_TABLE = {
+    (24, 0): 3125,
+    (22, 1): -101250,
+    (20, 2): 1451000, (20, 0): 12,
+    (18, 5): 116500, (18, 3): -12067320, (18, 1): -212,
+    (16, 6): -2935800, (16, 4): 64169096, (16, 2): 1016, (16, 0): 8,
+    (14, 7): 31892576, (14, 5): -226301856, (14, 3): 3824, (14, 1): -192,
+    (12, 10): -13451088, (12, 8): -195069440, (12, 6): 530015232, (12, 4): -60384, (12, 2): 1920,
+    (10, 11): 242119584, (10, 9): 736230496, (10, 7): -798868416, (10, 5): 265216, (10, 3): -10240,
+    (8, 12): -1743340032, (8, 10): -1767558400, (8, 8): 715864704, (8, 6): -552448, (8, 4): 30720,
+    (6, 15): 941192000, (6, 13): 6284111232, (6, 11): 2681959680, (6, 9): -317292544,
+    (6, 7): 520192, (6, 5): -49152,
+    (4, 16): -10164873600, (4, 14): -11376624000, (4, 12): -2451100160, (4, 10): 39041024,
+    (4, 8): -172032, (4, 6): 32768,
+    (2, 17): 36593544960, (2, 15): 8411655168, (2, 13): 1164201984, (2, 11): 32768, (2, 9): 131072,
+    (0, 18): -43912253952, (0, 16): -341397504, (0, 14): -152395776, (0, 12): -589824,
+    (0, 10): -131072,
+}
+
 
 def _compile(table: dict, degree: int) -> tuple:
     """(m, n, rows) for _table_integers, once per table: its largest d- and
@@ -193,6 +247,8 @@ _G_REFERENCE = _compile(G_REFERENCE_TABLE, 10)
 _F_VERIFIED = _compile(F_VERIFIED_TABLE, 15)
 _G_VERIFIED = _G_REFERENCE
 _DISC = _compile({0: _DISC_TABLE}, 0)
+_H_F = _compile({0: _H_F_TABLE}, 0)
+_H_G = _compile({0: _H_G_TABLE}, 0)
 
 
 def f_reduced(s: ReducedSextic) -> RatPoly:
@@ -213,6 +269,20 @@ def f_verified(s: ReducedSextic) -> RatPoly:
 def g_verified(s: ReducedSextic) -> RatPoly:
     """Degree-10 partition resolvent from the audited coefficient table."""
     return _eval_table(_G_VERIFIED, s.d, s.e)
+
+
+def verified_squarefree(s: ReducedSextic) -> tuple[bool, bool]:
+    """(f_ok, g_ok): whether f_verified(s) and g_verified(s) have no
+    repeated root, read off the factored discriminants of the two tables
+    (_H_F_TABLE, _H_G_TABLE). Valid only when s has a nonzero discriminant:
+    the factor Δ of both is then nonzero, and the flags need only whether
+    d, e, H_F(d, e) and H_G(d, e) vanish, evaluated exactly by
+    _table_integers.
+    """
+    d, e = s.d, s.e
+    f_ok = bool(d and e and _table_integers(_H_F, d, e)[0][0])
+    g_ok = bool(d and _table_integers(_H_G, d, e)[0][0])
+    return f_ok, g_ok
 
 
 def discriminant_reduced(s: ReducedSextic) -> Fraction:

@@ -692,6 +692,26 @@ def test_classify_general_block_matches_golden_output(capsys):
     assert out == (Path(__file__).parent / "golden" / "classify_general.out").read_text()
 
 
+# reduced sextics x^6 + x^2 + d*x + e as (d, e): three with e = 0, whose
+# degree-15 resolvent has repeated roots, three with d = 0, whose two
+# resolvents both have, and four with neither zero. classify reads these
+# flags off the factored discriminants (resolvents.verified_squarefree);
+# stdout was captured while it still certified each resolvent mod a prime.
+CLASSIFY_REDUCED_FLAGS = [
+    ("-2", "0"), ("1", "0"), ("3/2", "0"), ("0", "-3"), ("0", "2"), ("0", "1/3"),
+    ("2", "1"), ("-3", "5"), ("1/2", "5/36"), ("3", "-2/7"),
+]
+
+
+def test_classify_reduced_flags_match_golden_output(capsys):
+    out = ""
+    for d, e in CLASSIFY_REDUCED_FLAGS:
+        code, line, err = run(capsys, "classify", f"--d={d}", f"--e={e}")
+        assert (code, err) == (0, "")
+        out += line
+    assert out == (Path(__file__).parent / "golden" / "classify_reduced_flags.out").read_text()
+
+
 # sextics (c6 first) whose factor degrees leave room for a factor at every
 # prime of the walk, so that is_irreducible recombines the lifted factors:
 # inputs of the benchmark's reduced and general corpora (seeds 0-7),

@@ -199,7 +199,7 @@ def test_rational_roots_against_divisor_oracle():
     assert set(exact.CERTIFICATE_PRIMES) <= denominators
 
 
-def test_root_sieve_stops_before_the_lift_and_leaves_classify_its_certificate(monkeypatch):
+def test_root_sieve_stops_before_the_lift_and_only_lifted_resolvents_are_certified(monkeypatch):
     from sextic import modp
 
     lifts, certified = [], []
@@ -215,10 +215,15 @@ def test_root_sieve_stops_before_the_lift_and_leaves_classify_its_certificate(mo
     assert (lifts, certified) == ([], [])
     assert exact._rational_roots(p) == (set(), True)
     assert lifts and certified == [4]
-    # classify's two resolvent searches run the certificate, for its flags:
-    # on f of degree 15 and on g of degree 10 over its simple root 0
+    # a reduced classify reads its flags off the factored discriminants
+    # (resolvents.verified_squarefree): the sieve answers for f and for g
+    # over its simple root 0, and no resolvent is certified
+    certified.clear()
     report = classify(RatPoly([1, 2, 1, 0, 0, 0, 1]))
-    assert certified[-2:] == [15, 9]
+    assert (certified, report.notes) == ([], ())
+    # a non-reduced one still certifies both lifted resolvents, for its flags
+    report = classify(RatPoly([1, 2, 1, 0, 1, 0, 1]))
+    assert certified == [15, 10]
     assert not any("repeated roots" in note for note in report.notes)
 
 

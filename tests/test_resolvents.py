@@ -6,10 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from sextic.classify import vanishing_constant_family
 from sextic.errors import DegenerateSextic
-from sextic.exact import RatPoly, rational_roots, resultant
+from sextic.exact import RatPoly, rational_roots, resultant, squarefree
 from sextic.resolvents import (
     _DISC_TABLE,
+    _H_F_TABLE,
+    _H_G_TABLE,
     F_REFERENCE_TABLE,
     F_VERIFIED_TABLE,
     G_REFERENCE_TABLE,
@@ -27,6 +30,7 @@ from sextic.resolvents import (
     reconstruct_reduced,
     resolvent_from_roots,
     resolvents_exact,
+    verified_squarefree,
 )
 
 from oracles import factor, resolvent_by_complex_roots
@@ -113,6 +117,47 @@ def test_disc_table_is_minus_the_resultant_discriminant():
     for d, e in itertools.product(range(7), range(6)):
         s = ReducedSextic(d, e)
         assert discriminant_reduced(s) == -discriminant_exact(s.to_poly()), (d, e)
+
+
+def test_verified_squarefree_matches_the_resultant():
+    # every point of the -40..40 x -10..10 grid with a nonzero discriminant,
+    # the d = 0 row and the e = 0 column among them, seeded rational points
+    # and members of the vanishing-constant family
+    rng = random.Random(4099)
+    points = list(itertools.product(range(-40, 41), range(-10, 11)))
+    points += [(F(rng.randint(-60, 60), rng.randint(1, 12)), F(rng.randint(-60, 60), rng.randint(1, 12)))
+               for _ in range(300)]
+    family = [vanishing_constant_family(F(a, b)) for a in range(-6, 7) if a for b in range(1, 4)]
+    points += [(s.d, s.e) for s in family]
+    flags = Counter()
+    for d, e in points:
+        s = ReducedSextic(d, e)
+        if not discriminant_reduced(s):
+            continue
+        expected = (squarefree(f_verified(s)), squarefree(g_verified(s)))
+        assert verified_squarefree(s) == expected, (d, e)
+        flags[expected] += 1
+    assert set(flags) == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.slow
+def test_verified_discriminants_factor_as_stated():
+    # disc_z f = d^8 e^210 Δ^6 H_F^2 and disc_z g = d^6 Δ^3 H_G^2 in Z[d, e],
+    # Δ minus _DISC_TABLE: recomputed from the tables, content included
+    import sympy
+
+    d, e, z = sympy.symbols("d e z")
+    ring = sympy.ZZ[d, e]
+
+    def poly(cells):
+        return ring.from_sympy(sum(c * d**i * e**j for (i, j), c in cells.items()))
+
+    delta, D, E = -poly(_DISC_TABLE), ring.from_sympy(d), ring.from_sympy(e)
+    cases = ((G_VERIFIED_TABLE, 10, D**6 * delta**3 * poly(_H_G_TABLE) ** 2),
+             (F_VERIFIED_TABLE, 15, D**8 * E**210 * delta**6 * poly(_H_F_TABLE) ** 2))
+    for table, degree, expected in cases:
+        coeffs = [ring.to_sympy(poly(table.get(k, {}))) for k in range(degree, -1, -1)]
+        assert ring.from_sympy(sympy.Poly(coeffs, z, domain=ring).discriminant()) == expected
 
 
 def test_resolvent_numeric_refuses_repeated_roots():
