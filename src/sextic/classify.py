@@ -15,9 +15,10 @@ they do are the roots lifted p-adically and the lifted factors recombined
 (is_irreducible). Reduced-shape inputs (x^6 + x^2 + d*x + e) read their
 resolvents off the audited closed-form tables, and whether each has
 repeated roots off the factored discriminants of those tables
-(resolvents.verified_squarefree); every other sextic builds them from the
-same p-adic lift of its roots (resolvents.resolvents_exact) and reads the
-flags off the squarefree certificate of their rational-root search.
+(resolvents.verified_squarefree); every other sextic builds them, and
+those flags, from the same p-adic lift of its roots
+(resolvents.resolvents_exact). Both paths then search each resolvent for
+rational roots with exact.rational_roots.
 
 scan_point, the step of `sextic search`, calls classify only at a point
 where the root sieve (_resolvents_rootless) leaves a resolvent that may have
@@ -39,7 +40,6 @@ from .exact import (
     RatPoly,
     _exact_quotient,
     _odd_primes,
-    _rational_roots,
     _rootless,
     is_rational_square,
     model_discriminant,
@@ -217,14 +217,13 @@ def classify(p: RatPoly) -> ClassificationReport:
     irreducible = is_irreducible(monic)
     reduced = _as_reduced(monic)
     if reduced is not None:
-        f_roots = rational_roots(f_verified(reduced))
-        g_roots = rational_roots(g_verified(reduced))
+        f, g = f_verified(reduced), g_verified(reduced)
         f_simple, g_simple = verified_squarefree(reduced)
     else:
         notes.append("resolvents built exactly by p-adic lifting of the roots")
-        f, g = resolvents_exact(monic, (ResolventKind.MATCHING, ResolventKind.PARTITION))
-        (f_roots, f_simple), (g_roots, g_simple) = _rational_roots(f), _rational_roots(g)
-    f_roots, g_roots = frozenset(f_roots), frozenset(g_roots)
+        kinds = (ResolventKind.MATCHING, ResolventKind.PARTITION)
+        (f, f_simple), (g, g_simple) = resolvents_exact(monic, kinds)
+    f_roots, g_roots = frozenset(rational_roots(f)), frozenset(rational_roots(g))
     sqrt_disc = is_rational_square(disc)
     if not f_simple:
         notes.append("degree-15 resolvent has repeated roots; containment test may be ambiguous")

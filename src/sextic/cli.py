@@ -157,7 +157,7 @@ def _cmd_resolvent(args, parser) -> int:
         closed = f_reduced(reduced) if kind is ResolventKind.MATCHING else g_reduced(reduced)
         out["closed"] = _poly_strings(closed)
     if args.method in ("numeric", "both"):
-        (numeric,) = resolvents_exact(poly, (kind,))
+        ((numeric, _),) = resolvents_exact(poly, (kind,))
         out["numeric"] = _poly_strings(numeric)
     if args.method == "both":
         diff = []

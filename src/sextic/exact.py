@@ -374,11 +374,9 @@ def monic_model(A: list) -> list:
     return [c * lead ** (n - 1 - i) for i, c in enumerate(A[:-1])] + [1]
 
 
-# Odd primes below 30: rational_roots' root sieve reads them, and
-# _rational_roots tries them in order for a squarefree certificate, whose
-# flag classify reads for the resolvents of the p-adic path only (a reduced
-# sextic's come from resolvents.verified_squarefree). Every squarefree
-# resolvent of the benchmark's general corpora is certified by one of them.
+# Odd primes below 30: rational_roots' root sieve reads them, and its lift
+# runs at the first of them at which the monic model is squarefree. The
+# resolvents' squarefree flags come from resolvents, not from here.
 CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -396,27 +394,17 @@ def _rootless(A: list, primes: Iterable[int]) -> bool:
 def rational_roots(p: RatPoly) -> set:
     """All rational roots of p (multiplicities not reported).
 
-    When A, the primitive part of p/x^k, is _rootless over CERTIFICATE_PRIMES,
-    0 is the only candidate; else _rational_roots lifts.
-    """
-    return _rational_roots(p, sieve=True)[0]
-
-
-def _rational_roots(p: RatPoly, sieve: bool = False) -> tuple[set, Optional[bool]]:
-    """(rational_roots(p), True when p has no repeated complex root); the
-    flag is read off the certificate, or the squarefree part, that the roots
-    need anyway, and is None when rational_roots' sieve answered.
-
     p-adic lifting (Loos 1983). 0 is a root when x divides p; the others are
     y/lead for the integer roots y of the monic model F(y) = lead^(n-1) A(y/lead)
-    (monic_model) of A. The lifting prime is the first of CERTIFICATE_PRIMES
-    at which F is squarefree: that certifies A squarefree, and all roots of
-    F mod it simple. When none certifies, A is replaced by its squarefree
-    part (subresultant PRS) and the first odd prime at which that part's
-    model is squarefree is used. Each root of F mod the prime (modp.roots,
-    one packed evaluation at every residue) is Newton-lifted above twice
-    Fujiwara's root bound, reduced symmetrically (modp.newton_lift,
-    modp.symmetric), checked exactly.
+    (monic_model) of A, the primitive part of p/x^k. When A is _rootless
+    over CERTIFICATE_PRIMES, 0 is the only candidate. Else the lifting prime
+    is the first of CERTIFICATE_PRIMES at which F is squarefree, so that all
+    roots of F mod it are simple. When none is, A is replaced by its
+    squarefree part (subresultant PRS) and the first odd prime at which that
+    part's model is squarefree is used. Each root of F mod the prime
+    (modp.roots, one packed evaluation at every residue) is Newton-lifted
+    above twice Fujiwara's root bound, reduced symmetrically
+    (modp.newton_lift, modp.symmetric), checked exactly.
     """
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
@@ -424,16 +412,12 @@ def _rational_roots(p: RatPoly, sieve: bool = False) -> tuple[set, Optional[bool
     k = next(i for i, c in enumerate(coeffs) if c)
     roots = {Fraction(0)} if k else set()
     A = coeffs[k:]
-    if sieve and _rootless(A, CERTIFICATE_PRIMES):
-        return roots, None
-    if len(A) < 2:
-        return roots, k <= 1
+    if len(A) < 2 or _rootless(A, CERTIFICATE_PRIMES):
+        return roots
     F = monic_model(A)
     prime = _squarefree_prime(F, CERTIFICATE_PRIMES)
-    simple = k <= 1
     if prime is None:
         A = _squarefree_part(A)
-        simple = simple and len(A) == len(coeffs) - k
         F = monic_model(A)
         prime = _squarefree_prime(F, _odd_primes())
     lead, bound, target = A[-1], 2 * _root_bound(F), prime
@@ -443,7 +427,7 @@ def _rational_roots(p: RatPoly, sieve: bool = False) -> tuple[set, Optional[bool
         y = modp.symmetric(modp.newton_lift(F, (y, 0), 0, prime, target)[0], target)
         if not _horner(F, y):
             roots.add(Fraction(y, lead))
-    return roots, simple
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +528,8 @@ def model_discriminant(p: RatPoly, scale: int) -> Fraction:
 
 
 def squarefree(p: RatPoly) -> bool:
-    """True when p has no repeated complex root."""
-    if p.degree < 2:
-        return True
-    return _derivative_resultant(p) != 0
+    """True when p has no repeated complex root, that is when gcd(p, p') is
+    constant: _squarefree_part's primitive PRS, far cheaper than Res(p, p')
+    on large coefficients, then leaves the primitive part A of p whole."""
+    A = p.primitive()[1]
+    return p.degree < 2 or len(_squarefree_part(A)) == len(A)

@@ -19,10 +19,12 @@ Three construction routes, reconciled against each other:
 The reconstruction is the authority when the closed forms disagree;
 verified tables (f_verified, g_verified) carry its output. The
 classification pipeline consumes those tables for reduced-shape input and
-resolvents_exact for every other sextic. Discrepancies are reported, never
-silently patched. The tests cross-check resolvents_exact against an
-orbit product of their own over complex roots from roots.find_roots
-(tests/oracles.py).
+resolvents_exact for every other sextic, and takes from here whether each
+resolvent is squarefree on both paths: verified_squarefree for the tables,
+the orbit images of resolvent_from_roots for resolvents_exact.
+Discrepancies are reported, never silently patched. The tests cross-check
+resolvents_exact against an orbit product of their own over complex roots
+from roots.find_roots (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -305,10 +307,10 @@ def discriminant_exact(p: RatPoly) -> Fraction:
 
 
 def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
-    """Resolvents of p itself (rational coefficients), one per kind in kinds,
-    by p-adic lifting of the roots (K. Yokoyama, J. Pure Appl. Algebra
-    117-118, 1997; K. Geissler and J. Klüners, J. Symbolic Comput. 30, 2000).
-    No floating point is involved.
+    """One (resolvent, squarefree) pair per kind in kinds: the resolvent of
+    p itself (rational coefficients), by p-adic lifting of the roots (K.
+    Yokoyama, J. Pure Appl. Algebra 117-118, 1997; K. Geissler and J.
+    Klüners, J. Symbolic Comput. 30, 2000). No floating point is involved.
 
     q(y) = m^6 p(y/m) is the monic integer sextic of monic_integer_rescale,
     with the roots y = m * x. The lifting prime is the first odd prime r with
@@ -342,6 +344,10 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     so the symmetric residues are the integer coefficients. The result is
     R_p(z) = m^(-w deg) R_q(m^w z), w the invariant's weight.
 
+    squarefree: R_p has no repeated root. Distinct orbit images mod r^N
+    (resolvent_from_roots) prove it; only a kind whose images collide pays
+    for the exact test of gcd(R_q, R_q') (exact.squarefree).
+
     Raises ValueError unless p has degree 6, and DegenerateSextic when p has
     a repeated root.
     """
@@ -353,12 +359,13 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     roots = _lifted_roots([int(c) for c in q.coeffs], kinds, disc)
     out = []
     for kind in kinds:
-        res = resolvent_from_roots(roots, kind)
+        res, distinct = resolvent_from_roots(roots, kind)
+        simple = distinct or squarefree(res)  # on R_q, whose coefficients are smaller
         if m != 1:
             res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(
                 Fraction(1, m ** (kind.weight * kind.degree))
             )
-        out.append(res)
+        out.append((res, simple))
     return tuple(out)
 
 
@@ -472,10 +479,11 @@ def _conjugate_orbit(kind: ResolventKind, sigma: tuple) -> tuple:
     return tuple(fixed), tuple(paired)
 
 
-def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
-    """The integer resolvent of the given kind from the six lifted roots of
-    a sextic (_Lifted values mod M in (Z/M)[sqrt n]), one orbit value per
-    conjugate pair.
+def resolvent_from_roots(roots, kind: ResolventKind) -> tuple[RatPoly, bool]:
+    """(R, distinct): the integer resolvent R of the given kind from the six
+    lifted roots of a sextic (_Lifted values mod M in (Z/M)[sqrt n]), one
+    orbit value per conjugate pair, and whether the deg orbit values have
+    pairwise distinct images mod M, which proves R squarefree.
 
     The conjugation sqrt n -> -sqrt n permutes the roots by an involution
     sigma (root j is the conjugate of root i when a_j = a_i and
@@ -484,9 +492,10 @@ def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
     and z^2 - 2a z + (a^2 - n b^2) for the value a + b sqrt n of one image
     of each swapped pair. The resolvent is their product, that of the
     linear factors from expand_from_roots; its symmetric residues mod M are
-    the integer coefficients (round_to_int_poly). One monomial memo serves
-    the whole orbit (eval_monomial_sum). Raises NotNearInteger when a root
-    has no conjugate among the roots.
+    the integer coefficients (round_to_int_poly). The images are (a, 0) for
+    a fixed value, and v and its conjugate for a pair. One monomial memo
+    serves the whole orbit (eval_monomial_sum). Raises NotNearInteger when a
+    root has no conjugate among the roots.
     """
     n, modulus = roots[0].n, roots[0].modulus
     where = {(v.a, v.b): i for i, v in enumerate(roots)}
@@ -496,12 +505,15 @@ def resolvent_from_roots(roots, kind: ResolventKind) -> RatPoly:
     fixed, paired = _conjugate_orbit(kind, sigma)
     images = orbit(kind.invariant)
     memo: dict = {}
-    coeffs = expand_from_roots([eval_monomial_sum(images[i][0], roots, memo).a for i in fixed])
+    values = [eval_monomial_sum(images[i][0], roots, memo).a for i in fixed]
+    coeffs = expand_from_roots(values)
+    seen = {(a, 0) for a in values}
     for i in paired:
         v = eval_monomial_sum(images[i][0], roots, memo)
+        seen |= {(v.a, v.b), (v.a, -v.b % modulus)}
         quadratic = [(v.a * v.a - n * v.b * v.b) % modulus, -2 * v.a % modulus, 1]
         coeffs = modp.mul(coeffs, quadratic, modulus)
-    return round_to_int_poly(coeffs, modulus)
+    return round_to_int_poly(coeffs, modulus), len(seen) == kind.degree
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +628,7 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
     for d in d_vals:
         for e in e_vals:
             poly = ReducedSextic(d, e).to_poly()
-            samples[(d, e)] = resolvents_exact(poly, (kind,))[0]
+            samples[(d, e)] = resolvents_exact(poly, (kind,))[0][0]
     fitted: dict = {}
     for x_power in range(deg):
         rows = []
@@ -656,7 +668,7 @@ def reconstruct_reduced(kind: ResolventKind) -> ReconstructionReport:
             continue
         used.add((d, e))
         holdout_points.append((d, e))
-        (exact,) = resolvents_exact(ReducedSextic(d, e).to_poly(), (kind,))
+        ((exact, _),) = resolvents_exact(ReducedSextic(d, e).to_poly(), (kind,))
         if _eval_table(_compile(fitted, deg), Fraction(d), Fraction(e)) != exact:
             raise FitInconsistent(f"holdout mismatch at (d, e) = ({d}, {e})")
 

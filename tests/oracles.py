@@ -99,7 +99,7 @@ def round_within(coeffs, tolerance) -> RatPoly:
 
 def resolvent_by_complex_roots(p, kind, precision: int = 256):
     """The resolvent of the given kind of the squarefree sextic p, the same
-    polynomial as resolvents_exact(p, (kind,))[0], from complex roots.
+    polynomial as resolvents_exact(p, (kind,))[0][0], from complex roots.
 
     With m the lcm of the denominators of monic p, the roots of the integer
     sextic q(y) = m^6 p(y/m) come from find_roots; their orbit product

@@ -67,7 +67,7 @@ def test_criterion_02_partition_examples():
     assert F(0) in rational_roots(g_reduced(ReducedSextic(4, 4)))
     # the solvability claim holds under the plus-x^2 reading of the examples
     for d, e in [(2, 1), (4, 4)]:
-        (res,) = resolvents_exact(ReducedSextic(d, e).to_poly(), (ResolventKind.PARTITION,))
+        ((res, _),) = resolvents_exact(ReducedSextic(d, e).to_poly(), (ResolventKind.PARTITION,))
         assert rational_roots(res)
     assert time.monotonic() - start < 60
 
@@ -79,7 +79,7 @@ def test_criterion_02_partition_examples():
 )
 def test_criterion_02_printed_minus_x2_examples():
     for coeffs in ([1, 2, -1, 0, 0, 0, 1], [4, 4, -1, 0, 0, 0, 1]):
-        (res,) = resolvents_exact(RatPoly(coeffs), (ResolventKind.PARTITION,))
+        ((res, _),) = resolvents_exact(RatPoly(coeffs), (ResolventKind.PARTITION,))
         assert rational_roots(res)
 
 
@@ -188,7 +188,7 @@ def test_criterion_07_parametric_family_bound():
     start = time.monotonic()
     for t in range(1, 11):
         p = RatPoly([1, 6, t + 9, 2 * t - 2, t - 6, 0, 1])
-        (res,) = resolvents_exact(p, (ResolventKind.PARTITION,))
+        ((res, _),) = resolvents_exact(p, (ResolventKind.PARTITION,))
         roots = rational_roots(res)
         assert roots, f"t={t}"
         for r in roots:

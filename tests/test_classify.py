@@ -539,7 +539,7 @@ def test_exact_path_calls_no_mpmath(monkeypatch):
         assert classify(p).notes[0] == "resolvents built exactly by p-adic lifting of the roots"
     kinds = (ResolventKind.MATCHING, ResolventKind.PARTITION)
     resolvents = resolvents_exact(RatPoly([-2, 0, 0, 0, 0, 0, 1]), kinds)
-    assert [r.degree for r in resolvents] == [15, 10]
+    assert [r.degree for r, _ in resolvents] == [15, 10]
 
 
 def test_reduced_pipeline_never_finds_roots_numerically(monkeypatch):

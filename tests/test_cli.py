@@ -712,6 +712,28 @@ def test_classify_reduced_flags_match_golden_output(capsys):
     assert out == (Path(__file__).parent / "golden" / "classify_reduced_flags.out").read_text()
 
 
+# sextics (c6 first) on the p-adic path: one per transitive group of the
+# gallery in ROADMAP item 1 whose bound is right there (G18 and G36m left
+# out), then x^6 + x^4 + x^2 + 2 and x^6 - 3x^4 + 2x^2 + 3. Ten lines carry
+# a repeated-roots note; resolvents_exact reads those flags off the orbit
+# images. stdout was captured while each resolvent was certified mod a prime.
+CLASSIFY_PADIC_FLAGS = [
+    "1,0,0,-1,0,0,1", "1,0,-3,0,3,0,3", "1,0,0,-1,0,0,-1", "1,0,1,0,-2,0,-1",
+    "1,0,-2,0,-1,0,1", "1,0,-1,0,2,0,2", "1,0,-1,0,-1,0,-1", "1,-6,6,4,6,0,5",
+    "1,0,-1,0,0,0,1", "1,2,2,1,-2,-1,-2", "1,0,0,0,1,-2,1", "1,-8,40,-160,400,-3637,9631",
+    "1,-2,-1,0,2,0,-1", "1,0,0,0,0,-1,-1", "1,0,1,0,1,0,2", "1,0,-3,0,2,0,3",
+]
+
+
+def test_classify_padic_flags_match_golden_output(capsys):
+    out = ""
+    for coeffs in CLASSIFY_PADIC_FLAGS:
+        code, line, err = run(capsys, "classify", f"--coeffs={coeffs}")
+        assert (code, err) == (0, "")
+        out += line
+    assert out == (Path(__file__).parent / "golden" / "classify_padic_flags.out").read_text()
+
+
 # sextics (c6 first) whose factor degrees leave room for a factor at every
 # prime of the walk, so that is_irreducible recombines the lifted factors:
 # inputs of the benchmark's reduced and general corpora (seeds 0-7),

@@ -199,36 +199,49 @@ def test_rational_roots_against_divisor_oracle():
     assert set(exact.CERTIFICATE_PRIMES) <= denominators
 
 
-def test_root_sieve_stops_before_the_lift_and_only_lifted_resolvents_are_certified(monkeypatch):
+def test_root_sieve_stops_before_the_lift_and_only_lifted_polynomials_are_certified(monkeypatch):
     from sextic import modp
 
-    lifts, certified = [], []
-    real_lift, real_prime = modp.newton_lift, exact._squarefree_prime
+    lifts, certified, sieved = [], [], []
+    real_lift, real_prime, real_rootless = modp.newton_lift, exact._squarefree_prime, exact._rootless
     monkeypatch.setattr(modp, "newton_lift", lambda *args: lifts.append(args) or real_lift(*args))
     monkeypatch.setattr(exact, "_squarefree_prime",
                         lambda F, primes: certified.append(len(F) - 1) or real_prime(F, primes))
-    # (x^2 + 1)(x^2 - 6x - 5) is (x^2 + 1)^2 mod 3: no root mod 3, and the
-    # certificate prime is 5, where x^2 + 1 has two roots to lift
+
+    def rootless(A, primes):
+        answered = real_rootless(A, primes)
+        sieved.append((len(A) - 1, answered))
+        return answered
+
+    monkeypatch.setattr(exact, "_rootless", rootless)
+    # (x^2 + 1)(x^2 - 6x - 5) is (x^2 + 1)^2 mod 3: no root mod 3, so the
+    # sieve answers before any certificate or lift
     p = RatPoly([1, 0, 1]) * RatPoly([-5, -6, 1])
     assert not modp.has_root(p.primitive()[1], 3)
     assert rational_roots(p) == set()
     assert (lifts, certified) == ([], [])
-    assert exact._rational_roots(p) == (set(), True)
-    assert lifts and certified == [4]
-    # a reduced classify reads its flags off the factored discriminants
-    # (resolvents.verified_squarefree): the sieve answers for f and for g
-    # over its simple root 0, and no resolvent is certified
-    certified.clear()
-    report = classify(RatPoly([1, 2, 1, 0, 0, 0, 1]))
-    assert (certified, report.notes) == ([], ())
-    # a non-reduced one still certifies both lifted resolvents, for its flags
-    report = classify(RatPoly([1, 2, 1, 0, 1, 0, 1]))
-    assert certified == [15, 10]
-    assert not any("repeated roots" in note for note in report.notes)
+    # the rational root 1 is a root mod every prime: the sieve cannot answer
+    assert rational_roots(RatPoly([-1, 1]) * p) == {1}
+    assert lifts and certified == [5]
+    # classify takes its flags from resolvents, reduced or not, so it runs
+    # _squarefree_prime exactly where rational_roots lifts: on none of
+    # x^6 + x^2 + 2x + 1 and x^6 + x^4 + x^2 + 2x + 1, on both resolvents of
+    # x^6 + x^5 + x - 1
+    for coeffs, lifted in (([1, 2, 1, 0, 0, 0, 1], []), ([1, 2, 1, 0, 1, 0, 1], []),
+                           ([-1, 1, 0, 0, 0, 1, 1], [15, 10])):
+        certified.clear()
+        sieved.clear()
+        report = classify(RatPoly(coeffs))
+        assert certified == [degree for degree, answered in sieved if not answered] == lifted
+        assert len(sieved) == 3
+        assert not any("repeated roots" in note for note in report.notes)
 
 
-def test_rational_roots_report_repeated_roots_like_the_resultant():
-    # the flag comes from the squarefree part, not from Res(p, p')
+def test_repeated_factors_match_the_divisor_oracle_and_the_resultant(monkeypatch):
+    # the lift needs simple roots: no prime certifies a polynomial with a
+    # repeated factor, so rational_roots lifts from its squarefree part;
+    # squarefree reads the same part, and must agree with Res(p, p')
+    calls = _spy_squarefree_part(monkeypatch)
     rng = random.Random(19)
     x = RatPoly([0, 1])
     cases = [x, x * x, x * RatPoly([1, 1]), x * x * RatPoly([1, 1]), RatPoly([5])]
@@ -241,13 +254,12 @@ def test_rational_roots_report_repeated_roots_like_the_resultant():
         for f in factors:
             p = p * f ** rng.choice((1, 1, 2))
         cases.append(p * x ** rng.choice((0, 0, 1, 2)))
-    flags = set()
     for p in cases:
-        roots, simple = exact._rational_roots(p)
-        assert roots == rational_roots(p)
-        assert simple == exact.squarefree(p), p
-        flags.add(simple)
-    assert flags == {True, False}
+        assert rational_roots(p) == rational_roots_by_divisors(p), p
+    assert calls
+    for p in cases:
+        assert squarefree(p) == (p.degree < 2 or resultant(p, p.derivative()) != 0), p
+    assert {squarefree(p) for p in cases} == {True, False}
 
 
 def _spy_squarefree_part(monkeypatch):
@@ -268,9 +280,9 @@ def test_rational_roots_fall_back_to_the_squarefree_part(monkeypatch):
     B = math.prod(exact.CERTIFICATE_PRIMES)
     calls = _spy_squarefree_part(monkeypatch)
     p = RatPoly([-1, 1]) * RatPoly([-1 - B, 1])
-    assert exact._rational_roots(p) == ({1, 1 + B}, True)
+    assert rational_roots(p) == {1, 1 + B}
     assert len(calls) == 1
-    assert exact._rational_roots(RatPoly([-1, 1]) * p) == ({1, 1 + B}, False)
+    assert rational_roots(RatPoly([-1, 1]) * p) == {1, 1 + B}
     assert len(calls) == 2
 
 

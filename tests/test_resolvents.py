@@ -207,7 +207,7 @@ def test_root_order_invariance():
     q = [int(c) for c in q.coeffs]
     roots = _lifted_roots(q, (ResolventKind.MATCHING,), _discriminant(q))
     baseline = resolvent_from_roots(roots, ResolventKind.MATCHING)
-    assert baseline == f_verified(ReducedSextic(3, 2))
+    assert baseline == (f_verified(ReducedSextic(3, 2)), True)
     for _ in range(10):
         shuffled = list(roots)
         rng.shuffle(shuffled)
@@ -296,7 +296,7 @@ def test_ff_oracle_agrees_with_numeric_on_random_sextic():
         q, m = monic_integer_rescale(p.monic())
         exact = resolvents_exact(p, both)
         oracle = resolvent_ff([int(c) for c in q.coeffs], ("matching", "split"))
-        for kind, expected, res in zip(both, oracle, exact):
+        for kind, expected, (res, _) in zip(both, oracle, exact):
             assert resolvent_by_complex_roots(p, kind) == res, (p, kind)
             # the in-frame resolvent is m^(-w*deg) R_q(m^w x)
             w, deg = kind.weight, kind.degree
@@ -334,7 +334,7 @@ def test_resolvents_exact_matches_numeric_on_a_seeded_batch():
     batch = [p for _, p in _exact_batch(random.Random(8))] + _ff_batch(random.Random(71))
     for p in batch:
         exact = resolvents_exact(p, BOTH)
-        assert exact == tuple(resolvent_by_complex_roots(p, kind) for kind in BOTH), p
+        assert tuple(res for res, _ in exact) == tuple(resolvent_by_complex_roots(p, kind) for kind in BOTH), p
         # one kind alone is the same polynomial
         assert resolvents_exact(p, (ResolventKind.PARTITION,)) == exact[1:]
     assert any(not p.coeffs[0] for p in batch)
@@ -350,8 +350,9 @@ def test_resolvents_exact_matches_the_tables_and_pinned_values():
         s = ReducedSextic(d, e)
         if discriminant_exact(s.to_poly()) == 0:
             continue
-        assert resolvents_exact(s.to_poly(), BOTH) == (f_verified(s), g_verified(s)), (d, e)
-    (g,) = resolvents_exact(RatPoly([1, 2, -1, 0, 0, 0, 1]), (ResolventKind.PARTITION,))
+        f_ok, g_ok = verified_squarefree(s)
+        assert resolvents_exact(s.to_poly(), BOTH) == ((f_verified(s), f_ok), (g_verified(s), g_ok)), (d, e)
+    ((g, _),) = resolvents_exact(RatPoly([1, 2, -1, 0, 0, 0, 1]), (ResolventKind.PARTITION,))
     assert g == RatPoly(G_TRUE_MINUS_X2_2_1)
 
 
@@ -555,7 +556,8 @@ def test_monic_integer_rescale_takes_large_cofactors_as_they_are():
     P, Q = 100000000000000000039, 300000000000000000053
     s = ReducedSextic(F(1, P * P * Q), F(2, 3))
     assert monic_integer_rescale(s.to_poly())[1] == 3 * P * P * Q
-    assert resolvents_exact(s.to_poly(), BOTH) == (f_verified(s), g_verified(s))
+    f_ok, g_ok = verified_squarefree(s)
+    assert resolvents_exact(s.to_poly(), BOTH) == ((f_verified(s), f_ok), (g_verified(s), g_ok))
 
 
 def test_lifted_values_round_to_their_symmetric_residue():
@@ -597,7 +599,78 @@ def test_conjugate_pairs_give_the_resolvents_on_every_lifting_pattern(coeffs):
     p, roots = _pattern_roots(coeffs)
     assert sum(1 for v in roots if not v.b) == LIFTING_PATTERNS[coeffs]
     exact = resolvents_exact(p, BOTH)
-    assert exact == tuple(resolvent_by_complex_roots(p, kind) for kind in BOTH)
+    assert tuple(res for res, _ in exact) == tuple(resolvent_by_complex_roots(p, kind) for kind in BOTH)
+
+
+def _corpus(workload: str) -> list:
+    """The sextics of the benchmark's corpus of the workload, seeds 0-3."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import corpus
+
+    return [RatPoly([F(c) for c in op["coeffs"]]) for seed in range(4) for op in corpus.make(workload, seed)]
+
+
+def test_resolvents_exact_flags_match_the_resultant():
+    # the benchmark's general and reduced corpora, seeded monic and
+    # non-monic sextics, x^6 + a x^3 + b and even sextics: distinct orbit
+    # images, or else gcd(R, R'), agree with Res(R, R') on every kind
+    rng = random.Random(33)
+    batch = _corpus("general") + _corpus("reduced")
+    batch += [RatPoly([rng.randint(-9, 9) for _ in range(6)] + [1]) for _ in range(300)]
+    batch += [RatPoly([b, 0, 0, a, 0, 0, 1]) for a in range(-4, 5) for b in range(1, 8)]
+    batch += [RatPoly([c, 0, b, 0, a, 0, 1]) for a in range(-3, 4) for b in range(-3, 4) for c in range(1, 4)]
+    batch += [RatPoly([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
+                      + [rng.choice((2, -3, 5, F(2, 3)))]) for _ in range(300)]
+    flags = Counter()
+    for p in batch:
+        if discriminant_exact(p.monic()) == 0:
+            continue
+        for kind, (res, flag) in zip(BOTH, resolvents_exact(p, BOTH)):
+            assert flag == (resultant(res, res.derivative()) != 0), (p, kind)
+            flags[flag] += 1
+    assert flags[True] > flags[False] > 0, flags
+
+
+def test_exact_fallback_runs_exactly_on_colliding_kinds(monkeypatch):
+    from sextic import resolvents
+    from sextic.classify import classify
+    from sextic.errors import SexticError
+
+    kinds = []  # [images distinct, exact.squarefree taken] per resolvent built
+    real_images, real_squarefree = resolvents.resolvent_from_roots, resolvents.squarefree
+
+    def images(roots, kind):
+        out = real_images(roots, kind)
+        kinds.append([out[1], False])
+        return out
+
+    def fallback(p):
+        assert not kinds[-1][1]
+        kinds[-1][1] = True
+        return real_squarefree(p)
+
+    monkeypatch.setattr(resolvents, "resolvent_from_roots", images)
+    monkeypatch.setattr(resolvents, "squarefree", fallback)
+    for p in _corpus("general"):
+        try:
+            classify(p)
+        except SexticError:
+            continue
+    assert all(distinct != fell_back for distinct, fell_back in kinds)
+    assert (len(kinds), sum(fell_back for _, fell_back in kinds)) == (784, 36)
+
+
+def test_colliding_images_fall_back_to_the_exact_test(monkeypatch):
+    from sextic import resolvents
+
+    real = resolvents.resolvent_from_roots
+    monkeypatch.setattr(resolvents, "resolvent_from_roots", lambda roots, kind: (real(roots, kind)[0], False))
+    # x^6 + x^5 + x - 1 has two squarefree resolvents, x^6 + x^4 + x^2 + 1 none
+    assert [flag for _, flag in resolvents_exact(RatPoly([-1, 1, 0, 0, 0, 1, 1]), BOTH)] == [True, True]
+    assert [flag for _, flag in resolvents_exact(RatPoly([1, 0, 1, 0, 1, 0, 1]), BOTH)] == [False, False]
 
 
 @pytest.mark.parametrize("kind", BOTH)
@@ -606,7 +679,7 @@ def test_resolvent_from_roots_refuses_a_root_without_its_conjugate(kind):
     from sextic.resolvents import _Lifted
 
     p, roots = _pattern_roots("1,-3,-1,-3,2,2,-3")
-    assert resolvent_from_roots(roots, kind) == resolvents_exact(p, (kind,))[0]
+    assert resolvent_from_roots(roots, kind)[0] == resolvents_exact(p, (kind,))[0][0]
     quadratic = next(i for i, v in enumerate(roots) if v.b)
     linear = next(i for i, v in enumerate(roots) if not v.b)
     for i in (quadratic, linear):
@@ -671,6 +744,6 @@ def test_resolvents_exact_matches_the_ff_oracle():
         q, m = monic_integer_rescale(monic)
         q = [int(c) for c in q.coeffs]
         oracle = resolvent_ff(q, ("matching", "split"))
-        for kind, res, expected in zip(BOTH, resolvents_exact(p, BOTH), oracle):
+        for kind, (res, _), expected in zip(BOTH, resolvents_exact(p, BOTH), oracle):
             w, deg = kind.weight, kind.degree
             assert [res[k] * m ** (w * (deg - k)) for k in range(deg + 1)] == expected, (p, kind)
