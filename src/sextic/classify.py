@@ -48,13 +48,13 @@ from .exact import (
     resultant,  # noqa: F401  not called; perfbench/spans.py requires the binding
 )
 from .resolvents import (
+    _DISC,
     _F_VERIFIED,
     _G_VERIFIED,
     ReducedSextic,
     ResolventKind,
     _table_integers,
     discriminant_exact,
-    discriminant_reduced,
     f_verified,
     g_verified,
     resolvents_exact,
@@ -150,7 +150,7 @@ def is_irreducible(p: RatPoly) -> bool:
         return True
     if n > 6:
         raise ValueError("irreducibility test is specialized to degree <= 6")
-    if not p.coeffs[0]:
+    if not p.num[0]:
         return False  # divisible by x
     A = p.primitive()[1]
     disc = int(model_discriminant(p, A[-1]))
@@ -193,9 +193,9 @@ def is_irreducible(p: RatPoly) -> bool:
 
 
 def _as_reduced(p: RatPoly) -> Optional[ReducedSextic]:
-    c = p.coeffs
-    if c[2] == 1 and not c[3] and not c[4] and not c[5]:
-        return ReducedSextic(c[1], c[0])
+    c, den = p.num, p.den
+    if c[2] == den and not c[3] and not c[4] and not c[5]:
+        return ReducedSextic(Fraction(c[1], den), Fraction(c[0], den))
     return None
 
 
@@ -297,17 +297,17 @@ def scan_point(point):
     with a nonzero discriminant whose two resolvents _resolvents_rootless
     rules out therefore returns (d, e, None, None) without classify, reducible
     or not; every other point goes through classify, so hits, errors and
-    their order are those of classify alone. The zero test is
-    discriminant_reduced, the closed-form table, minus the resultant
-    discriminant as a polynomial in d and e
-    (test_disc_table_is_minus_the_resultant_discriminant).
+    their order are those of classify alone. The zero test reads the
+    integer numerator of discriminant_reduced (resolvents._table_integers on
+    the closed-form table, minus the resultant discriminant as a polynomial
+    in d and e: test_disc_table_is_minus_the_resultant_discriminant), which
+    vanishes exactly when the discriminant does.
     """
     d, e = map(Fraction, point)
-    s = ReducedSextic(d, e)
-    if discriminant_reduced(s) and _resolvents_rootless(d, e):
+    if _table_integers(_DISC, d, e)[0][0] and _resolvents_rootless(d, e):
         return d, e, None, None
     try:
-        report = classify(s.to_poly())
+        report = classify(ReducedSextic(d, e).to_poly())
     except SexticError as exc:
         return d, e, None, f"{type(exc).__name__}: {exc}"
     if report.irreducible and report.solvable is Solvable.YES:

@@ -1,10 +1,13 @@
 """Exact rational scalars and univariate polynomials.
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always normalized
-with positive denominator, which matches the invariants we need). Polynomials
-store coefficients lowest degree first; the zero polynomial is the empty
-coefficient tuple with degree -1. Everything here is exact: no floating
-point enters this module.
+with positive denominator, which matches the invariants we need). A
+polynomial (RatPoly) stores integer numerators, lowest degree first, over one
+positive denominator, in lowest terms, and does its arithmetic on them; the
+zero polynomial has no numerators and degree -1. Its Fraction coefficients
+(RatPoly.coeffs) are built on first use, and producers that hold integers
+build it with RatPoly.from_ints. Everything here is exact: no floating point
+enters this module.
 """
 
 from __future__ import annotations
@@ -28,60 +31,92 @@ TRIAL_DIVISION_LIMIT = 10**6
 RHO_ITERATION_BUDGET = 4 * 10**6
 
 
-def _strip(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 class RatPoly:
-    """Univariate polynomial over the rationals, coefficients low to high."""
+    """Univariate polynomial over the rationals, coefficients low to high.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators num over one positive denominator den, in
+    lowest terms (gcd(den, *num) == 1) and with no trailing zero numerator;
+    the zero polynomial is num == () over den == 1. Arithmetic runs on the
+    integers. coeffs, the Fraction of each coefficient, is built on first
+    use. RatPoly(coeffs) takes anything Fraction() does; from_ints takes
+    integer numerators over one denominator.
+    """
+
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable):
-        self.coeffs = _strip([Fraction(c) for c in coeffs])
+        fs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fs))
+        self._set([c.numerator * (den // c.denominator) for c in fs], den)
+
+    def _set(self, num: list, den: int) -> None:
+        """Store num / den, den nonzero, in lowest terms."""
+        while num and not num[-1]:
+            num.pop()
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        self.num, self.den, self._coeffs = tuple(num), den, None
+
+    @classmethod
+    def from_ints(cls, num: Iterable, den: int = 1) -> "RatPoly":
+        """The polynomial with coefficients num[k] / den, for integers num
+        (lowest degree first) and a nonzero integer den."""
+        if not den:
+            raise ZeroDivisionError("polynomial with a zero denominator")
+        p = cls.__new__(cls)
+        p._set(list(num), den)
+        return p
 
     @staticmethod
     def zero() -> "RatPoly":
         return RatPoly([])
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return isinstance(other, RatPoly) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.degree else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k <= self.degree else Fraction(0)
 
     def leading(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.num]
+        b = [c * (den // other.den) for c in other.num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+            a[i] += c
+        return RatPoly.from_ints(a, den)
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
+        return RatPoly.from_ints([-c for c in self.num], self.den)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
         return self + (-other)
@@ -91,12 +126,12 @@ class RatPoly:
             return self.scale(other)
         if self.is_zero() or other.is_zero():
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     out[i + j] += a * b
-        return RatPoly(out)
+        return RatPoly.from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -110,18 +145,22 @@ class RatPoly:
 
     def scale(self, c) -> "RatPoly":
         c = Fraction(c)
-        return RatPoly([a * c for a in self.coeffs])
+        return RatPoly.from_ints([a * c.numerator for a in self.num], self.den * c.denominator)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return RatPoly.from_ints([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def monic(self) -> "RatPoly":
-        return self.scale(1 / self.leading())
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self if self.num[-1] == self.den else RatPoly.from_ints(self.num, self.num[-1])
 
     def substitute_scaled(self, m: Fraction) -> "RatPoly":
         """Return q(x) = p(m*x)."""
         m = Fraction(m)
-        return RatPoly([c * m**k for k, c in enumerate(self.coeffs)])
+        a, b, n = m.numerator, m.denominator, len(self.num)
+        num = [c * a**k * b ** (n - k) for k, c in enumerate(self.num)]
+        return RatPoly.from_ints(num, self.den * b**n)
 
     def __call__(self, x):
         return poly_eval(self, x)
@@ -138,19 +177,20 @@ class RatPoly:
         """
         if self.is_zero():
             return Fraction(0), []
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return Fraction(g, den), [c // g for c in ints]
+        g = math.gcd(*self.num)
+        return Fraction(g, self.den), [c // g for c in self.num]
 
 
 def poly_eval(p: RatPoly, x) -> Fraction:
-    """Exact Horner evaluation."""
+    """Exact Horner evaluation in integers: with x = a/b, the numerators
+    give den * b^n * p(x), n = deg p."""
     x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    a, b = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(p.num):
+        acc = acc * a + c * power
+        power *= b
+    return Fraction(acc * b, p.den * power)
 
 
 def poly_divmod(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:

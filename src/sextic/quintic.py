@@ -96,7 +96,7 @@ def params_from_ab(a, b):
         return None if e is None else QuinticParams(-1, Fraction(11, 2), e)
     ratio = b**4 / a**5
     n, m = 3125 * ratio.numerator, 256 * ratio.denominator
-    sextic = RatPoly([n * p - m * q for p, q in zip(_A5, _B4)])
+    sextic = RatPoly.from_ints([n * p - m * q for p, q in zip(_A5, _B4)])
     fits = []
     for t in rational_roots(sextic):
         for eps in (1, -1):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 
 from . import modp
 from .errors import DegenerateSextic, FitInconsistent, NotNearInteger
@@ -236,12 +236,10 @@ def _table_integers(compiled: tuple, d: Fraction, e: Fraction) -> tuple[list, in
 
 def _eval_table(compiled: tuple, d: Fraction, e: Fraction) -> RatPoly:
     """The polynomial whose x^power coefficient is the sum of c * d^i * e^j
-    over the cells of a _compile'd table's row power; the integers of
-    _table_integers over their common denominator, so only the final
-    Fraction of each coefficient takes a gcd.
+    over the cells of a _compile'd table's row power: the integers of
+    _table_integers over their common denominator, with one gcd.
     """
-    nums, den = _table_integers(compiled, d, e)
-    return RatPoly([Fraction(c, den) for c in nums])
+    return RatPoly.from_ints(*_table_integers(compiled, d, e))
 
 
 _F_REFERENCE = _compile(F_REFERENCE_TABLE, 15)
@@ -356,15 +354,14 @@ def resolvents_exact(p: RatPoly, kinds: tuple) -> tuple:
     p = p.monic()
     q, m = monic_integer_rescale(p)
     disc = int(model_discriminant(p, m))
-    roots = _lifted_roots([int(c) for c in q.coeffs], kinds, disc)
+    roots = _lifted_roots(list(q.num), kinds, disc)
     out = []
     for kind in kinds:
         res, distinct = resolvent_from_roots(roots, kind)
         simple = distinct or squarefree(res)  # on R_q, whose coefficients are smaller
-        if m != 1:
-            res = res.substitute_scaled(Fraction(m) ** kind.weight).scale(
-                Fraction(1, m ** (kind.weight * kind.degree))
-            )
+        if m != 1:  # R_q[k] m^(wk) / m^(w deg), R_q an integer polynomial
+            mw = m**kind.weight
+            res = RatPoly.from_ints([c * mw**k for k, c in enumerate(res.num)], mw**kind.degree)
         out.append((res, simple))
     return tuple(out)
 
@@ -447,17 +444,17 @@ def monic_integer_rescale(p: RatPoly) -> tuple[RatPoly, int]:
     such integer when no c_j has a repeated prime factor; a larger m only
     lengthens the lift.
     """
-    n = p.degree
+    n, num, den = p.degree, p.num, p.den
     m_factors: dict = {}
     rest = 1
-    for j, c in enumerate(p.coeffs[:-1]):
-        small, cofactor = trial_split(c.denominator)
+    for j, c in enumerate(num[:-1]):
+        small, cofactor = trial_split(den // gcd(den, c))
         for prime, a in small.items():
             need = -(-a // (n - j))  # ceil
             m_factors[prime] = max(m_factors.get(prime, 0), need)
         rest = lcm(rest, cofactor)
     m = rest * prod(prime**a for prime, a in m_factors.items())
-    q = RatPoly([c * Fraction(m) ** (n - j) for j, c in enumerate(p.coeffs)])
+    q = RatPoly.from_ints([c * m ** (n - j) // den for j, c in enumerate(num)])
     return q, m
 
 

@@ -147,4 +147,4 @@ def round_to_int_poly(coeffs, modulus: int) -> RatPoly:
     """The integer polynomial whose coefficients are the symmetric residues
     mod modulus of the integers coeffs: the integers that r-adic lifts mod
     modulus stand for once modulus exceeds twice their size."""
-    return RatPoly([modp.symmetric(c % modulus, modulus) for c in coeffs])
+    return RatPoly.from_ints([modp.symmetric(c % modulus, modulus) for c in coeffs])

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import random
@@ -22,6 +23,7 @@ from sextic.resolvents import ReducedSextic, f_verified, g_verified
 
 import permgroups
 from oracles import factor
+from test_resolvents import _corpus
 
 
 def test_irreducible_scaled_family_sextic():
@@ -675,3 +677,30 @@ def test_frobenius_cycle_types_lie_in_the_bound_from_a_repeated_resolvent_root()
         allowed = {_cycle_type(g) for g in _claimed_group(report)}
         for prime, pattern in _frobenius_cycle_types(p):
             assert pattern in allowed, (p, report.bound, prime, pattern)
+
+
+def _report_line(p: RatPoly) -> str:
+    """classify's report of p, or its SexticError, as one line of text."""
+    try:
+        r = classify(p)
+    except SexticError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    fields = (
+        [str(c) for c in r.input.coeffs], r.irreducible,
+        sorted(map(str, r.f_roots)), sorted(map(str, r.g_roots)),
+        str(r.discriminant), str(r.sqrt_discriminant), r.bound.value, r.solvable.value, r.notes,
+    )
+    return repr(fields)
+
+
+# sha256 of the _report_line of every op of the reduced and general corpora
+# of seeds 0-3 (1,448 inputs), one line each, captured before RatPoly stored
+# integer numerators over one denominator
+CLASSIFY_CORPUS_DIGEST = "a4be8b2190178b4d72d01bd7e249f0b283b89a446f6f3d2fb796663ba5b7b1b5"
+
+
+def test_classify_output_on_both_classify_workloads_is_pinned():
+    inputs = _corpus("reduced") + _corpus("general")
+    assert len(inputs) == 1448
+    text = "".join(_report_line(p) + "\n" for p in inputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_CORPUS_DIGEST

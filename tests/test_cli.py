@@ -712,6 +712,35 @@ def test_classify_reduced_flags_match_golden_output(capsys):
     assert out == (Path(__file__).parent / "golden" / "classify_reduced_flags.out").read_text()
 
 
+def _family_points() -> list:
+    """(d, e) as strings for the 24 members of the vanishing-constant family
+    in the benchmark's reduced corpus (corpus._family_ds()), then the
+    paper's example d = 1/2, e = 5/36."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import corpus
+
+    from sextic.classify import vanishing_constant_family
+
+    family = [vanishing_constant_family(d) for d in corpus._family_ds()]
+    return [(str(s.d), str(s.e)) for s in family] + [("1/2", "5/36")]
+
+
+# reduced sextics x^6 + x^2 + d*x + e whose d and e carry denominators up to
+# 3 and 32,400: the resolvent tables are integers over b^m v^n for
+# d = a/b, e = u/v. stdout was captured while RatPoly still stored one
+# Fraction per coefficient.
+CLASSIFY_REDUCED_DENOMINATORS = _family_points()
+
+
+def test_classify_reduced_denominators_match_golden_output(capsys):
+    out = ""
+    for d, e in CLASSIFY_REDUCED_DENOMINATORS:
+        code, line, err = run(capsys, "classify", f"--d={d}", f"--e={e}")
+        assert (code, err) == (0, "")
+        out += line
+    assert out == (Path(__file__).parent / "golden" / "classify_reduced_denominators.out").read_text()
+
+
 # sextics (c6 first) on the p-adic path: one per transitive group of the
 # gallery in ROADMAP item 1 whose bound is right there (G18 and G36m left
 # out), then x^6 + x^4 + x^2 + 2 and x^6 - 3x^4 + 2x^2 + 3. Ten lines carry

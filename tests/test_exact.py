@@ -325,3 +325,142 @@ def test_exact_quotient_raises_on_a_remainder():
         exact._exact_quotient([-1, 0, 1], [1, 2])  # 2x + 1 divides only over Q
     with pytest.raises(ArithmeticError):
         exact._exact_quotient([1, 0, 1], [1, 1])
+
+
+# ---------------------------------------------------------------------------
+# RatPoly against a plain list-of-Fractions reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_strip(cs: list) -> list:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return _ref_strip([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a: list, b: list) -> list:
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_strip(out)
+
+
+def _ref_divmod(a: list, b: list) -> tuple:
+    rem, quot = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for i, y in enumerate(b):
+            rem[i + k] -= c * y
+    return _ref_strip(quot), _ref_strip(rem)
+
+
+def _random_coeffs(rng: random.Random) -> list:
+    """Up to 8 Fractions with small or large parts, often with zeros and
+    trailing zeros; sometimes all integers, sometimes empty."""
+    size = rng.choice([0, 1, 2, 3, 4, 5, 6, 7, 8])
+    big = rng.random() < 0.2
+    dens = (1,) if rng.random() < 0.3 else (1, 2, 3, 4, 6, 9, 10, 12, 35)
+    cs = []
+    for _ in range(size):
+        if rng.random() < 0.2:
+            cs.append(F(0))
+        else:
+            n = rng.randint(-(10**30), 10**30) if big else rng.randint(-20, 20)
+            cs.append(F(n, rng.choice(dens)))
+    return cs + [F(0)] * rng.choice([0, 0, 1, 3])
+
+
+def _routes(cs: list) -> list:
+    """The same polynomial built every way RatPoly can be built."""
+    den = math.lcm(*(c.denominator for c in cs)) * 6  # 6 divides every numerator too
+    polys = [
+        RatPoly(cs),
+        RatPoly([f"{c.numerator}/{c.denominator}" for c in cs]),
+        RatPoly.from_ints([int(c * den) for c in cs], den),
+        RatPoly.from_ints([-int(c * den) for c in cs], -den),
+    ]
+    if all(c.denominator == 1 for c in cs):
+        polys.append(RatPoly([int(c) for c in cs]))
+        polys.append(RatPoly.from_ints([int(c) for c in cs]))
+    return polys
+
+
+def _check_against_reference(p: RatPoly, ref: list):
+    assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1]
+    assert p.coeffs == tuple(ref) and all(type(c) is F for c in p.coeffs)
+    assert p.degree == len(ref) - 1 and bool(p) == bool(ref) and p.is_zero() == (not ref)
+    for k in range(-1, len(ref) + 2):
+        assert p[k] == (ref[k] if 0 <= k < len(ref) else 0)
+    if not ref:
+        assert p.primitive() == (0, [])
+        assert (p.num, p.den) == ((), 1)
+        with pytest.raises(ValueError):
+            p.leading()
+        return
+    assert p.leading() == ref[-1]
+    content, ints = p.primitive()
+    assert content > 0 and math.gcd(*ints) == 1 and all(type(c) is int for c in ints)
+    assert [content * c for c in ints] == ref and (ints[-1] > 0) == (ref[-1] > 0)
+
+
+def test_ratpoly_matches_a_list_of_fractions_reference():
+    rng = random.Random(34)
+    cases = [[], [F(0)], [F(0), F(0)], [F(5)], [F(0), F(1)], [F(1, 2), F(0), F(3, 4), F(0)]]
+    cases += [_random_coeffs(rng) for _ in range(320)]
+    for cs in cases:
+        ref = _ref_strip(cs)
+        polys = _routes(cs)
+        p = polys[0]
+        for q in polys:
+            _check_against_reference(q, ref)
+            assert q == p and hash(q) == hash(p) and (q.num, q.den) == (p.num, p.den)
+        other = _ref_strip(_random_coeffs(rng))
+        o = RatPoly(other)
+        c = rng.choice([F(0), F(1), F(-1), F(rng.randint(-9, 9), rng.randint(1, 9))])
+        x = F(rng.randint(-9, 9), rng.randint(1, 9))
+        _check_against_reference(p.derivative(), [k * a for k, a in enumerate(ref)][1:])
+        _check_against_reference(p.scale(c), _ref_strip([a * c for a in ref]))
+        _check_against_reference(p.substitute_scaled(c), _ref_strip([a * c**k for k, a in enumerate(ref)]))
+        _check_against_reference(p + o, _ref_add(ref, other))
+        _check_against_reference(p - o, _ref_add(ref, [-a for a in other]))
+        _check_against_reference(-p, [-a for a in ref])
+        _check_against_reference(p * o, _ref_mul(ref, other))
+        _check_against_reference(c * p, _ref_strip([a * c for a in ref]))
+        assert poly_eval(p, x) == sum((a * x**k for k, a in enumerate(ref)), F(0)) == p(x)
+        if ref:
+            m = p.monic()
+            _check_against_reference(m, [a / ref[-1] for a in ref])
+            assert m.monic() is m and (m is p) == (ref[-1] == 1)
+        else:
+            with pytest.raises(ValueError):
+                p.monic()
+        if other:
+            quot, rem = exact.poly_divmod(p, o)
+            ref_quot, ref_rem = _ref_divmod(ref, other)
+            _check_against_reference(quot, ref_quot)
+            _check_against_reference(rem, ref_rem)
+    assert len(cases) >= 300
+
+
+def test_ratpoly_from_ints_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        RatPoly.from_ints([1, 2], 0)
+
+
+def test_derivative_resultant_cache_hits_across_construction_routes():
+    a = RatPoly([F(-1, 2), 0, F(3, 4), 0, 0, 0, 1])
+    b = RatPoly.from_ints([-20, 0, 30, 0, 0, 0, 40], 40)
+    assert a == b and hash(a) == hash(b) and a is not b
+    exact._derivative_resultant.cache_clear()
+    first = exact._derivative_resultant(a)
+    assert exact._derivative_resultant(b) == first
+    assert exact._derivative_resultant.cache_info().hits == 1
