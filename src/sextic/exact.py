@@ -261,17 +261,6 @@ def _odd_primes():
     return (r for r in itertools.count(3, 2) if _is_probable_prime(r))
 
 
-def _squarefree_prime(F: list, primes: Iterable[int]) -> Optional[int]:
-    """The first odd prime r of primes at which the monic integer polynomial
-    F is squarefree mod r, or None.
-
-    F is monic, so disc(F mod r) = disc F mod r: such an r proves F
-    squarefree, and every root of F mod r is simple. When F is squarefree,
-    a search over _odd_primes() ends at the first prime not dividing disc F.
-    """
-    return next((r for r in primes if modp.is_squarefree(modp.reduce(F, r), r)), None)
-
-
 def _brent_rho(n: int, budget: list) -> int:
     """One nontrivial factor of composite odd n, or raise FactoringExhausted."""
     for c in range(1, 64):
@@ -414,8 +403,8 @@ def monic_model(A: list) -> list:
     return [c * lead ** (n - 1 - i) for i, c in enumerate(A[:-1])] + [1]
 
 
-# Odd primes below 30: rational_roots' root sieve reads them, and its lift
-# runs at the first of them at which the monic model is squarefree. The
+# Odd primes below 30: rational_roots' root sieve reads them, and they are
+# the first candidates for its lift. They certify no squarefreeness; the
 # resolvents' squarefree flags come from resolvents, not from here.
 CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -431,6 +420,20 @@ def _rootless(A: list, primes: Iterable[int]) -> bool:
     return any(A[-1] % r and not modp.has_root(A, r) for r in primes)
 
 
+def _simple_roots(F: list, primes: Iterable[int]) -> Optional[tuple[int, list]]:
+    """(r, modp.roots(F, r)) at the first prime r of primes at which each
+    root y of the monic integer polynomial F mod r is simple, F'(y) a unit
+    (F reduced mod r first), or None. Every integer root of F reduces to
+    such a y, from which Newton's lift reaches it. For a squarefree F a walk
+    over _odd_primes() ends by the first prime not dividing disc F."""
+    for r in primes:
+        f = modp.reduce(F, r)
+        found, df = modp.roots(f, r), [k * c for k, c in enumerate(f)][1:]
+        if all(_horner(df, y) % r for y in found):
+            return r, found
+    return None
+
+
 def rational_roots(p: RatPoly) -> set:
     """All rational roots of p (multiplicities not reported).
 
@@ -438,13 +441,13 @@ def rational_roots(p: RatPoly) -> set:
     y/lead for the integer roots y of the monic model F(y) = lead^(n-1) A(y/lead)
     (monic_model) of A, the primitive part of p/x^k. When A is _rootless
     over CERTIFICATE_PRIMES, 0 is the only candidate. Else the lifting prime
-    is the first of CERTIFICATE_PRIMES at which F is squarefree, so that all
-    roots of F mod it are simple. When none is, A is replaced by its
-    squarefree part (subresultant PRS) and the first odd prime at which that
-    part's model is squarefree is used. Each root of F mod the prime
-    (modp.roots, one packed evaluation at every residue) is Newton-lifted
-    above twice Fujiwara's root bound, reduced symmetrically
-    (modp.newton_lift, modp.symmetric), checked exactly.
+    is the first of CERTIFICATE_PRIMES at which every root of F is simple
+    (_simple_roots). When none is, as for a repeated rational root, A is
+    replaced by its squarefree part (subresultant PRS), lifted at the first
+    odd prime where its model's roots are simple. Each of those roots
+    (modp.roots, one packed evaluation) is Newton-lifted above twice
+    Fujiwara's root bound, reduced symmetrically (modp.newton_lift,
+    modp.symmetric), checked exactly.
     """
     if p.is_zero():
         raise ValueError("rational_roots expects a nonzero polynomial")
@@ -455,15 +458,16 @@ def rational_roots(p: RatPoly) -> set:
     if len(A) < 2 or _rootless(A, CERTIFICATE_PRIMES):
         return roots
     F = monic_model(A)
-    prime = _squarefree_prime(F, CERTIFICATE_PRIMES)
-    if prime is None:
+    found = _simple_roots(F, CERTIFICATE_PRIMES)
+    if found is None:
         A = _squarefree_part(A)
         F = monic_model(A)
-        prime = _squarefree_prime(F, _odd_primes())
+        found = _simple_roots(F, _odd_primes())
+    prime, residues = found
     lead, bound, target = A[-1], 2 * _root_bound(F), prime
     while target <= bound:
         target *= prime
-    for y in modp.roots(F, prime):
+    for y in residues:
         y = modp.symmetric(modp.newton_lift(F, (y, 0), 0, prime, target)[0], target)
         if not _horner(F, y):
             roots.add(Fraction(y, lead))

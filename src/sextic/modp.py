@@ -197,14 +197,6 @@ def powmod(a: list, e: int, f: list, m: int) -> list:
     return trim([result >> i * w & slot for i in range(n)])
 
 
-def derivative(a: list, m: int) -> list:
-    return reduce([k * c for k, c in enumerate(a)][1:], m)
-
-
-def is_squarefree(f: list, p: int) -> bool:
-    return gcd(f, derivative(f, p), p) == [1]
-
-
 def equal_degree(g: list, d: int, p: int) -> list:
     """Irreducible factors of monic squarefree g mod odd p, all of degree d.
 

@@ -214,6 +214,16 @@ def params_by_search(a, b, height_bound: int = 24):
     return None
 
 
+def derivative(a: list, m: int) -> list:
+    """The derivative of the integer polynomial a, reduced mod m."""
+    return modp.reduce([k * c for k, c in enumerate(a)][1:], m)
+
+
+def is_squarefree(f: list, p: int) -> bool:
+    """Whether f is squarefree mod the prime p: gcd(f, f') mod p is 1."""
+    return modp.gcd(f, derivative(f, p), p) == [1]
+
+
 def distinct_degree(f: list, p: int) -> list:
     """(g, d) pairs, g the product of the degree-d irreducible factors of
     monic squarefree f mod p (distinct-degree factorization)."""

@@ -22,7 +22,7 @@ from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, ra
 from sextic.resolvents import ReducedSextic, f_verified, g_verified
 
 import permgroups
-from oracles import factor
+from oracles import factor, is_squarefree
 from test_resolvents import _corpus
 
 
@@ -639,7 +639,7 @@ def _frobenius_cycle_types(p, count=20):
     element, which lies in the Galois group and so in any bound on it."""
     q = monic_model(p.primitive()[1])
     good = (r for r in range(3, 10**4, 2)
-            if _is_probable_prime(r) and modp.is_squarefree(modp.reduce(q, r), r))
+            if _is_probable_prime(r) and is_squarefree(modp.reduce(q, r), r))
     for prime in itertools.islice(good, count):
         yield prime, tuple(sorted(len(f) - 1 for f in factor(modp.reduce(q, prime), prime)))
 

@@ -670,6 +670,25 @@ def test_numeric_resolvent_matches_golden_output(capsys, coeffs, kind):
     assert out == golden.read_text()
 
 
+# x^6 + x^4 + x^2 + 2, x^6 + x^4 + 1, x^6 - 1 and x^6 - 3x^3 + 3 (c6
+# first): seven of their eight resolvents have repeated roots, and those of
+# x^6 - 1 have repeated rational roots. stdout was captured while
+# rational_roots still lifted only at a prime where the whole monic model
+# was squarefree.
+RESOLVENT_ROOTS = ["1,0,1,0,1,0,2", "1,0,1,0,0,0,1", "1,0,0,0,0,0,-1", "1,0,0,-3,0,0,3"]
+
+
+def test_numeric_resolvent_roots_match_golden_output(capsys):
+    out = ""
+    for coeffs in RESOLVENT_ROOTS:
+        for kind in ("j", "k"):
+            argv = ("resolvent", "--method", "numeric", "--kind", kind, "--roots", f"--coeffs={coeffs}")
+            code, line, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            out += line
+    assert out == (Path(__file__).parent / "golden" / "resolvent_numeric_roots.out").read_text()
+
+
 # one block of the benchmark's `general` corpus (seed 1), c6 first: 13 monic
 # integer, 2 with thirds, 4 with halves and thirds, 1 non-monic; none has the
 # reduced shape, so each builds its resolvents by p-adic lifting. stdout was

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sextic import exact
+from sextic import exact, modp
 from sextic.classify import classify
 from sextic.errors import DegenerateSextic, FactoringExhausted
 from sextic.exact import (
@@ -200,13 +200,11 @@ def test_rational_roots_against_divisor_oracle():
 
 
 def test_root_sieve_stops_before_the_lift_and_only_lifted_polynomials_are_certified(monkeypatch):
-    from sextic import modp
-
     lifts, certified, sieved = [], [], []
-    real_lift, real_prime, real_rootless = modp.newton_lift, exact._squarefree_prime, exact._rootless
+    real_lift, real_search, real_rootless = modp.newton_lift, exact._simple_roots, exact._rootless
     monkeypatch.setattr(modp, "newton_lift", lambda *args: lifts.append(args) or real_lift(*args))
-    monkeypatch.setattr(exact, "_squarefree_prime",
-                        lambda F, primes: certified.append(len(F) - 1) or real_prime(F, primes))
+    monkeypatch.setattr(exact, "_simple_roots",
+                        lambda F, primes: certified.append(len(F) - 1) or real_search(F, primes))
 
     def rootless(A, primes):
         answered = real_rootless(A, primes)
@@ -215,7 +213,7 @@ def test_root_sieve_stops_before_the_lift_and_only_lifted_polynomials_are_certif
 
     monkeypatch.setattr(exact, "_rootless", rootless)
     # (x^2 + 1)(x^2 - 6x - 5) is (x^2 + 1)^2 mod 3: no root mod 3, so the
-    # sieve answers before any certificate or lift
+    # sieve answers before any prime search or lift
     p = RatPoly([1, 0, 1]) * RatPoly([-5, -6, 1])
     assert not modp.has_root(p.primitive()[1], 3)
     assert rational_roots(p) == set()
@@ -224,7 +222,7 @@ def test_root_sieve_stops_before_the_lift_and_only_lifted_polynomials_are_certif
     assert rational_roots(RatPoly([-1, 1]) * p) == {1}
     assert lifts and certified == [5]
     # classify takes its flags from resolvents, reduced or not, so it runs
-    # _squarefree_prime exactly where rational_roots lifts: on none of
+    # _simple_roots exactly where rational_roots lifts: on none of
     # x^6 + x^2 + 2x + 1 and x^6 + x^4 + x^2 + 2x + 1, on both resolvents of
     # x^6 + x^5 + x - 1
     for coeffs, lifted in (([1, 2, 1, 0, 0, 0, 1], []), ([1, 2, 1, 0, 1, 0, 1], []),
@@ -238,8 +236,8 @@ def test_root_sieve_stops_before_the_lift_and_only_lifted_polynomials_are_certif
 
 
 def test_repeated_factors_match_the_divisor_oracle_and_the_resultant(monkeypatch):
-    # the lift needs simple roots: no prime certifies a polynomial with a
-    # repeated factor, so rational_roots lifts from its squarefree part;
+    # the lift needs simple roots: a repeated rational root is a repeated
+    # root mod every prime, so rational_roots lifts from the squarefree part;
     # squarefree reads the same part, and must agree with Res(p, p')
     calls = _spy_squarefree_part(monkeypatch)
     rng = random.Random(19)
@@ -275,8 +273,8 @@ def _spy_squarefree_part(monkeypatch):
 
 
 def test_rational_roots_fall_back_to_the_squarefree_part(monkeypatch):
-    # (x - 1 - B) = (x - 1) mod every certificate prime, so no prime in the
-    # list certifies (x - 1)(x - 1 - B), squarefree as it is
+    # (x - 1 - B) = (x - 1) mod every certificate prime, so 1 is a double
+    # root of (x - 1)(x - 1 - B) at each, squarefree as it is
     B = math.prod(exact.CERTIFICATE_PRIMES)
     calls = _spy_squarefree_part(monkeypatch)
     p = RatPoly([-1, 1]) * RatPoly([-1 - B, 1])
@@ -295,28 +293,52 @@ def test_classify_on_the_small_reduced_grid_needs_no_prs(monkeypatch):
             except DegenerateSextic:
                 continue
     assert calls == []
-    classify(RatPoly([1, 0, 1, 0, 0, 0, 1]))  # even: its resolvents have repeated roots
-    assert calls
+    # even: the resolvents of x^6 + x^2 + 1 have repeated roots, but none
+    # rational, so some certificate prime has simple roots only; those of
+    # x^6 + x^2 +- 2 have a repeated rational root
+    classify(RatPoly([1, 0, 1, 0, 0, 0, 1]))
+    assert calls == []
+    for e in (2, -2):
+        classify(RatPoly([e, 0, 1, 0, 0, 0, 1]))
+        assert [len(A) - 1 for A in calls] == [10]
+        calls.clear()
 
 
-def test_squarefree_prime_certifies_only_squarefree_models():
-    # squares of factors with no root mod small primes: their roots mod r
-    # are all simple, yet F mod r is not squarefree
+def _derivative_unit(F, y, r):
+    return sum(k * c * y ** (k - 1) for k, c in enumerate(F) if k) % r != 0
+
+
+def test_lifting_prime_needs_simple_roots_not_a_squarefree_model(monkeypatch):
+    # squares of factors with no root mod some small prime: F mod r is not
+    # squarefree there, yet each root of F mod r is simple, so the lift runs
+    # without the squarefree part. A repeated rational root is a repeated
+    # root mod every prime, and so takes the fallback.
+    calls = _spy_squarefree_part(monkeypatch)
     x2_plus_x_plus_1 = RatPoly([1, 1, 1])
-    cases = [X2_PLUS_1**2 * RatPoly([-2, 1]), x2_plus_x_plus_1**2 * X2_PLUS_1, X2_PLUS_1 * x2_plus_x_plus_1]
+    for p in (X2_PLUS_1**2 * RatPoly([-2, 1]), x2_plus_x_plus_1**2 * X2_PLUS_1):
+        F = exact.monic_model(p.primitive()[1])
+        r, found = exact._simple_roots(F, exact.CERTIFICATE_PRIMES)
+        assert found == modp.roots(F, r) and found
+        assert all(_derivative_unit(F, y, r) for y in found)
+        assert rational_roots(p) == rational_roots_by_divisors(p)
+        assert calls == []
+        assert not squarefree(p)
+        calls.clear()
+    p = RatPoly([-2, 1]) ** 2 * X2_PLUS_1
+    assert exact._simple_roots(exact.monic_model(p.primitive()[1]), exact.CERTIFICATE_PRIMES) is None
+    assert rational_roots(p) == {2}
+    assert len(calls) == 1
+    # on squarefree models the search over _odd_primes() ends, and its
+    # roots are simple
     rng = random.Random(11)
-    cases += [_random_poly_with_planted_roots(rng) for _ in range(200)]
-    outcomes = set()
-    for p in cases:
-        if p.degree < 1:
+    for p in [X2_PLUS_1 * x2_plus_x_plus_1] + [_random_poly_with_planted_roots(rng) for _ in range(200)]:
+        if p.degree < 1 or not squarefree(p):
             continue
         F = exact.monic_model(p.primitive()[1])
-        r = exact._squarefree_prime(F, exact.CERTIFICATE_PRIMES)
-        assert r is None or squarefree(p), p
-        if squarefree(p):
-            assert exact._squarefree_prime(F, exact._odd_primes()) is not None
-        outcomes.add((r is None, squarefree(p)))
-    assert {(False, True), (True, False)} <= outcomes
+        r, found = exact._simple_roots(F, exact._odd_primes())
+        assert found == modp.roots(F, r)
+        assert all(_derivative_unit(F, y, r) for y in found)
+        assert rational_roots(p) == rational_roots_by_divisors(p), p
 
 
 def test_exact_quotient_raises_on_a_remainder():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import factor
+from oracles import factor, is_squarefree
 from sextic import modp
 from sextic.classify import ROOT_SIEVE_PRIMES
 from sextic.exact import _odd_primes
@@ -31,7 +31,7 @@ def test_factor_matches_brute_force(p):
     squarefree = 0
     for degree in range(5):
         for f in _monic_polys(p, degree):
-            if not modp.is_squarefree(f, p):
+            if not is_squarefree(f, p):
                 continue
             squarefree += 1
             factors = factor(f, p)
@@ -51,7 +51,7 @@ def test_factor_degree_patterns_of_squarefree_sextics_mod_7():
     rng = random.Random(4)
     for _ in range(200):
         f = [rng.randrange(7) for _ in range(6)] + [1]
-        if not modp.is_squarefree(f, 7):
+        if not is_squarefree(f, 7):
             continue
         factors = factor(f, 7)
         assert len(set(map(tuple, factors))) == len(factors)
@@ -266,7 +266,7 @@ def test_newton_lift_carries_the_inverse_exactly():
             for i, c in enumerate(cofactor):
                 for j, f in enumerate([s * s - n * t * t, -2 * s, 1]):
                     q[i + j] += c * f
-            if not modp.is_squarefree(modp.reduce(q, p), p):
+            if not is_squarefree(modp.reduce(q, p), p):
                 continue
             starts = [((s, t), n)] + [((y, 0), 0) for y in modp.roots(q, p)]
             for root, ext in starts:
