@@ -22,7 +22,11 @@ rational roots with exact.rational_roots.
 
 scan_point, the step of `sextic search`, calls classify only at a point
 where the root sieve (_resolvents_rootless) leaves a resolvent that may have
-a rational root.
+a rational root. The sieve works on residue classes: whether a resolvent
+table has a root mod a small prime r depends only on (d, e) mod r, so it is
+decided once per class, by one modp.has_root, and kept in a byte of a
+lazily allocated r * r row per (table, prime) (_root_classes, at most
+131,584 bytes for both tables over the odd primes below 100).
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .exact import (
     RatPoly,
     _exact_quotient,
     _odd_primes,
-    _rootless,
     is_rational_square,
     model_discriminant,
     monic_model,
@@ -51,8 +54,11 @@ from .resolvents import (
     _DISC,
     _F_VERIFIED,
     _G_VERIFIED,
+    F_VERIFIED_TABLE,
+    G_VERIFIED_TABLE,
     ReducedSextic,
     ResolventKind,
+    _compile,
     _table_integers,
     discriminant_exact,
     f_verified,
@@ -73,11 +79,25 @@ from .roots import find_roots  # noqa: F401  not called; perfbench/spans.py requ
 DEGREE_SIEVE_PRIMES = 4
 
 # Odd primes at which scan_point looks for roots of the two reduced-sextic
-# resolvents before it calls classify: the 24 below 100, each about 16
-# big-integer products (modp.has_root). On the grid d = -50..50, e = -2..2,
-# 398 of the 505 points have no root in either resolvent mod one of them;
-# each of the other 107 has a resolvent with a zero constant term.
+# resolvents before it calls classify: the 24 below 100. On the grid
+# d = -50..50, e = -2..2, 398 of the 505 points have no root in either
+# resolvent mod one of them; each of the other 107 has a resolvent with a
+# zero constant term.
 ROOT_SIEVE_PRIMES = tuple(itertools.takewhile(lambda r: r < 100, _odd_primes()))
+
+# The tables _resolvents_rootless sieves, degree 15 then degree 10, and their
+# z^0 rows alone as the rows 0 and 1 of one table, which it evaluates exactly
+# at every point (one set of powers of d and e for both).
+_SIEVE_TABLES = (_F_VERIFIED, _G_VERIFIED)
+_CONSTANT_TERMS = _compile({0: F_VERIFIED_TABLE[0], 1: G_VERIFIED_TABLE[0]}, 1)
+
+# The residue classes the sieve has met: _root_classes[k, r][x * r + y] is 0
+# until _class_has_root first asks about the class (x, y) of (d, e) mod r,
+# then 1 when _SIEVE_TABLES[k] has a root mod r there and 2 when it has none.
+# A row of r * r bytes is allocated on first use, so the store never exceeds
+# the sum of r^2 over ROOT_SIEVE_PRIMES per table, 65,792 bytes, however
+# large the grid.
+_root_classes = {}
 
 
 class GroupBound(Enum):
@@ -271,18 +291,50 @@ def vanishing_constant_family(d) -> ReducedSextic:
     return ReducedSextic(d, (32 * d**4 + 3) / (144 * d**2))
 
 
+def _class_has_root(k: int, r: int, x: int, y: int) -> bool:
+    """Whether _SIEVE_TABLES[k] at d = x, e = y has a root mod r: the byte of
+    _root_classes, filled the first time by one modp.has_root on the table's
+    integers at (x, y)."""
+    row = _root_classes.get((k, r))
+    if row is None:
+        row = _root_classes[k, r] = bytearray(r * r)
+    cell = x * r + y
+    if not row[cell]:
+        row[cell] = 1 if modp.has_root(_table_integers(_SIEVE_TABLES[k], x, y)[0], r) else 2
+    return row[cell] == 1
+
+
 def _resolvents_rootless(d: Fraction, e: Fraction) -> bool:
     """True when the verified degree-15 and degree-10 resolvents of
-    x^6 + x^2 + d*x + e provably have no rational root: each in turn is
-    exact._rootless over ROOT_SIEVE_PRIMES.
+    x^6 + x^2 + d*x + e provably have no rational root: each in turn has no
+    root mod some prime r of ROOT_SIEVE_PRIMES that divides neither
+    denominator of d = a/b, e = u/v.
 
-    A resolvent is nums / den with integers nums (resolvents._table_integers)
-    and has the roots of nums. A zero constant numerator is the rational root
-    0 (d = 0, e = 0 and the vanishing-constant family), which no prime can
-    rule out, so both are checked before any prime is.
+    A zero constant term is the rational root 0 (d = 0, e = 0 and the
+    vanishing-constant family), which no prime can rule out, so both z^0
+    rows (_CONSTANT_TERMS; f(0; d, e) = d^2 e^15 (32 d^4 - 144 d^2 e + 3))
+    are evaluated exactly before any prime is looked at.
+
+    At a prime r dividing neither b nor v, whether a table has a root mod r
+    depends only on the class (x, y) = (a/b mod r, u/v mod r): the table is
+    monic in z with coefficients in Z[d, e], so its integers nums over den
+    (resolvents._table_integers) satisfy nums = den * table(x, y) mod r with
+    den = b^m v^n a unit, and both have the same roots mod r. A rational
+    root of the table is r-integral and would reduce to one of them, so a
+    table without roots mod r has no rational root. _class_has_root answers
+    from _root_classes. The primes skipped are those where den vanishes mod
+    r, the same ones exact._rootless would skip on nums.
     """
-    tables = [_table_integers(table, d, e)[0] for table in (_F_VERIFIED, _G_VERIFIED)]
-    return all(nums[0] for nums in tables) and all(_rootless(n, ROOT_SIEVE_PRIMES) for n in tables)
+    if not all(_table_integers(_CONSTANT_TERMS, d, e)[0]):
+        return False
+    a, b, u, v = d.numerator, d.denominator, e.numerator, e.denominator
+    for k in (0, 1):
+        for r in ROOT_SIEVE_PRIMES:
+            if b % r and v % r and not _class_has_root(k, r, a * pow(b, -1, r) % r, u * pow(v, -1, r) % r):
+                break
+        else:
+            return False
+    return True
 
 
 def scan_point(point):
@@ -302,6 +354,10 @@ def scan_point(point):
     the closed-form table, minus the resultant discriminant as a polynomial
     in d and e: test_disc_table_is_minus_the_resultant_discriminant), which
     vanishes exactly when the discriminant does.
+
+    Per point, only that numerator and the two resolvents' constant terms
+    are evaluated; the root sieve reads a byte per residue class of (d, e)
+    (_root_classes), so neither resolvent table is evaluated at the point.
     """
     d, e = map(Fraction, point)
     if _table_integers(_DISC, d, e)[0][0] and _resolvents_rootless(d, e):

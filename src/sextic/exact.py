@@ -256,9 +256,20 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+# The odd primes found so far, in order: _odd_primes extends it on demand,
+# so each odd number is tested for primality once per process
+_ODD_PRIMES = [3]
+
+
 def _odd_primes():
     """3, 5, 7, 11, ... without end."""
-    return (r for r in itertools.count(3, 2) if _is_probable_prime(r))
+    for k in itertools.count():
+        if k == len(_ODD_PRIMES):
+            r = _ODD_PRIMES[-1] + 2
+            while not _is_probable_prime(r):
+                r += 2
+            _ODD_PRIMES.append(r)
+        yield _ODD_PRIMES[k]
 
 
 def _brent_rho(n: int, budget: list) -> int:

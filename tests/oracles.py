@@ -12,9 +12,10 @@ import mpmath as mp
 
 from sextic import modp
 from sextic.errors import NonConvergence, NotNearInteger, RepeatedRootSuspected
-from sextic.exact import RatPoly, divisors, is_rational_square
+from sextic.exact import RatPoly, _rootless, divisors, is_rational_square
 from sextic.groups import orbit
 from sextic.quintic import QuinticParams, ab_from_params
+from sextic.resolvents import _F_VERIFIED, _G_VERIFIED, _table_integers
 from sextic.roots import PRECISION_CAP, find_roots, to_mpf
 
 
@@ -155,6 +156,14 @@ def radical_roots_by_search(p, precision: int):
             if residual <= tol:
                 return us, xs, residual
     return None
+
+
+def resolvents_rootless_per_point(d: Fraction, e: Fraction, primes) -> bool:
+    """The root sieve of classify._resolvents_rootless, point by point: both
+    verified tables evaluated in full at (d, e), then exact._rootless on each
+    table's integer numerators over primes."""
+    tables = [_table_integers(table, d, e)[0] for table in (_F_VERIFIED, _G_VERIFIED)]
+    return all(nums[0] for nums in tables) and all(_rootless(n, primes) for n in tables)
 
 
 @lru_cache(maxsize=8)

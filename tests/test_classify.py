@@ -22,7 +22,7 @@ from sextic.exact import RatPoly, _is_probable_prime, monic_model, poly_eval, ra
 from sextic.resolvents import ReducedSextic, f_verified, g_verified
 
 import permgroups
-from oracles import factor, is_squarefree
+from oracles import factor, is_squarefree, resolvents_rootless_per_point
 from test_resolvents import _corpus
 
 
@@ -277,25 +277,47 @@ def test_root_sieve_rules_out_only_resolvents_without_rational_roots():
             assert not rational_roots(f_verified(s)) and not rational_roots(g_verified(s)), (d, e)
 
 
+def test_root_sieve_by_residue_class_matches_the_per_point_sieve(monkeypatch):
+    # the class store starts empty, so both its fills and its later lookups
+    # are compared with the sieve that evaluates both tables at every point
+    module = importlib.import_module("sextic.classify")
+    monkeypatch.setattr(module, "_root_classes", {})
+    points = list(itertools.product(range(-60, 61), range(-12, 13)))
+    denominators = (1, 2, 3, 5, 7)
+    for q, s in itertools.product(denominators, repeat=2):
+        if q * s > 1:
+            points += itertools.product([F(i, q) for i in range(-2 * q, 2 * q + 1)],
+                                        [F(j, s) for j in range(-2 * s, 2 * s + 1)])
+    points += [(F(4, 43), 1), (F(13, 47 * 53), 1), (F(216, 97), 5)]
+    for d, e in points:
+        d, e = F(d), F(e)
+        expected = resolvents_rootless_per_point(d, e, module.ROOT_SIEVE_PRIMES)
+        assert module._resolvents_rootless(d, e) is expected, (d, e)
+    assert sum(map(len, module._root_classes.values())) <= 2 * sum(r * r for r in module.ROOT_SIEVE_PRIMES)
+
+
 def test_root_sieve_reduces_only_where_the_resolvent_stays_monic(monkeypatch):
     # a rational root reduces to a root mod r only when r divides no
-    # denominator, i.e. not the leading numerator of the monic resolvent.
-    # The last three points carry the denominators 43, 47 * 53 and 97 and
-    # stay in the sieve past them; (216/97, 5) keeps a resolvent through 89.
+    # denominator, i.e. not the leading numerator of the monic resolvent, so
+    # no such prime may be looked up. The last three points carry the
+    # denominators 43, 47 * 53 and 97 and stay in the sieve past them;
+    # (216/97, 5) keeps a resolvent through 89.
     module = importlib.import_module("sextic.classify")
     seen = []
-    original = modp.has_root
+    original = module._class_has_root
 
-    def spy(nums, r):
-        seen.append((nums[-1], r))
-        return original(nums, r)
+    def spy(k, r, x, y):
+        seen.append(r)
+        return original(k, r, x, y)
 
-    monkeypatch.setattr(modp, "has_root", spy)
+    monkeypatch.setattr(module, "_class_has_root", spy)
     for d, e in [(F(1, 3), 1), (F(2, 5), F(1, 7)), (F(-7, 15), F(3, 11)), (F(1, 2), F(5, 36)),
                  (F(4, 43), 1), (F(13, 47 * 53), 1), (F(216, 97), 5)]:
+        before = len(seen)
         module._resolvents_rootless(F(d), F(e))
-    assert seen and all(lead % r for lead, r in seen)
-    assert {53, 71, 89} <= {r for _, r in seen}
+        denominators = F(d).denominator * F(e).denominator
+        assert all(denominators % r for r in seen[before:]), (d, e)
+    assert {53, 71, 89} <= set(seen)
 
 
 def test_root_sieve_evaluates_no_prime_when_a_constant_term_is_zero(monkeypatch):
@@ -304,7 +326,7 @@ def test_root_sieve_evaluates_no_prime_when_a_constant_term_is_zero(monkeypatch)
     # degree-10 constant vanishes
     module = importlib.import_module("sextic.classify")
     seen = []
-    monkeypatch.setattr(modp, "has_root", lambda nums, r: seen.append(r) or True)
+    monkeypatch.setattr(module, "_class_has_root", lambda *args: seen.append(args) or True)
     for d, e in [(5, 0), (F(-1, 3), 0), (0, 1), (0, F(-7, 2)), (F(1, 2), F(5, 36)), (2, 1), (-2, 1)]:
         assert not module._resolvents_rootless(F(d), F(e)), (d, e)
     assert not seen
@@ -313,9 +335,10 @@ def test_root_sieve_evaluates_no_prime_when_a_constant_term_is_zero(monkeypatch)
 def test_root_sieve_settles_most_of_the_benchmark_grid(monkeypatch):
     # every point of d = -50..50, e = -2..2 that still reaches classify has
     # a resolvent with a zero constant term (the e = 0 row, (0, +-1),
-    # (0, +-2) and (+-2, 1)) or is a hit. The sieve settles the others in at
-    # most 2,722 modp.has_root evaluations, the count when both resolvents
-    # are tried at each prime in turn
+    # (0, +-2) and (+-2, 1)) or is a hit. From an empty class store the
+    # sieve settles the others in 580 modp.has_root evaluations, one per
+    # residue class met (the sieve that evaluated both tables at every point
+    # made up to 2,722), and a second pass over the grid makes none
     module = importlib.import_module("sextic.classify")
     calls, evaluations = [], []
     original, real_has_root = module.classify, modp.has_root
@@ -328,15 +351,22 @@ def test_root_sieve_settles_most_of_the_benchmark_grid(monkeypatch):
         return report
 
     monkeypatch.setattr(module, "classify", counting)
+    monkeypatch.setattr(module, "_root_classes", {})
     monkeypatch.setattr(modp, "has_root", lambda nums, r: evaluations.append(r) or real_has_root(nums, r))
-    for d, e in itertools.product(range(-50, 51), range(-2, 3)):
+    grid = list(itertools.product(range(-50, 51), range(-2, 3)))
+    for d, e in grid:
         before = len(calls)
         hit = scan_point((d, e))[2] is not None
         if len(calls) > before and not hit:
             s = ReducedSextic(F(d), F(e))
             assert not f_verified(s).coeffs[0] or not g_verified(s).coeffs[0], (d, e)
     assert len(calls) == 107
-    assert len(evaluations) <= 2722
+    assert len(evaluations) == 580
+    del calls[:], evaluations[:]
+    for point in grid:
+        scan_point(point)
+    assert len(calls) == 107
+    assert not evaluations
 
 
 @pytest.mark.parametrize(

@@ -273,6 +273,17 @@ def test_search_fractional_grid_matches_golden_output(capsys):
     assert err == golden.with_suffix(".err").read_text()
 
 
+def test_search_grid_with_sieve_prime_denominators_matches_golden_output(capsys):
+    # stdout and stderr captured before the root sieve looked up residue
+    # classes: the denominators 7 and 5 are sieve primes, which the sieve
+    # skips at every point whose d or e carries them (20 hits, 1 error)
+    golden = Path(__file__).parent / "golden" / "search_d-3_3_sevenths_e-2_2_fifths"
+    code, out, err = run(capsys, "search", "--d-range=-3:3:1/7", "--e-range=-2:2:1/5")
+    assert code == 0
+    assert out == golden.with_suffix(".out").read_text()
+    assert err == golden.with_suffix(".err").read_text()
+
+
 # golden stem of each command line in README's "Command line" section; stdout
 # and stderr were captured before search lost its process pool
 README_GOLDENS = {

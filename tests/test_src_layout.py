@@ -14,7 +14,6 @@ UNLOADED = {
     "exact.divisors": "perfbench/spans.py traces the name (TARGETS); ROADMAP item 2 removes it",
     "roots.find_roots": "perfbench/spans.py traces the name (TARGETS); ROADMAP item 2 removes it",
     "resolvents.resolvent_numeric_in_frame": "perfbench/spans.py traces the name (TARGETS); ROADMAP item 2 removes it",
-    "resolvents.G_VERIFIED_TABLE": "the audited degree-10 table beside F_VERIFIED_TABLE; the audit tests compare against it",
     "groups.MATCHING_GROUP_GENERATORS": "the paper's generators of the matching group, kept as data",
     "groups.MATCHING_EVEN_GENERATORS": "the paper's generators of its even part, kept as data",
     "groups.PARTITION_EVEN_GENERATORS": "the paper's (odd) generator pair, kept as data",
